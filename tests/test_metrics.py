@@ -126,6 +126,29 @@ class TestAberExact:
                 for s in (0.0, 10.0, 20.0, 30.0)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
+    def test_overflowing_residue_falls_back_to_contour(self):
+        # a residue of one G term overflows to +-inf; the Slater sum used to
+        # leak "ValueError: -inf + inf in fsum" here. mpmath reference value.
+        got = mt.aber_exact(fig3_params(0.5, 0.5, 1.0, snr_db=-10.0), QAM16)
+        assert got.path == "meijer-g"
+        assert got.value == pytest.approx(0.6602567351595884, rel=1e-6)
+
+    # Fig-3 rows (20 dB, powers -3 / +3 dB), mpmath references at 40 digits.
+    # At alpha 2.5 and 3.75 most G terms leave the Slater series after its
+    # double-double run and evaluate on the contour.
+    @pytest.mark.parametrize("m_x, m_y, alpha, want", [
+        (0.5, 0.5, 1.25, 0.1652216485975596),
+        (0.5, 0.5, 2.5, 0.043308621967241084),
+        (0.5, 0.5, 3.75, 0.01576356741809328),
+        (2.5, 2.5, 1.25, 0.012848168508852557),
+        (2.5, 2.5, 2.5, 0.0010531910886727573),
+        (2.5, 2.5, 3.75, 0.00020800664313641354),
+    ])
+    def test_fig3_rows(self, m_x, m_y, alpha, want):
+        got = mt.aber_exact(fig3_params(m_x, m_y, alpha), QAM16)
+        assert got.path == "meijer-g"
+        assert got.value == pytest.approx(want, rel=1e-6)
+
     def test_truncation_profile_converges(self):
         pars = fig2_params(2.0, 20.0)
         prof = mt.aber_exact_truncation_profile(pars, QAM16, k_max=12)

@@ -1,11 +1,16 @@
 import math
+import warnings
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate
 
+from abxs import metrics as mt
 from abxs import specfun as sf
+from abxs.channel import derived_constants
 from oracles import dec_1f1, dec_2f1, dec_phi2_double
+from paramsets import fig3_params, fig4_params
 
 EULER = 0.5772156649015328606
 
@@ -132,6 +137,13 @@ class TestKummer1F1:
         with pytest.raises(ValueError):
             sf.kummer_1f1(1.0, -2.0, 1.0)
 
+    @pytest.mark.parametrize("a, b, x", [(1.5, 1.6, -30.0), (0.3, 1.7, -35.0)])
+    def test_double_double_series_survives_cancellation(self, a, b, x):
+        (hi, lo), max_term = sf._hyp_series_dd((a,), (b,), x, sf.DEFAULT_CONTROL)
+        value = hi + lo
+        assert max_term >= 1e10 * abs(value)
+        assert value == pytest.approx(dec_1f1(a, b, x), rel=1e-13)
+
 
 class TestGauss2F1:
     def test_trivial(self):
@@ -254,9 +266,96 @@ class TestMeijerG:
             got = sf.meijer_g(spec, 1.3)
         assert got == pytest.approx(2.3 * math.exp(-1.3), rel=1e-10)
 
+    def test_gauss_runs(self):
+        # interleaved runs, a duplicate, and a run built from rounded floats
+        runs = sf._gauss_runs([0.0, 1 / 3, 2 / 3, 0.25, 0.75, 0.0])
+        assert sorted(runs) == [(0.0, 1), (0.0, 3), (0.25, 2)]
+        runs = sf._gauss_runs([1.0 - (0.5 + i) / 15 for i in range(15)] + [0.0])
+        assert [size for _, size in runs] == [15, 1]
+        assert sf._gauss_runs([0.3, 0.9]) == [(0.3, 1), (0.9, 1)]
+
     def test_domain(self):
         spec = sf.MeijerGSpec(m=1, n=0, a_params=(), b_params=(0.0,))
         with pytest.raises(ValueError):
             sf.meijer_g(spec, -1.0)
         with pytest.raises(ValueError):
             sf.meijer_g(spec, 0.0)
+
+
+QAM16 = mt.modulation_coeffs("mqam", 16)
+
+
+def _aber_term_spec(params, d2, k):
+    """The G term k of the exact ABER's Q-component d2 (as metrics builds it)."""
+    dc = derived_constants(params)
+    p, q = dc.p, dc.q
+    z = (p / d2) ** p / (q * dc.c_alpha * params.gamma_bar ** (params.alpha / 2.0)) ** q
+    upper = tuple((0.5 + i) / p for i in range(p)) + (1.0,)
+    lower = tuple((params.m_x + k + i) / q for i in range(q)) + (0.0,)
+    return sf.MeijerGSpec(m=q, n=p + 1, a_params=upper, b_params=lower), z
+
+
+def _capacity_term_spec(params, k):
+    """The G term k of the exact capacity (as metrics builds it)."""
+    dc = derived_constants(params)
+    p, q = dc.p, dc.q
+    z = (1.0 / (q * dc.c_alpha * params.gamma_bar ** (params.alpha / 2.0))) ** q
+    upper = tuple(i / p for i in range(p)) + (1.0,)
+    lower = (tuple(i / p for i in range(p))
+             + tuple((params.m_x + k + i) / q for i in range(q)) + (0.0,))
+    return sf.MeijerGSpec(m=q + p + 1, n=p, a_params=upper, b_params=lower), z
+
+
+def _mpmath_meijer_g(spec, z):
+    a, b = spec.a_params, spec.b_params
+    with mpmath.workdps(30):
+        return float(mpmath.meijerg([a[:spec.n], a[spec.n:]], [b[:spec.m], b[spec.m:]], z))
+
+
+class TestMeijerGDifferential:
+    """meijer_g against mpmath at 30 digits, on every evaluation route."""
+
+    CASES = {
+        "plain-slater": lambda: _aber_term_spec(fig3_params(0.5, 0.5, 1.25), QAM16.delta2[0], 0),
+        "dd-slater": lambda: _aber_term_spec(fig3_params(0.5, 0.5, 3.0), QAM16.delta2[0], 0),
+        # the cross-term gate rejects this residue sum
+        "contour-after-rejection": lambda: _aber_term_spec(fig3_params(0.5, 0.5, 3.75),
+                                                           QAM16.delta2[0], 0),
+        "contour-pole-collision": lambda: _capacity_term_spec(fig4_params(0.5, 0.5, 1.0, 20.0),
+                                                              0),
+        "contour-pole-collision-alpha3": lambda: _capacity_term_spec(
+            fig4_params(0.5, 0.5, 3.0, 20.0), 2),
+    }
+
+    @staticmethod
+    def _route(monkeypatch, spec, z):
+        """(value, route) with the route read off spies on the kernel's stages."""
+        seen = []
+        for name in ("_meijer_slater", "_meijer_contour", "_hyp_series_dd"):
+            def spy(*args, _real=getattr(sf, name), _name=name):
+                try:
+                    return _real(*args)
+                finally:
+                    seen.append(_name)
+            monkeypatch.setattr(sf, name, spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sf.PrecisionWarning)
+            value = sf.meijer_g(spec, z)
+        if "_meijer_contour" in seen:
+            return value, ("contour-after-rejection" if "_meijer_slater" in seen
+                           else "contour-pole-collision")
+        return value, "dd-slater" if "_hyp_series_dd" in seen else "plain-slater"
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_mpmath(self, monkeypatch, case):
+        spec, z = self.CASES[case]()
+        value, route = self._route(monkeypatch, spec, z)
+        assert case.startswith(route)
+        assert value == pytest.approx(_mpmath_meijer_g(spec, z), rel=1e-10)
+
+    def test_contour_at_a_denominator_gamma_pole(self):
+        # sigma = -1/2 puts 1/Gamma(1 - b_3 + s) on a pole at t = 0, where
+        # the integrand vanishes.
+        spec = sf.MeijerGSpec(m=2, n=0, a_params=(), b_params=(0.0, 0.25, 1.5))
+        got = sf._meijer_contour(spec, 2.0, sf.DEFAULT_CONTROL)
+        assert got == pytest.approx(_mpmath_meijer_g(spec, 2.0), rel=1e-10)
