@@ -55,8 +55,6 @@ from .specfun import (
     lgamma,
     meijer_g,
     pochhammer,
-    reg_lower_inc_gamma,
-    reg_upper_inc_gamma,
 )
 
 __version__ = "0.1.0"

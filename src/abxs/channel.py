@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
+from scipy.special import gammainc, gammaincc
 
 from . import specfun
 from .specfun import DEFAULT_CONTROL, SeriesControl
@@ -90,12 +93,17 @@ def mho_alpha(params: ChannelParams) -> float:
     return derived_constants(params).mho_alpha
 
 
+# Mass of the negative-binomial weights left out of DerivedConstants.nb_weights.
+_NB_TAIL = 1e-14
+
+
 @dataclass(frozen=True)
 class DerivedConstants:
     """Per-parameter-set constants shared by the statistics and metrics.
 
     ``p``/``q`` are the reduced numerator/denominator of alpha/2, or None when
     alpha/2 has no small rational approximation (quadrature-only regime).
+    ``m_y`` and ``beta_bar`` fix the mixing law of :attr:`nb_weights`.
     """
 
     c_alpha: float
@@ -103,6 +111,35 @@ class DerivedConstants:
     mho_alpha: float
     p: int | None
     q: int | None
+    m_y: float
+
+    @cached_property
+    def nb_weights(self) -> np.ndarray:
+        """NB(m_y, beta_bar) probabilities w_k = (1-bb)^m_y (m_y)_k bb^k / k!.
+
+        U = (gamma/gamma_bar)^(alpha/2) / C is the mixture sum_k w_k Gamma(m_x+k, 1),
+        so these weights drive the cdf, the ccdf, the KS cdf and the metric
+        fallbacks. The list stops once, past the mode, the geometric bound
+        w_{k+1} / (1 - max(r_k, bb)) on the mass left out falls below 1e-14;
+        r_k = w_{k+1}/w_k, and max(r_k, bb) bounds every later ratio. Built on
+        first use: the pdf and the Meijer-G routes never need the weights, and
+        their count grows as 1/(1 - bb).
+        """
+        m_y, bb = self.m_y, self.beta_bar
+        w = (1.0 - bb) ** m_y
+        out = [w]
+        k = 0
+        while bb > 0.0:
+            r = (m_y + k) * bb / (k + 1.0)
+            w *= r
+            rho = max(r, bb)
+            if rho < 1.0 and w < _NB_TAIL * (1.0 - rho):
+                break
+            out.append(w)
+            k += 1
+        weights = np.array(out)
+        weights.flags.writeable = False
+        return weights
 
 
 @lru_cache(maxsize=256)
@@ -125,7 +162,8 @@ def derived_constants(params: ChannelParams) -> DerivedConstants:
         p, q = rationalize_alpha(params.alpha)
     except ValueError:
         p, q = None, None
-    return DerivedConstants(c_alpha=c, beta_bar=bb, mho_alpha=mho, p=p, q=q)
+    return DerivedConstants(c_alpha=c, beta_bar=bb, mho_alpha=mho, p=p, q=q,
+                            m_y=params.m_y)
 
 
 def envelope_moment(params: ChannelParams, k: float) -> float:
@@ -148,14 +186,15 @@ def _log_1f1(a: float, b: float, x: float, control: SeriesControl) -> float:
     return math.log(specfun.kummer_1f1(a, b, x, control))
 
 
-def snr_pdf(params: ChannelParams, gamma: float,
-            control: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Instantaneous-SNR density f(gamma).
+def _origin_density(params: ChannelParams, dc: DerivedConstants) -> float:
+    """lim f(gamma) / (gamma/gamma_bar)^(alpha*m_x/2 - 1) as gamma -> 0."""
+    return (params.alpha * (1.0 - dc.beta_bar) ** params.m_y
+            / (2.0 * dc.c_alpha ** params.m_x * math.gamma(params.m_x)
+               * params.gamma_bar))
 
-    At gamma = 0 the density is 0 for alpha*m_x > 2, finite for
-    alpha*m_x = 2, and unbounded for alpha*m_x < 2 (reported as inf so
-    downstream integrals keep working).
-    """
+
+def _snr_density(params: ChannelParams, gamma: float, log_confluent) -> float:
+    """The SNR density, its confluent factor's log given as log_confluent(bb * u)."""
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     dc = derived_constants(params)
@@ -163,10 +202,7 @@ def snr_pdf(params: ChannelParams, gamma: float,
     if gamma == 0.0:
         if exponent > 0.0:
             return 0.0
-        base = (params.alpha * (1.0 - dc.beta_bar) ** params.m_y
-                / (2.0 * dc.c_alpha ** params.m_x * math.gamma(params.m_x)
-                   * params.gamma_bar))
-        return base if exponent == 0.0 else math.inf
+        return _origin_density(params, dc) if exponent == 0.0 else math.inf
     ratio = gamma / params.gamma_bar
     u = ratio ** (params.alpha / 2.0) / dc.c_alpha
     log_f = (math.log(params.alpha / 2.0)
@@ -176,63 +212,52 @@ def snr_pdf(params: ChannelParams, gamma: float,
              - math.log(params.gamma_bar)
              + exponent * math.log(ratio)
              - u
-             + _log_1f1(params.m_y, params.m_x, dc.beta_bar * u, control))
+             + log_confluent(dc.beta_bar * u))
     if log_f > 709.0:
         return math.inf
     return math.exp(log_f)
 
 
-def _cdf_weights(params: ChannelParams, control: SeriesControl):
-    """Series weights (1-bb)^m_y (m_y)_k bb^k / k! and shapes m_x + k."""
-    dc = derived_constants(params)
-    bb = dc.beta_bar
-    scale = (1.0 - bb) ** params.m_y
-    w = scale
-    k = 0
-    out = []
-    while True:
-        out.append((w, params.m_x + k))
-        if bb == 0.0:
-            break
-        w_next = w * (params.m_y + k) * bb / (k + 1.0)
-        # positive weights summing to 1; stop once the remainder is negligible
-        if w_next < control.rel_tol * scale and k >= 2:
-            break
-        if k + 1 >= control.max_terms:
-            raise specfun.ConvergenceError("cdf series weights exhausted max_terms")
-        w = w_next
-        k += 1
-    return out
-
-
-def snr_cdf(params: ChannelParams, gamma: float,
+def snr_pdf(params: ChannelParams, gamma: float,
             control: SeriesControl = DEFAULT_CONTROL) -> float:
-    """SNR distribution function via the incomplete-gamma series (primary path)."""
+    """Instantaneous-SNR density f(gamma).
+
+    At gamma = 0 the density is 0 for alpha*m_x > 2, finite for
+    alpha*m_x = 2, and unbounded for alpha*m_x < 2 (reported as inf so
+    downstream integrals keep working).
+    """
+    return _snr_density(params, gamma,
+                        lambda v: _log_1f1(params.m_y, params.m_x, v, control))
+
+
+def _gamma_mixture(params: ChannelParams, gamma, inc_gamma):
+    """sum_k w_k inc_gamma(m_x + k, u) at u = (gamma/gamma_bar)^(alpha/2) / C, capped at 1.
+
+    ``gamma`` may be an ndarray; one pass per weight keeps the memory
+    proportional to it.
+    """
+    dc = derived_constants(params)
+    u = (np.asarray(gamma, dtype=float) / params.gamma_bar) ** (params.alpha / 2.0) / dc.c_alpha
+    total = np.zeros_like(u)
+    for k, w in enumerate(dc.nb_weights):
+        total += w * inc_gamma(params.m_x + k, u)
+    return np.minimum(total, 1.0)
+
+
+def snr_cdf(params: ChannelParams, gamma: float) -> float:
+    """SNR distribution function: the NB mixture of regularized lower incomplete gammas."""
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    if gamma == 0.0:
-        return 0.0
-    dc = derived_constants(params)
-    u = (gamma / params.gamma_bar) ** (params.alpha / 2.0) / dc.c_alpha
-    total = 0.0
-    for w, shape in _cdf_weights(params, control):
-        total += w * specfun.reg_lower_inc_gamma(shape, u)
-    return min(total, 1.0)
+    return float(_gamma_mixture(params, gamma, gammainc))
 
 
-def snr_ccdf(params: ChannelParams, gamma: float,
-             control: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Complementary cdf via the upper-incomplete-gamma series."""
+def snr_ccdf(params: ChannelParams, gamma: float) -> float:
+    """Complementary cdf: the NB mixture of regularized upper incomplete gammas."""
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     if gamma == 0.0:
         return 1.0
-    dc = derived_constants(params)
-    u = (gamma / params.gamma_bar) ** (params.alpha / 2.0) / dc.c_alpha
-    total = 0.0
-    for w, shape in _cdf_weights(params, control):
-        total += w * specfun.reg_upper_inc_gamma(shape, u)
-    return min(total, 1.0)
+    return float(_gamma_mixture(params, gamma, gammaincc))
 
 
 def snr_cdf_phi2(params: ChannelParams, gamma: float,
@@ -259,29 +284,7 @@ def snr_cdf_phi2(params: ChannelParams, gamma: float,
 
 def snr_pdf_asymptotic(params: ChannelParams, gamma: float) -> float:
     """High-mean-SNR density approximation (confluent factor dropped)."""
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    dc = derived_constants(params)
-    exponent = params.alpha * params.m_x / 2.0 - 1.0
-    if gamma == 0.0:
-        if exponent > 0.0:
-            return 0.0
-        base = (params.alpha * (1.0 - dc.beta_bar) ** params.m_y
-                / (2.0 * dc.c_alpha ** params.m_x * math.gamma(params.m_x)
-                   * params.gamma_bar))
-        return base if exponent == 0.0 else math.inf
-    ratio = gamma / params.gamma_bar
-    u = ratio ** (params.alpha / 2.0) / dc.c_alpha
-    log_f = (math.log(params.alpha / 2.0)
-             + params.m_y * math.log1p(-dc.beta_bar)
-             - params.m_x * math.log(dc.c_alpha)
-             - math.lgamma(params.m_x)
-             - math.log(params.gamma_bar)
-             + exponent * math.log(ratio)
-             - u)
-    if log_f > 709.0:
-        return math.inf
-    return math.exp(log_f)
+    return _snr_density(params, gamma, lambda v: 0.0)
 
 
 def snr_cdf_asymptotic(params: ChannelParams, gamma: float) -> float:
@@ -356,9 +359,7 @@ def _snr_pdf_smooth(params: ChannelParams, gamma: float,
     explicit algebraic weight.
     """
     dc = derived_constants(params)
-    base = (params.alpha * (1.0 - dc.beta_bar) ** params.m_y
-            / (2.0 * dc.c_alpha ** params.m_x * math.gamma(params.m_x)
-               * params.gamma_bar))
+    base = _origin_density(params, dc)
     if gamma == 0.0:
         return base
     u = (gamma / params.gamma_bar) ** (params.alpha / 2.0) / dc.c_alpha

@@ -4,9 +4,9 @@ Each metric comes in three flavours:
 
 * a quadrature oracle integrating the SNR density directly (the reference
   every closed form is judged against),
-* the exact closed form (a truncated series of Meijer G terms, with an
-  automatic series-plus-quadrature hybrid when alpha/2 has no small rational
-  form), and
+* the exact closed form (a truncated series of Meijer G terms, falling back
+  to the expectation over the negative-binomial gamma mixture when alpha/2
+  has no small rational form or the series fails), and
 * the high-SNR asymptote, which also yields diversity order and coding gain.
 
 The Q-function is taken from erfc, never a polynomial fit, so the oracle is
@@ -15,11 +15,13 @@ more accurate than anything it judges.
 
 from __future__ import annotations
 
+import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import integrate
+from scipy.special import erfc, gammaln
 
 from . import channel, specfun
 from .channel import ChannelParams, derived_constants
@@ -31,8 +33,11 @@ from .specfun import DEFAULT_CONTROL, ConvergenceError, MeijerGSpec, SeriesContr
 METRIC_SERIES = SeriesControl(rel_tol=1e-7, max_terms=64)
 
 # Above this denominator of alpha/2 the Meijer-G parameter count makes the
-# closed form worse than quadrature; switch to the hybrid path.
+# closed form worse than quadrature; switch to the mixture expectation.
 _MAX_MEIJER_Q = 8
+
+# Nodes per mixture-density evaluation, which bounds the (weights x nodes) array.
+_MIXTURE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -140,30 +145,25 @@ def _snr_integral(params: ChannelParams, weight, extra_breaks=(),
     breaks = sorted({params.gamma_bar, *extra_breaks})
     breaks = [x for x in breaks if 0.0 < x < tail_start] + [tail_start]
 
+    # full_output returns QUADPACK's message instead of warning: the error
+    # estimate is gated below, and a warning filter is process-global.
     total = 0.0
     err = 0.0
     lo = 0.0
-    first = True
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for hi in breaks:
-            if first and s < 0.0:
-                scale = params.gamma_bar ** (-s)
-                val, e = integrate.quad(
-                    lambda g: weight(g) * channel._snr_pdf_smooth(params, g) * scale,
-                    lo, hi, weight="alg", wvar=(s, 0.0),
-                    epsabs=0.0, epsrel=epsrel, limit=limit)
-            else:
-                val, e = integrate.quad(lambda g: weight(g) * channel.snr_pdf(params, g),
-                                        lo, hi, epsabs=0.0, epsrel=epsrel, limit=limit)
-            total += val
-            err += e
-            lo = hi
-            first = False
-        val, e = integrate.quad(lambda g: weight(g) * channel.snr_pdf(params, g),
-                                lo, math.inf, epsabs=1e-14, epsrel=epsrel, limit=limit)
-    total += val
-    err += e
+    for hi in breaks + [math.inf]:
+        opts = dict(epsabs=1e-14 if hi == math.inf else 0.0, epsrel=epsrel, limit=limit,
+                    full_output=1)
+        if lo == 0.0 and s < 0.0:
+            scale = params.gamma_bar ** (-s)
+            val, e = integrate.quad(
+                lambda g: weight(g) * channel._snr_pdf_smooth(params, g) * scale,
+                lo, hi, weight="alg", wvar=(s, 0.0), **opts)[:2]
+        else:
+            val, e = integrate.quad(lambda g: weight(g) * channel.snr_pdf(params, g),
+                                    lo, hi, **opts)[:2]
+        total += val
+        err += e
+        lo = hi
     gate = max(10.0 * epsrel * abs(total), 1e-6 * abs(total), 1e-13)
     if err > gate:
         raise ConvergenceError(f"quadrature error estimate too large: {err:g} on {total:g}")
@@ -181,6 +181,87 @@ def aber_quadrature(params: ChannelParams, mod: ModulationScheme,
     return _make_aber(mod.delta1 * total, 0, "oracle", mod)
 
 
+def _mixture_expectation(params: ChannelParams, h):
+    """(E[h(gamma)], weights used) over the negative-binomial gamma mixture.
+
+    gamma = gamma_bar (C u)^(2/alpha) with u ~ sum_k w_k Gamma(m_x + k, 1), so
+    E[h] is the integral over t = log u of h(gamma) sum_k w_k e^((m_x+k) t - e^t)
+    / Gamma(m_x + k). The integrand is analytic and decays at both ends, so the
+    trapezoid rule in t converges exponentially (Trefethen and Weideman, SIAM
+    Review 56(3), 2014). ``h`` maps an ndarray of log SNRs to an ndarray; it
+    is evaluated only where the density has not underflowed.
+    """
+    dc = derived_constants(params)
+    w = dc.nb_weights
+    shapes = (params.m_x + np.arange(w.size))[:, None]
+    log_c = np.log(w)[:, None] - gammaln(shapes)
+    two_over_alpha = 2.0 / params.alpha
+    log_scale = math.log(params.gamma_bar) + two_over_alpha * math.log(dc.c_alpha)
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        dens = np.empty_like(t)
+        for i in range(0, t.size, _MIXTURE_BLOCK):
+            tb = t[i:i + _MIXTURE_BLOCK]
+            dens[i:i + _MIXTURE_BLOCK] = np.exp(log_c + shapes * tb - np.exp(tb)).sum(axis=0)
+        live = dens > 0.0
+        dens[live] *= h(log_scale + two_over_alpha * t[live])
+        return dens
+
+    # Level 0, step 1/2: a window of nodes around the last component's upper
+    # tail, doubled at whichever end is not yet below 1e-18 of the peak (h can
+    # move the peak far into that tail, as log2(1 + gamma) does at small
+    # alpha); then the negligible nodes at both ends are dropped.
+    step = 0.5
+    start = math.log(shapes[-1, 0] + 10.0 * math.sqrt(shapes[-1, 0]) + 50.0)
+    lo, hi = -_MIXTURE_BLOCK, _MIXTURE_BLOCK
+    while True:
+        values = integrand(start + step * np.arange(lo, hi))
+        negligible = values < 1e-18 * values.max()
+        if negligible[0] and negligible[-1]:
+            break
+        lo *= 1 if negligible[0] else 2
+        hi *= 1 if negligible[-1] else 2
+        if not (-1e4 < start + step * lo and start + step * hi < 700.0):
+            raise ConvergenceError("mixture integrand does not decay")
+    live = np.flatnonzero(~negligible)
+    first, last = live[0] - 1, live[-1] + 1
+    bottom = start + step * (lo + first)
+    count = last - first
+    level_sum = values[first:last + 1].sum()
+    value = step * level_sum
+    # Each level halves the step, adding only the new midpoints.
+    for _ in range(12):
+        level_sum += integrand(bottom + step * (np.arange(count) + 0.5)).sum()
+        step *= 0.5
+        count *= 2
+        prev, value = value, step * level_sum
+        if abs(value - prev) <= 1e-12 * abs(value):
+            return float(value), w.size
+    raise ConvergenceError("mixture trapezoid levels did not agree to 1e-12")
+
+
+def _k_series(params: ChannelParams, dc, control: SeriesControl, g_term):
+    """(sum_k w_k g_term(k), terms) over the Meijer k-series.
+
+    Stops as specfun's series do: once three consecutive terms fall below
+    ``control.rel_tol`` times the partial sum (after one term without LoS).
+    """
+    total = 0.0
+    streak = 0
+    for k, w in _aber_series_weights(params, dc, control):
+        term = w * g_term(k)
+        total += term
+        if dc.beta_bar == 0.0:
+            return total, 1
+        if abs(term) <= control.rel_tol * max(abs(total), 1e-300):
+            streak += 1
+            if streak >= specfun._STOP_STREAK:
+                return total, k + 1
+        else:
+            streak = 0
+    raise ConvergenceError("Meijer k-series exhausted max_terms")
+
+
 def _aber_meijer_term(params: ChannelParams, d2: float, k: int,
                       dc) -> float:
     p, q = dc.p, dc.q
@@ -195,11 +276,16 @@ def _aber_meijer_term(params: ChannelParams, d2: float, k: int,
 def _aber_series_weights(params: ChannelParams, dc, control: SeriesControl):
     """Yields (k, (m_y)_k (q bb)^k / (k! Gamma(m_x + k)))."""
     w = 1.0 / math.gamma(params.m_x)
-    k = 0
-    while k < control.max_terms:
+    for k in range(control.max_terms):
         yield k, w
         w *= (params.m_y + k) * (dc.q * dc.beta_bar) / ((k + 1.0) * (params.m_x + k))
-        k += 1
+
+
+def _aber_prefactor(params: ChannelParams, mod: ModulationScheme, dc) -> float:
+    return (mod.delta1 * math.sqrt(math.pi)
+            * (1.0 - dc.beta_bar) ** params.m_y
+            * dc.q ** (params.m_x - 0.5)
+            / (2.0 * math.pi) ** ((dc.p + dc.q) / 2.0))
 
 
 def aber_exact(params: ChannelParams, mod: ModulationScheme,
@@ -208,42 +294,21 @@ def aber_exact(params: ChannelParams, mod: ModulationScheme,
 
     Sums, per Q-function component j, the k-series of G-function terms at
     argument (p/delta2_j)^p / (q C gamma_bar^(alpha/2))^q. Falls back to the
-    series-plus-quadrature hybrid when alpha/2 needs a large denominator or
-    the G evaluation fails.
+    expectation over the gamma mixture (path ``series-quadrature``) when
+    alpha/2 needs a large denominator or the G evaluation fails.
     """
     dc = derived_constants(params)
     if dc.q is None or dc.q > _MAX_MEIJER_Q:
-        return _aber_hybrid(params, mod, control)
-    p, q = dc.p, dc.q
-    prefactor = (mod.delta1 * math.sqrt(math.pi)
-                 * (1.0 - dc.beta_bar) ** params.m_y
-                 * q ** (params.m_x - 0.5)
-                 / (2.0 * math.pi) ** ((p + q) / 2.0))
-    total = 0.0
-    terms_used = 0
+        return _aber_mixture(params, mod)
     try:
-        for d2 in mod.delta2:
-            streak = 0
-            partial = 0.0
-            for k, w in _aber_series_weights(params, dc, control):
-                term = w * _aber_meijer_term(params, d2, k, dc)
-                partial += term
-                if dc.beta_bar == 0.0:
-                    terms_used = max(terms_used, 1)
-                    break
-                if abs(term) <= control.rel_tol * max(abs(partial), 1e-300):
-                    streak += 1
-                    if streak >= 3:
-                        terms_used = max(terms_used, k + 1)
-                        break
-                else:
-                    streak = 0
-            else:
-                raise ConvergenceError("ABER k-series exhausted max_terms")
-            total += partial
+        sums = [_k_series(params, dc, control,
+                          lambda k, d2=d2: _aber_meijer_term(params, d2, k, dc))
+                for d2 in mod.delta2]
     except (ConvergenceError, OverflowError):
-        return _aber_hybrid(params, mod, control)
-    return _make_aber(prefactor * total, terms_used, "meijer-g", mod)
+        return _aber_mixture(params, mod)
+    total = sum(partial for partial, _ in sums)
+    terms_used = max(terms for _, terms in sums)
+    return _make_aber(_aber_prefactor(params, mod, dc) * total, terms_used, "meijer-g", mod)
 
 
 def aber_exact_truncation_profile(params: ChannelParams, mod: ModulationScheme,
@@ -256,47 +321,21 @@ def aber_exact_truncation_profile(params: ChannelParams, mod: ModulationScheme,
     dc = derived_constants(params)
     if dc.q is None or dc.q > _MAX_MEIJER_Q:
         raise ValueError("truncation profile needs the Meijer-G route")
-    p, q = dc.p, dc.q
-    prefactor = (mod.delta1 * math.sqrt(math.pi)
-                 * (1.0 - dc.beta_bar) ** params.m_y
-                 * q ** (params.m_x - 0.5)
-                 / (2.0 * math.pi) ** ((p + q) / 2.0))
+    prefactor = _aber_prefactor(params, mod, dc)
     per_k = [0.0] * k_max
     for d2 in mod.delta2:
         for k, w in _aber_series_weights(params, dc, SeriesControl(1e-7, k_max)):
-            if k >= k_max:
-                break
             per_k[k] += w * _aber_meijer_term(params, d2, k, dc)
-    out = []
-    acc = 0.0
-    for v in per_k:
-        acc += v
-        out.append(prefactor * acc)
-    return out
+    return [prefactor * acc for acc in itertools.accumulate(per_k)]
 
 
-def _aber_hybrid(params: ChannelParams, mod: ModulationScheme,
-                 control: SeriesControl) -> AberResult:
-    """ABER through the cdf series and term-wise Laplace quadrature.
+def _aber_mixture(params: ChannelParams, mod: ModulationScheme) -> AberResult:
+    """ABER as the mixture expectation of delta1 sum_j Q(sqrt(2 delta2_j gamma))."""
+    def h(log_g: np.ndarray) -> np.ndarray:
+        return mod.delta1 * sum(0.5 * erfc(np.sqrt(d2 * np.exp(log_g))) for d2 in mod.delta2)
 
-    Uses the Gaussian-tail identity: each Q-component equals
-    (1/2) sqrt(d/pi) * integral of exp(-d g) g^(-1/2) F(g); substituting
-    g = u^2 removes the endpoint singularity.
-    """
-    total = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for d2 in mod.delta2:
-            def integrand(u: float, d: float = d2) -> float:
-                return math.exp(-d * u * u) * channel.snr_cdf(params, u * u, control)
-
-            upper = math.sqrt(40.0 / d2)
-            val1, e1 = integrate.quad(integrand, 0.0, upper,
-                                      epsabs=1e-14, epsrel=1e-10, limit=200)
-            val2, e2 = integrate.quad(integrand, upper, math.inf,
-                                      epsabs=1e-14, epsrel=1e-10, limit=200)
-            total += math.sqrt(d2 / math.pi) * (val1 + val2)
-    return _make_aber(mod.delta1 * total, 0, "series-quadrature", mod)
+    value, terms = _mixture_expectation(params, h)
+    return _make_aber(value, terms, "series-quadrature", mod)
 
 
 def aber_asymptotic(params: ChannelParams, mod: ModulationScheme) -> AberResult:
@@ -335,63 +374,37 @@ def capacity_exact(params: ChannelParams,
     """Exact ergodic capacity via the Meijer-G series.
 
     The G terms here always carry an integer pole collision (a doubled zero
-    parameter), so they evaluate on the Mellin-Barnes contour; the collision
-    warning is expected and suppressed.
+    parameter), so they go straight to the Mellin-Barnes contour, which is
+    where meijer_g would send them. Falls back like :func:`aber_exact`.
     """
     dc = derived_constants(params)
     if dc.q is None or dc.q > _MAX_MEIJER_Q:
-        return _capacity_hybrid(params, control)
+        return _capacity_mixture(params)
     p, q = dc.p, dc.q
     prefactor = (q ** (params.m_x - 0.5) * (1.0 - dc.beta_bar) ** params.m_y
                  / ((2.0 * math.pi) ** ((q - 3.0) / 2.0 + p) * math.log(2.0)))
     z = (1.0 / (q * dc.c_alpha * params.gamma_bar ** (params.alpha / 2.0))) ** q
     upper = tuple(i / p for i in range(p)) + (1.0,)
-    total = 0.0
-    terms_used = 0
-    streak = 0
+
+    def g_term(k: int) -> float:
+        lower = (tuple(i / p for i in range(p))
+                 + tuple((params.m_x + k + i) / q for i in range(q))
+                 + (0.0,))
+        spec = MeijerGSpec(m=q + p + 1, n=p, a_params=upper, b_params=lower)
+        return specfun._meijer_contour(spec, z, DEFAULT_CONTROL)
+
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", specfun.PrecisionWarning)
-            for k, w in _aber_series_weights(params, dc, control):
-                lower = (tuple(i / p for i in range(p))
-                         + tuple((params.m_x + k + i) / q for i in range(q))
-                         + (0.0,))
-                spec = MeijerGSpec(m=q + p + 1, n=p, a_params=upper, b_params=lower)
-                term = w * specfun.meijer_g(spec, z)
-                total += term
-                if dc.beta_bar == 0.0:
-                    terms_used = 1
-                    break
-                if abs(term) <= control.rel_tol * max(abs(total), 1e-300):
-                    streak += 1
-                    if streak >= 3:
-                        terms_used = k + 1
-                        break
-                else:
-                    streak = 0
-            else:
-                raise ConvergenceError("capacity k-series exhausted max_terms")
+        total, terms_used = _k_series(params, dc, control, g_term)
     except (ConvergenceError, OverflowError):
-        return _capacity_hybrid(params, control)
+        return _capacity_mixture(params)
     return CapacityResult(value=prefactor * total, terms_used=terms_used, path="meijer-g")
 
 
-def _capacity_hybrid(params: ChannelParams, control: SeriesControl) -> CapacityResult:
-    """Capacity via quadrature of ccdf(gamma) / (1 + gamma) / ln 2."""
-    def integrand(g: float) -> float:
-        return channel.snr_ccdf(params, g, control) / (1.0 + g)
-
-    tail = params.gamma_bar * (45.0 * derived_constants(params).c_alpha) ** (2.0 / params.alpha)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val1, _ = integrate.quad(integrand, 0.0, min(params.gamma_bar, tail),
-                                 epsabs=1e-13, epsrel=1e-10, limit=200)
-        val2, _ = integrate.quad(integrand, min(params.gamma_bar, tail), tail,
-                                 epsabs=1e-13, epsrel=1e-10, limit=200)
-        val3, _ = integrate.quad(integrand, tail, math.inf,
-                                 epsabs=1e-13, epsrel=1e-10, limit=200)
-    return CapacityResult(value=(val1 + val2 + val3) / math.log(2.0),
-                          terms_used=0, path="series-quadrature")
+def _capacity_mixture(params: ChannelParams) -> CapacityResult:
+    """Capacity as the mixture expectation of log2(1 + gamma)."""
+    value, terms = _mixture_expectation(params,
+                                        lambda log_g: np.logaddexp(0.0, log_g) / math.log(2.0))
+    return CapacityResult(value=value, terms_used=terms, path="series-quadrature")
 
 
 def capacity_asymptotic(params: ChannelParams,

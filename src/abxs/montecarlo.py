@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp_special
 
+from . import channel
 from .channel import ChannelParams, derived_constants
 
 
@@ -135,37 +136,12 @@ def mc_capacity(params: ChannelParams, cfg: SimulationConfig):
     return _mc_mean(params, cfg, lambda g: np.log1p(g) / math.log(2.0))
 
 
-def snr_cdf_fn(params: ChannelParams, rel_tol: float = 1e-14):
+def snr_cdf_fn(params: ChannelParams):
     """Vectorized SNR cdf closure (ndarray in, ndarray out) for KS testing.
 
-    Same incomplete-gamma series as the scalar cdf, evaluated through the
-    vectorized regularized gamma; agreement with the scalar path is covered
-    by the tests.
+    The scalar cdf's mixture sum_k w_k P(m_x + k, u), taken over the array.
     """
-    dc = derived_constants(params)
-    bb = dc.beta_bar
-    weights = []
-    scale = (1.0 - bb) ** params.m_y
-    w = scale
-    k = 0
-    while True:
-        weights.append((w, params.m_x + k))
-        if bb == 0.0 or (w < rel_tol * scale and k >= 2):
-            break
-        w = w * (params.m_y + k) * bb / (k + 1.0)
-        k += 1
-        if k > 100000:
-            raise RuntimeError("cdf series weights failed to decay")
-
-    def cdf(g: np.ndarray) -> np.ndarray:
-        g = np.asarray(g, dtype=float)
-        u = (g / params.gamma_bar) ** (params.alpha / 2.0) / dc.c_alpha
-        out = np.zeros_like(u)
-        for wk, shape in weights:
-            out += wk * sp_special.gammainc(shape, u)
-        return np.minimum(out, 1.0)
-
-    return cdf
+    return lambda g: channel._gamma_mixture(params, g, sp_special.gammainc)
 
 
 def ks_statistic(samples, cdf_fn) -> float:

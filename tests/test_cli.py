@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import pytest
 
 from abxs import cli
+from abxs.specfun import PrecisionWarning
 from oracles import rayleigh_bpsk_aber
 
 
@@ -96,6 +98,17 @@ class TestEvalCommand:
                                    "--threads", "4")
         assert rc == rc2 == 0
         assert serial == threaded
+
+    def test_threads_leave_warning_state_alone(self, capsys, recwarn):
+        # warnings.catch_warnings is process-global: worker threads entering and
+        # leaving it used to print PrecisionWarnings and leak an "ignore" filter.
+        before = list(warnings.filters)
+        for _ in range(5):
+            rc, _, err = run_cli(capsys, "eval", "--fig", "4", "--snr-db", "0:10:40",
+                                 "--threads", "2")
+            assert rc == 0 and err == ""
+            assert warnings.filters == before
+        assert not [w for w in recwarn if issubclass(w.category, PrecisionWarning)]
 
     def test_full_precision_cells(self, capsys):
         rc, out, _ = run_cli(capsys, "eval", "--metric", "aber", "--mod", "bpsk",

@@ -149,6 +149,13 @@ class TestAberExact:
         assert got.path == "meijer-g"
         assert got.value == pytest.approx(want, rel=1e-6)
 
+    def test_los_dominated_mixture_fallback(self):
+        # alpha/2 = 37/20 takes the mixture fallback at beta_bar ~ 0.8, where
+        # a 64-term cdf series used to raise ConvergenceError. mpmath reference.
+        got = mt.aber_exact(fig3_params(1.2, 1.2, 3.7), QAM16)
+        assert got.path == "series-quadrature"
+        assert got.value == pytest.approx(0.001720374419720987, rel=1e-6)
+
     def test_truncation_profile_converges(self):
         pars = fig2_params(2.0, 20.0)
         prof = mt.aber_exact_truncation_profile(pars, QAM16, k_max=12)
@@ -247,6 +254,14 @@ class TestCapacityExact:
         got = mt.capacity_exact(pars)
         assert got.path == "series-quadrature"
         assert got.value == pytest.approx(mt.capacity_quadrature(pars), rel=1e-6)
+
+    def test_los_dominated_k_series_falls_back(self):
+        # At beta_bar ~ 0.95 the Meijer k-series outgrows its 64 terms and the
+        # mixture takes over; the QUADPACK oracle returns 14.643 here. mpmath
+        # reference.
+        got = mt.capacity_exact(fig3_params(2.5, 0.5, 0.8, snr_db=60.0))
+        assert got.path == "series-quadrature"
+        assert got.value == pytest.approx(15.643722826061696, rel=1e-6)
 
 
 class TestCapacityAsymptotic:

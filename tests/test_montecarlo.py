@@ -104,6 +104,13 @@ class TestSnrSampler:
         scal = np.array([ch.snr_cdf(pars, x) for x in pts])
         assert np.abs(vec - scal).max() < 1e-12
 
+    def test_vectorized_cdf_matches_scalar_los_dominated(self):
+        pars = ChannelParams(2.5, 0.5, 10 ** -0.3, 10 ** 0.3, 0.8, 100.0)  # beta_bar ~ 0.95
+        pts = np.geomspace(1e-3, 1e5, 17)
+        vec = mc.snr_cdf_fn(pars)(pts)
+        scal = np.array([ch.snr_cdf(pars, x) for x in pts])
+        assert np.abs(vec - scal).max() < 1e-12
+
     def test_ks_and_mean_across_validation_grid(self):
         # moderate sample size keeps the whole 72-point sweep quick
         for i, pars in enumerate(grid72()):

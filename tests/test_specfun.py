@@ -8,7 +8,7 @@ from scipy import integrate
 
 from abxs import metrics as mt
 from abxs import specfun as sf
-from abxs.channel import derived_constants
+from abxs.channel import ChannelParams, derived_constants, snr_ccdf, snr_cdf
 from oracles import dec_1f1, dec_2f1, dec_phi2_double
 from paramsets import fig3_params, fig4_params
 
@@ -64,15 +64,26 @@ class TestGammaFamily:
 
 
 class TestIncompleteGamma:
+    """The regularized incomplete gammas, from scipy, through the SNR cdf.
+
+    Without LoS power at alpha = 2 the SNR law is Gamma(m_x, gamma_bar / m_x),
+    so F(gamma) = P(m_x, m_x gamma / gamma_bar); gamma_bar = m_x makes u = gamma.
+    """
+
+    @staticmethod
+    def law(a: float) -> ChannelParams:
+        return ChannelParams(m_x=a, m_y=1.0, omega_x=1.0, omega_y=0.0, alpha=2.0,
+                             gamma_bar=a)
+
     def test_exponential_cdf(self):
+        pars = self.law(1.0)
         for x in (0.1, 1.0, 5.0, 30.0):
-            assert sf.reg_lower_inc_gamma(1.0, x) == pytest.approx(1.0 - math.exp(-x),
-                                                                   rel=1e-12)
-            assert sf.reg_upper_inc_gamma(1.0, x) == pytest.approx(math.exp(-x), rel=1e-12)
+            assert snr_cdf(pars, x) == pytest.approx(1.0 - math.exp(-x), rel=1e-12)
+            assert snr_ccdf(pars, x) == pytest.approx(math.exp(-x), rel=1e-12)
 
     def test_at_zero(self):
-        assert sf.reg_lower_inc_gamma(2.3, 0.0) == 0.0
-        assert sf.reg_upper_inc_gamma(2.3, 0.0) == 1.0
+        assert snr_cdf(self.law(2.3), 0.0) == 0.0
+        assert snr_ccdf(self.law(2.3), 0.0) == 1.0
 
     def test_quadrature_oracle(self):
         # frozen from adaptive quadrature of t^1.5 e^-t on [0, 3.7] / Gamma(2.5)
@@ -81,20 +92,20 @@ class TestIncompleteGamma:
                                    epsabs=1e-15, epsrel=1e-13)
         live /= math.gamma(2.5)
         assert live == pytest.approx(frozen, rel=1e-12)
-        assert sf.reg_lower_inc_gamma(2.5, 3.7) == pytest.approx(frozen, rel=1e-12)
-        assert sf.reg_upper_inc_gamma(2.5, 3.7) == pytest.approx(1.0 - frozen, rel=1e-11)
+        assert snr_cdf(self.law(2.5), 3.7) == pytest.approx(frozen, rel=1e-12)
+        assert snr_ccdf(self.law(2.5), 3.7) == pytest.approx(1.0 - frozen, rel=1e-11)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            sf.reg_lower_inc_gamma(0.0, 1.0)
+            self.law(0.0)
         with pytest.raises(ValueError):
-            sf.reg_upper_inc_gamma(1.0, -0.5)
+            snr_ccdf(self.law(1.0), -0.5)
 
     @given(st.floats(min_value=0.02, max_value=150.0),
            st.floats(min_value=0.0, max_value=400.0))
     def test_complement(self, a, x):
-        p = sf.reg_lower_inc_gamma(a, x)
-        q = sf.reg_upper_inc_gamma(a, x)
+        p = snr_cdf(self.law(a), x)
+        q = snr_ccdf(self.law(a), x)
         assert 0.0 <= p <= 1.0 and 0.0 <= q <= 1.0
         assert p + q == pytest.approx(1.0, abs=1e-12)
 
