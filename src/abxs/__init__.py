@@ -46,13 +46,11 @@ from .specfun import (
     ConvergenceError,
     MeijerGSpec,
     PrecisionWarning,
-    SeriesControl,
     appell_phi2,
     digamma,
     gauss_2f1,
     gauss_2f1_da,
     kummer_1f1,
-    lgamma,
     meijer_g,
     pochhammer,
 )

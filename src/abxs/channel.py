@@ -18,7 +18,6 @@ import numpy as np
 from scipy.special import gammainc, gammaincc
 
 from . import specfun
-from .specfun import DEFAULT_CONTROL, SeriesControl
 
 
 @dataclass(frozen=True)
@@ -89,8 +88,13 @@ def c_alpha(params: ChannelParams) -> float:
 
 
 def mho_alpha(params: ChannelParams) -> float:
-    """Mean square of the normalized alpha-root envelope (documented intermediate)."""
-    return derived_constants(params).mho_alpha
+    """Mean square of the normalized alpha-root envelope (documented intermediate).
+
+    Computed on request only: no route needs it, and its power overflows at
+    small alpha (0.01) where every route still works.
+    """
+    ratio = params.omega_x / (params.m_x * c_alpha(params) * (params.omega_x + params.omega_y))
+    return ratio ** (2.0 / params.alpha)
 
 
 # Mass of the negative-binomial weights left out of DerivedConstants.nb_weights.
@@ -108,7 +112,6 @@ class DerivedConstants:
 
     c_alpha: float
     beta_bar: float
-    mho_alpha: float
     p: int | None
     q: int | None
     m_y: float
@@ -153,17 +156,11 @@ def derived_constants(params: ChannelParams) -> DerivedConstants:
         hyp = specfun.gauss_2f1(params.m_y, -two_over_alpha, params.m_x, z)
     log_c = (math.lgamma(params.m_x) - math.lgamma(params.m_x + two_over_alpha)
              - math.log(hyp)) / two_over_alpha
-    c = math.exp(log_c)
-    # Mean square of the alpha-root envelope after power normalization; the
-    # normalized envelope has unit mean-square by construction.
-    mho = (params.omega_x
-           / (params.m_x * c * (params.omega_x + params.omega_y))) ** two_over_alpha
     try:
         p, q = rationalize_alpha(params.alpha)
     except ValueError:
         p, q = None, None
-    return DerivedConstants(c_alpha=c, beta_bar=bb, mho_alpha=mho, p=p, q=q,
-                            m_y=params.m_y)
+    return DerivedConstants(c_alpha=math.exp(log_c), beta_bar=bb, p=p, q=q, m_y=params.m_y)
 
 
 def envelope_moment(params: ChannelParams, k: float) -> float:
@@ -179,11 +176,11 @@ def envelope_moment(params: ChannelParams, k: float) -> float:
     return hyp * math.exp(log_ratio) * (params.omega_x / params.m_x) ** (k / 2.0)
 
 
-def _log_1f1(a: float, b: float, x: float, control: SeriesControl) -> float:
+def _log_1f1(a: float, b: float, x: float) -> float:
     """log 1F1(a; b; x) for x >= 0, switching to the asymptotic form late."""
     if x > 650.0:
         return specfun._log_1f1_large_x(a, b, x)
-    return math.log(specfun.kummer_1f1(a, b, x, control))
+    return math.log(specfun.kummer_1f1(a, b, x))
 
 
 def _origin_density(params: ChannelParams, dc: DerivedConstants) -> float:
@@ -218,16 +215,14 @@ def _snr_density(params: ChannelParams, gamma: float, log_confluent) -> float:
     return math.exp(log_f)
 
 
-def snr_pdf(params: ChannelParams, gamma: float,
-            control: SeriesControl = DEFAULT_CONTROL) -> float:
+def snr_pdf(params: ChannelParams, gamma: float) -> float:
     """Instantaneous-SNR density f(gamma).
 
     At gamma = 0 the density is 0 for alpha*m_x > 2, finite for
     alpha*m_x = 2, and unbounded for alpha*m_x < 2 (reported as inf so
     downstream integrals keep working).
     """
-    return _snr_density(params, gamma,
-                        lambda v: _log_1f1(params.m_y, params.m_x, v, control))
+    return _snr_density(params, gamma, lambda v: _log_1f1(params.m_y, params.m_x, v))
 
 
 def _gamma_mixture(params: ChannelParams, gamma, inc_gamma):
@@ -260,8 +255,7 @@ def snr_ccdf(params: ChannelParams, gamma: float) -> float:
     return float(_gamma_mixture(params, gamma, gammaincc))
 
 
-def snr_cdf_phi2(params: ChannelParams, gamma: float,
-                 control: SeriesControl = DEFAULT_CONTROL) -> float:
+def snr_cdf_phi2(params: ChannelParams, gamma: float) -> float:
     """Cross-validation route for the cdf through the Appell Phi2 function.
 
     F = (1-bb)^m_y u^m_x e^-u Phi2(1, m_y; m_x + 1; u, bb*u) / Gamma(m_x + 1).
@@ -275,8 +269,7 @@ def snr_cdf_phi2(params: ChannelParams, gamma: float,
     u = (gamma / params.gamma_bar) ** (params.alpha / 2.0) / dc.c_alpha
     if u > 650.0:
         raise OverflowError("snr_cdf_phi2 argument too large; use snr_cdf")
-    phi2 = specfun.appell_phi2(1.0, params.m_y, params.m_x + 1.0, u,
-                               dc.beta_bar * u, control)
+    phi2 = specfun.appell_phi2(1.0, params.m_y, params.m_x + 1.0, u, dc.beta_bar * u)
     log_f = (params.m_y * math.log1p(-dc.beta_bar) + params.m_x * math.log(u)
              - u - math.lgamma(params.m_x + 1.0))
     return math.exp(log_f) * phi2
@@ -302,8 +295,7 @@ def snr_cdf_asymptotic(params: ChannelParams, gamma: float) -> float:
     return math.exp(log_f)
 
 
-def bxs_envelope_pdf(params: ChannelParams, r: float,
-                     control: SeriesControl = DEFAULT_CONTROL) -> float:
+def bxs_envelope_pdf(params: ChannelParams, r: float) -> float:
     """Envelope density of the baseline (alpha = 2) Beaulieu-Xie shadowed model.
 
     Reference form for the alpha = 2 reduction tests and the sampler check;
@@ -327,14 +319,13 @@ def bxs_envelope_pdf(params: ChannelParams, r: float,
              + params.m_y * math.log1p(-bb)
              + params.m_x * math.log(params.m_x / params.omega_x)
              - t
-             + _log_1f1(params.m_y, params.m_x, bb * t, control))
+             + _log_1f1(params.m_y, params.m_x, bb * t))
     if log_f > 709.0:
         return math.inf
     return math.exp(log_f)
 
 
-def bxs_power_pdf(params: ChannelParams, w: float,
-                  control: SeriesControl = DEFAULT_CONTROL) -> float:
+def bxs_power_pdf(params: ChannelParams, w: float) -> float:
     """Density of the envelope power W = R^2 for the baseline model."""
     if w < 0:
         raise ValueError(f"w must be >= 0, got {w}")
@@ -348,11 +339,10 @@ def bxs_power_pdf(params: ChannelParams, w: float,
         return ((1.0 - bb) ** params.m_y * (params.m_x / params.omega_x) ** params.m_x
                 / math.gamma(params.m_x))
     rw = math.sqrt(w)
-    return bxs_envelope_pdf(params, rw, control) / (2.0 * rw)
+    return bxs_envelope_pdf(params, rw) / (2.0 * rw)
 
 
-def _snr_pdf_smooth(params: ChannelParams, gamma: float,
-                    control: SeriesControl = DEFAULT_CONTROL) -> float:
+def _snr_pdf_smooth(params: ChannelParams, gamma: float) -> float:
     """f(gamma) with the (gamma/gamma_bar)^(alpha*m_x/2 - 1) factor removed.
 
     Finite at the origin; lets quadrature treat the endpoint singularity as an
@@ -364,5 +354,5 @@ def _snr_pdf_smooth(params: ChannelParams, gamma: float,
         return base
     u = (gamma / params.gamma_bar) ** (params.alpha / 2.0) / dc.c_alpha
     v = dc.beta_bar * u
-    log_rest = -u + _log_1f1(params.m_y, params.m_x, v, control)
+    log_rest = -u + _log_1f1(params.m_y, params.m_x, v)
     return base * math.exp(log_rest)

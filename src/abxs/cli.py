@@ -1,26 +1,27 @@
 """Command-line front end.
 
-Three subcommands:
+Two subcommands:
 
-* ``eval``       - metric values over a parameter sweep, CSV on stdout
-* ``simulate``   - Monte-Carlo histogram with the model density overlaid
-* ``benchmark``  - closed form vs quadrature wall-clock comparison
+* ``eval``     - metric values over a parameter sweep, CSV on stdout
+* ``simulate`` - Monte-Carlo histogram with the model density overlaid
 
-dB quantities convert as linear = 10^(dB/10) at this boundary only; the
-library itself is all-linear. CSV cells use 17 significant digits so values
-round-trip exactly. Exit codes: 0 success, 2 usage, 3 numerical failure.
+Every flag left unset on the command line is resolved once, after parsing,
+from the ``--fig`` preset, then the ``--config`` file, then the built-in
+default. dB quantities convert as linear = 10^(dB/10) at this boundary only;
+the library itself is all-linear. CSV cells use 17 significant digits so
+values round-trip exactly. Exit codes: 0 success, 2 usage, 3 numerical
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import re
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from . import metrics, montecarlo
 from .channel import ChannelParams, snr_cdf, snr_cdf_asymptotic, snr_pdf, snr_pdf_asymptotic
@@ -28,42 +29,6 @@ from .metrics import ModulationScheme
 from .specfun import ConvergenceError
 
 SWEEP_VARIABLES = ("gamma_bar_db", "alpha", "m_x", "m_y")
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One metric sweep: which variable runs, over what grid, around which baseline."""
-
-    variable: str  # one of SWEEP_VARIABLES
-    start: float
-    stop: float
-    step: float
-    fixed: ChannelParams
-    metric: str
-    modulation: ModulationScheme | None = None
-
-    def __post_init__(self) -> None:
-        if self.variable not in SWEEP_VARIABLES:
-            raise ValueError(f"sweep variable must be one of {SWEEP_VARIABLES}, "
-                             f"got {self.variable!r}")
-        if not self.step > 0:
-            raise ValueError(f"sweep step must be positive, got {self.step}")
-        if self.start > self.stop:
-            raise ValueError(f"sweep start {self.start} exceeds stop {self.stop}")
-
-    def values(self):
-        return parse_range(f"{self.start}:{self.step}:{self.stop}")
-
-    def params_at(self, value: float) -> ChannelParams:
-        base = self.fixed
-        if self.variable == "gamma_bar_db":
-            return ChannelParams(base.m_x, base.m_y, base.omega_x, base.omega_y,
-                                 base.alpha, db_to_linear(value))
-        fields = dict(m_x=base.m_x, m_y=base.m_y, omega_x=base.omega_x,
-                      omega_y=base.omega_y, alpha=base.alpha,
-                      gamma_bar=base.gamma_bar)
-        fields[self.variable] = value
-        return ChannelParams(**fields)
 
 
 class NumericalFailure(Exception):
@@ -134,27 +99,28 @@ def get_modulation(name: str) -> ModulationScheme:
 
 
 # Preset parameter scenarios (1: pdf overlay, 2: QAM-16 ABER vs mean SNR,
-# 3: ABER vs nonlinearity for four fading/shadowing corners, 4: capacity).
+# 3: ABER vs nonlinearity for four fading/shadowing corners, 4: capacity),
+# keyed by flag name; "curves" lists the curve overrides of the baseline.
 FIG_PRESETS = {
     1: {
         "metric": "pdf",
-        "omega_x_db": 2.0, "omega_y_db": 2.0, "m_x": 1.6, "m_y": 1.5,
+        "omega_x": 2.0, "omega_y": 2.0, "mx": 1.6, "my": 1.5,
         "snr_db": "3", "gamma": "0.05:0.05:8", "curves": [("alpha", a) for a in (1.0, 2.0, 4.0)],
     },
     2: {
         "metric": "aber", "mod": "qam16",
-        "omega_x_db": 1.0, "omega_y_db": 1.0, "m_x": 1.2, "m_y": 1.2,
+        "omega_x": 1.0, "omega_y": 1.0, "mx": 1.2, "my": 1.2,
         "snr_db": "0:5:40", "curves": [("alpha", a) for a in (1.0, 2.0, 3.0)],
     },
     3: {
         "metric": "aber", "mod": "qam16",
-        "omega_x_db": -3.0, "omega_y_db": 3.0, "snr_db": "20",
+        "omega_x": -3.0, "omega_y": 3.0, "snr_db": "20",
         "sweep": "alpha=1:0.25:4",
         "curves": [("m_x+m_y", mm) for mm in ((0.5, 0.5), (0.5, 2.5), (2.5, 0.5), (2.5, 2.5))],
     },
     4: {
         "metric": "capacity",
-        "omega_x_db": 1.0, "omega_y_db": 1.0,
+        "omega_x": 1.0, "omega_y": 1.0,
         "snr_db": "0:5:40",
         "curves": [("m+alpha", c) for c in ((0.5, 0.5, 1.0), (0.5, 0.5, 3.0),
                                             (2.5, 2.5, 1.0), (2.5, 2.5, 3.0))],
@@ -162,108 +128,98 @@ FIG_PRESETS = {
 }
 
 
+# Built-in values of the flags that neither the command line, the preset nor
+# the config file sets; --threads falls back to ABXS_THREADS, then 1.
+_COMMON_DEFAULTS = {"alpha": 2.0, "mx": 1.0, "my": 1.0, "omega_x": 0.0, "omega_y": 0.0,
+                    "snr_db": "10", "seed": 1, "streams": 8}
+_DEFAULTS = {
+    "eval": {**_COMMON_DEFAULTS, "metric": "aber", "mod": "qam16", "gamma": "1",
+             "oracle": False, "curves": [(None, None)]},
+    "simulate": {**_COMMON_DEFAULTS, "trials": 1_000_000, "bins": 100},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; every flag defaults to None so that unset flags show."""
     parser = argparse.ArgumentParser(
         prog="abxs",
         description="alpha-Beaulieu-Xie shadowed fading channel toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_channel_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="key=value file with defaults for these flags")
-        p.add_argument("--alpha", type=float, default=2.0, help="nonlinearity exponent")
-        p.add_argument("--mx", type=float, default=1.0, help="overall fading severity m_x")
-        p.add_argument("--my", type=float, default=1.0, help="LoS shadowing severity m_y")
-        p.add_argument("--omega-x", type=float, default=0.0,
-                       help="NLoS power in dB")
-        p.add_argument("--omega-y", type=float, default=0.0,
-                       help="LoS power in dB (-inf for no LoS)")
-        p.add_argument("--snr-db", default="10",
-                       help="mean SNR in dB: value or START:STEP:STOP sweep")
+    def add_common_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--config", help="file of flags without dashes, one per line: "
+                                        "key=value, or key alone for a switch")
+        p.add_argument("--alpha", type=float, help="nonlinearity exponent")
+        p.add_argument("--mx", type=float, help="overall fading severity m_x")
+        p.add_argument("--my", type=float, help="LoS shadowing severity m_y")
+        p.add_argument("--omega-x", type=float, help="NLoS power in dB")
+        p.add_argument("--omega-y", type=float, help="LoS power in dB (-inf for no LoS)")
+        p.add_argument("--snr-db", help="mean SNR in dB: value or START:STEP:STOP sweep")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--streams", type=int)
 
     p_eval = sub.add_parser("eval", help="evaluate metrics over a sweep, CSV to stdout")
-    add_channel_flags(p_eval)
-    p_eval.add_argument("--metric", choices=["pdf", "cdf", "aber", "capacity"],
-                        default="aber")
+    add_common_flags(p_eval)
+    p_eval.add_argument("--metric", choices=["pdf", "cdf", "aber", "capacity"])
     p_eval.add_argument("--fig", type=int, choices=sorted(FIG_PRESETS),
                         help="load a preset scenario (explicit flags still override)")
-    p_eval.add_argument("--mod", default="qam16",
-                        help=f"modulation ({', '.join(sorted(_MODULATIONS))})")
-    p_eval.add_argument("--gamma", default="1",
+    p_eval.add_argument("--mod", help=f"modulation ({', '.join(sorted(_MODULATIONS))})")
+    p_eval.add_argument("--gamma",
                         help="instantaneous SNR grid for pdf/cdf (linear): value or range")
     p_eval.add_argument("--sweep", help="VAR=START:STEP:STOP with VAR in "
                                         "gamma_bar_db, alpha, m_x, m_y")
-    p_eval.add_argument("--oracle", action="store_true",
+    p_eval.add_argument("--oracle", action="store_true", default=None,
                         help="add the quadrature-oracle column (aber/capacity/cdf)")
     p_eval.add_argument("--mc", type=int, metavar="N",
                         help="add Monte-Carlo estimate column from N trials")
-    p_eval.add_argument("--seed", type=int, default=1)
-    p_eval.add_argument("--streams", type=int, default=8)
     p_eval.add_argument("--threads", type=int,
-                        default=int(os.environ.get("ABXS_THREADS", "1")),
                         help="grid-point evaluation threads (env ABXS_THREADS)")
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo histogram + summary, CSV to stdout")
-    add_channel_flags(p_sim)
-    p_sim.add_argument("--trials", type=int, default=1_000_000)
-    p_sim.add_argument("--bins", type=int, default=100)
-    p_sim.add_argument("--seed", type=int, default=1)
-    p_sim.add_argument("--streams", type=int, default=8)
-
-    p_bench = sub.add_parser("benchmark",
-                             help="closed form vs quadrature timing report")
-    p_bench.add_argument("--config", help="key=value file with defaults for these flags")
-    p_bench.add_argument("--alpha", type=float, default=2.0)
-    p_bench.add_argument("--mod", default="qam16")
-    p_bench.add_argument("--repeats", type=int, default=5,
-                         help="timing repetitions per grid point (median kept)")
-    p_bench.add_argument("--step-db", type=float, default=5.0,
-                         help="grid step inside each SNR regime")
+    add_common_flags(p_sim)
+    p_sim.add_argument("--trials", type=int)
+    p_sim.add_argument("--bins", type=int)
     matcher = re.compile(r"^-(\d+\.?\d*([eE][-+]?\d+)?|\.\d+|inf)$")
-    parser._negative_number_matcher = matcher
-    for sp in (p_eval, p_sim, p_bench):
-        sp._negative_number_matcher = matcher
-    parser._abxs_subparsers = (p_eval, p_sim, p_bench)
+    for p in (parser, p_eval, p_sim):
+        p._negative_number_matcher = matcher
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv):
-    """Load --config FILE key=value pairs as defaults (flags still override)."""
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-    if path is None:
-        return
-    defaults = {}
+def _given(namespace: argparse.Namespace) -> dict:
+    return {k: v for k, v in vars(namespace).items() if v is not None}
+
+
+def _read_config(parser: argparse.ArgumentParser, command: str, path: str) -> dict:
+    """The flags a --config file sets, parsed by the command's own subparser."""
+    tokens = [command]
     try:
         with open(path, encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                if "=" not in line:
-                    raise ValueError(f"bad config line: {line!r}")
-                key, value = line.split("=", 1)
-                defaults[key.strip().replace("-", "_")] = value.strip()
+                key, eq, value = line.partition("=")
+                flag = "--" + key.strip().replace("_", "-")
+                tokens.append(f"{flag}={value.strip()}" if eq else flag)
     except OSError as err:
         parser.error(f"cannot read config file: {err}")
-    except ValueError as err:
-        parser.error(str(err))
-    # Subparser defaults override anything set on the root parser, so the
-    # config values must be installed per subparser, with each flag's type.
-    for sp in parser._abxs_subparsers:
-        typed = {}
-        for action in sp._actions:
-            if action.dest in defaults:
-                raw = defaults[action.dest]
-                try:
-                    typed[action.dest] = action.type(raw) if action.type else raw
-                except (TypeError, ValueError) as err:
-                    parser.error(f"bad config value for {action.dest}: {err}")
-        sp.set_defaults(**typed)
+    return _given(parser.parse_args(tokens))
+
+
+def _resolve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.Namespace:
+    """Fill every unset flag from the preset, then the config file, then the default."""
+    given = _given(args)
+    config = _read_config(parser, args.command, args.config) if args.config else {}
+    preset = FIG_PRESETS.get(given.get("fig", config.get("fig")), {})
+    resolved = {**vars(args), **_DEFAULTS[args.command], **config, **preset, **given}
+    if args.command == "eval" and resolved["threads"] is None:
+        raw = os.environ.get("ABXS_THREADS", "1")
+        try:
+            resolved["threads"] = int(raw)
+        except ValueError:
+            raise UsageError(f"ABXS_THREADS must be an integer, got {raw!r}")
+    return argparse.Namespace(**resolved)
 
 
 def _eval_row(metric: str, params: ChannelParams, mod, gamma, want_oracle, mc_cfg):
@@ -305,19 +261,6 @@ def _eval_row(metric: str, params: ChannelParams, mod, gamma, want_oracle, mc_cf
 
 
 def cmd_eval(args) -> int:
-    preset = FIG_PRESETS.get(args.fig) if args.fig else None
-    if preset:
-        for key, value in preset.items():
-            if key == "curves":
-                continue
-            dest = {"metric": "metric", "mod": "mod", "snr_db": "snr_db",
-                    "gamma": "gamma", "sweep": "sweep", "omega_x_db": "omega_x",
-                    "omega_y_db": "omega_y", "m_x": "mx", "m_y": "my"}[key]
-            if _flag_was_given(dest):
-                continue
-            setattr(args, dest, value)
-    curves = preset["curves"] if preset else [(None, None)]
-
     metric = args.metric
     if metric == "pdf" and args.oracle:
         raise UsageError("--oracle is not defined for the pdf metric")
@@ -331,7 +274,7 @@ def cmd_eval(args) -> int:
 
     # Build the grid: (curve_label_cols, sweep_col_name, sweep_value, params, gamma)
     jobs = []
-    for curve_kind, curve_val in curves:
+    for curve_kind, curve_val in args.curves:
         overrides = {}
         label_cols = []
         if curve_kind == "alpha":
@@ -355,13 +298,10 @@ def cmd_eval(args) -> int:
                 jobs.append((label_cols, "gamma", g, pars, g))
         elif args.sweep:
             var, _, rng = str(args.sweep).partition("=")
-            vals = parse_range(rng)
-            spec = _sweep_spec(args, overrides, var.strip(), vals, metric, mod)
-            jobs.extend(_sweep_jobs(spec, vals, label_cols))
+            jobs.extend(_sweep_jobs(args, overrides, var.strip(), parse_range(rng), label_cols))
         else:
-            vals = parse_range(str(args.snr_db))
-            spec = _sweep_spec(args, overrides, "gamma_bar_db", vals, metric, mod)
-            jobs.extend(_sweep_jobs(spec, vals, label_cols))
+            jobs.extend(_sweep_jobs(args, overrides, "gamma_bar_db",
+                                    parse_range(str(args.snr_db)), label_cols))
 
     header = []
     if jobs and jobs[0][0]:
@@ -389,38 +329,20 @@ def cmd_eval(args) -> int:
     return 0
 
 
-_GIVEN_FLAGS: set = set()
-
-
-def _flag_was_given(dest: str) -> bool:
-    return dest in _GIVEN_FLAGS
-
-
-def _record_given_flags(argv) -> None:
-    _GIVEN_FLAGS.clear()
-    for tok in argv:
-        if tok.startswith("--"):
-            _GIVEN_FLAGS.add(tok[2:].split("=", 1)[0].replace("-", "_"))
-
-
-def _sweep_jobs(spec: SweepSpec, values, label_cols):
+def _sweep_jobs(args, overrides, variable: str, values, label_cols):
+    """One job per sweep value: the baseline parameters with the swept field replaced."""
+    baseline = _make_params(args, overrides, snr_db=parse_range(str(args.snr_db))[0])
+    if variable not in SWEEP_VARIABLES:
+        raise UsageError(f"sweep variable must be one of {SWEEP_VARIABLES}, got {variable!r}")
+    jobs = []
     for v in values:
+        change = {"gamma_bar": db_to_linear(v)} if variable == "gamma_bar_db" else {variable: v}
         try:
-            pars = spec.params_at(v)
+            pars = dataclasses.replace(baseline, **change)
         except ValueError as err:
             raise NumericalFailure("parameter validation", err)
-        yield (label_cols, spec.variable, v, pars, None)
-
-
-def _sweep_spec(args, overrides, variable, values, metric, mod) -> SweepSpec:
-    baseline = _make_params(args, dict(overrides),
-                            snr_db=parse_range(str(args.snr_db))[0])
-    step = values[1] - values[0] if len(values) > 1 else 1.0
-    try:
-        return SweepSpec(variable=variable, start=values[0], stop=values[-1],
-                         step=step, fixed=baseline, metric=metric, modulation=mod)
-    except ValueError as err:
-        raise UsageError(str(err))
+        jobs.append((label_cols, variable, v, pars, None))
+    return jobs
 
 
 def _make_params(args, overrides, snr_db):
@@ -477,81 +399,22 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-# Benchmark scenarios: two mean-SNR regimes x two fading parameter sets.
-_BENCH_REGIMES = (("-30..10dB", -30.0, 10.0), ("10..50dB", 10.0, 50.0))
-_BENCH_SETS = (
-    ("integer", {"m_x": 1.0, "m_y": 1.0, "omega_db": 0.0}),
-    ("non-integer", {"m_x": 0.5, "m_y": 0.5, "omega_db": 1.0}),
-)
-
-
-def cmd_benchmark(args) -> int:
-    mod = get_modulation(args.mod)
-    # 1% accuracy on both routes: loose series truncation vs loose quadrature.
-    loose = metrics.SeriesControl(rel_tol=1e-3, max_terms=64)
-    print("regime,param_set,points,median_exact_s,median_quad_s,speedup,max_rel_gap")
-    for regime_name, lo, hi in _BENCH_REGIMES:
-        for set_name, ps in _BENCH_SETS:
-            grid = parse_range(f"{lo}:{args.step_db}:{hi}")
-            t_exact = []
-            t_quad = []
-            gap = 0.0
-            try:
-                for snr_db in grid:
-                    pars = ChannelParams(
-                        m_x=ps["m_x"], m_y=ps["m_y"],
-                        omega_x=db_to_linear(ps["omega_db"]),
-                        omega_y=db_to_linear(ps["omega_db"]),
-                        alpha=args.alpha, gamma_bar=db_to_linear(snr_db))
-                    reps_e = []
-                    reps_q = []
-                    for _ in range(max(args.repeats, 1)):
-                        t0 = time.perf_counter()
-                        ve = metrics.aber_exact(pars, mod, loose).value
-                        reps_e.append(time.perf_counter() - t0)
-                        t0 = time.perf_counter()
-                        vq = metrics.aber_quadrature(pars, mod, epsrel=3e-3).value
-                        reps_q.append(time.perf_counter() - t0)
-                    reps_e.sort()
-                    reps_q.sort()
-                    t_exact.append(reps_e[len(reps_e) // 2])
-                    t_quad.append(reps_q[len(reps_q) // 2])
-                    if vq > 0:
-                        gap = max(gap, abs(ve - vq) / vq)
-            except (ConvergenceError, OverflowError, ValueError) as err:
-                raise NumericalFailure("benchmark", err)
-            te = sum(t_exact)
-            tq = sum(t_quad)
-            print(",".join([regime_name, set_name, str(len(grid)),
-                            _fmt(te / len(grid)), _fmt(tq / len(grid)),
-                            _fmt(tq / te if te > 0 else math.inf), _fmt(gap)]))
-    return 0
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    _record_given_flags(argv)
-    _apply_config(parser, argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "benchmark":
-            return cmd_benchmark(args)
+        args = _resolve(parser, args)
+        return cmd_eval(args) if args.command == "eval" else cmd_simulate(args)
     except NumericalFailure as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except (UsageError, KeyError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    parser.error("unknown command")
-    return 2
 
 
 if __name__ == "__main__":

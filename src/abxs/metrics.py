@@ -25,12 +25,13 @@ from scipy.special import erfc, gammaln
 
 from . import channel, specfun
 from .channel import ChannelParams, derived_constants
-from .specfun import DEFAULT_CONTROL, ConvergenceError, MeijerGSpec, SeriesControl
+from .specfun import ConvergenceError, MeijerGSpec
 
-# Truncation policy for the k-series of the exact ABER/capacity forms:
-# stricter than the handful of terms they typically need, so the truncation
-# behaviour is measured rather than assumed.
-METRIC_SERIES = SeriesControl(rel_tol=1e-7, max_terms=64)
+# The k-series of the exact ABER/capacity forms stops once three consecutive
+# terms fall below _K_REL_TOL times the partial sum; past _K_MAX_TERMS terms
+# the metric falls back to the mixture expectation.
+_K_REL_TOL = 1e-7
+_K_MAX_TERMS = 64
 
 # Above this denominator of alpha/2 the Meijer-G parameter count makes the
 # closed form worse than quadrature; switch to the mixture expectation.
@@ -240,20 +241,19 @@ def _mixture_expectation(params: ChannelParams, h):
     raise ConvergenceError("mixture trapezoid levels did not agree to 1e-12")
 
 
-def _k_series(params: ChannelParams, dc, control: SeriesControl, g_term):
+def _k_series(params: ChannelParams, dc, g_term):
     """(sum_k w_k g_term(k), terms) over the Meijer k-series.
 
-    Stops as specfun's series do: once three consecutive terms fall below
-    ``control.rel_tol`` times the partial sum (after one term without LoS).
+    Stops as specfun's series do, at _K_REL_TOL (after one term without LoS).
     """
     total = 0.0
     streak = 0
-    for k, w in _aber_series_weights(params, dc, control):
+    for k, w in _aber_series_weights(params, dc, _K_MAX_TERMS):
         term = w * g_term(k)
         total += term
         if dc.beta_bar == 0.0:
             return total, 1
-        if abs(term) <= control.rel_tol * max(abs(total), 1e-300):
+        if abs(term) <= _K_REL_TOL * max(abs(total), 1e-300):
             streak += 1
             if streak >= specfun._STOP_STREAK:
                 return total, k + 1
@@ -273,10 +273,10 @@ def _aber_meijer_term(params: ChannelParams, d2: float, k: int,
     return specfun.meijer_g(spec, z)
 
 
-def _aber_series_weights(params: ChannelParams, dc, control: SeriesControl):
-    """Yields (k, (m_y)_k (q bb)^k / (k! Gamma(m_x + k)))."""
+def _aber_series_weights(params: ChannelParams, dc, terms: int):
+    """Yields (k, (m_y)_k (q bb)^k / (k! Gamma(m_x + k))) for k < terms."""
     w = 1.0 / math.gamma(params.m_x)
-    for k in range(control.max_terms):
+    for k in range(terms):
         yield k, w
         w *= (params.m_y + k) * (dc.q * dc.beta_bar) / ((k + 1.0) * (params.m_x + k))
 
@@ -288,8 +288,7 @@ def _aber_prefactor(params: ChannelParams, mod: ModulationScheme, dc) -> float:
             / (2.0 * math.pi) ** ((dc.p + dc.q) / 2.0))
 
 
-def aber_exact(params: ChannelParams, mod: ModulationScheme,
-               control: SeriesControl = METRIC_SERIES) -> AberResult:
+def aber_exact(params: ChannelParams, mod: ModulationScheme) -> AberResult:
     """Exact ABER via the Meijer-G series.
 
     Sums, per Q-function component j, the k-series of G-function terms at
@@ -301,8 +300,7 @@ def aber_exact(params: ChannelParams, mod: ModulationScheme,
     if dc.q is None or dc.q > _MAX_MEIJER_Q:
         return _aber_mixture(params, mod)
     try:
-        sums = [_k_series(params, dc, control,
-                          lambda k, d2=d2: _aber_meijer_term(params, d2, k, dc))
+        sums = [_k_series(params, dc, lambda k, d2=d2: _aber_meijer_term(params, d2, k, dc))
                 for d2 in mod.delta2]
     except (ConvergenceError, OverflowError):
         return _aber_mixture(params, mod)
@@ -324,7 +322,7 @@ def aber_exact_truncation_profile(params: ChannelParams, mod: ModulationScheme,
     prefactor = _aber_prefactor(params, mod, dc)
     per_k = [0.0] * k_max
     for d2 in mod.delta2:
-        for k, w in _aber_series_weights(params, dc, SeriesControl(1e-7, k_max)):
+        for k, w in _aber_series_weights(params, dc, k_max):
             per_k[k] += w * _aber_meijer_term(params, d2, k, dc)
     return [prefactor * acc for acc in itertools.accumulate(per_k)]
 
@@ -369,8 +367,7 @@ def capacity_quadrature(params: ChannelParams) -> float:
     return _snr_integral(params, lambda g: math.log1p(g) / ln2, extra_breaks=(1.0,))
 
 
-def capacity_exact(params: ChannelParams,
-                   control: SeriesControl = METRIC_SERIES) -> CapacityResult:
+def capacity_exact(params: ChannelParams) -> CapacityResult:
     """Exact ergodic capacity via the Meijer-G series.
 
     The G terms here always carry an integer pole collision (a doubled zero
@@ -391,10 +388,10 @@ def capacity_exact(params: ChannelParams,
                  + tuple((params.m_x + k + i) / q for i in range(q))
                  + (0.0,))
         spec = MeijerGSpec(m=q + p + 1, n=p, a_params=upper, b_params=lower)
-        return specfun._meijer_contour(spec, z, DEFAULT_CONTROL)
+        return specfun._meijer_contour(spec, z)
 
     try:
-        total, terms_used = _k_series(params, dc, control, g_term)
+        total, terms_used = _k_series(params, dc, g_term)
     except (ConvergenceError, OverflowError):
         return _capacity_mixture(params)
     return CapacityResult(value=prefactor * total, terms_used=terms_used, path="meijer-g")
@@ -407,8 +404,7 @@ def _capacity_mixture(params: ChannelParams) -> CapacityResult:
     return CapacityResult(value=value, terms_used=terms, path="series-quadrature")
 
 
-def capacity_asymptotic(params: ChannelParams,
-                        control: SeriesControl = DEFAULT_CONTROL) -> float:
+def capacity_asymptotic(params: ChannelParams) -> float:
     """High-SNR ergodic capacity.
 
     (2 / (alpha ln 2)) [ln(C gamma_bar^(alpha/2)) + psi(m_x)
@@ -418,8 +414,7 @@ def capacity_asymptotic(params: ChannelParams,
     if dc.beta_bar == 0.0:
         deriv = 0.0
     else:
-        deriv = specfun.gauss_2f1_da(params.m_x, params.m_y, params.m_x,
-                                     dc.beta_bar, control)
+        deriv = specfun.gauss_2f1_da(params.m_x, params.m_y, params.m_x, dc.beta_bar)
     bracket = (math.log(dc.c_alpha) + 0.5 * params.alpha * math.log(params.gamma_bar)
                + specfun.digamma(params.m_x)
                + (1.0 - dc.beta_bar) ** params.m_y * deriv)

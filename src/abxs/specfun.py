@@ -1,14 +1,16 @@
 """Scalar special-function kernel in IEEE double precision.
 
-Provides the gamma family (log-gamma, digamma, rising factorial), Kummer's
-1F1, the Gauss 2F1 and its derivative with respect to the first parameter,
-the bivariate confluent Appell function Phi2, and a real-argument Meijer G
-evaluator. The regularized incomplete gammas come from scipy.special.
+Provides the gamma family (digamma, rising factorial), Kummer's 1F1, the
+Gauss 2F1 and its derivative with respect to the first parameter, the
+bivariate confluent Appell function Phi2, and a real-argument Meijer G
+evaluator. Log-gamma and the regularized incomplete gammas come from
+``math`` and scipy.special.
 
-All series share one stopping rule: stop once three consecutive terms fall
-below ``rel_tol`` times the magnitude of the partial sum (guards against a
-premature stop on sign-alternating series). Alternating series that would
-lose precision to cancellation are accumulated in compensated double-double
+All series share one stopping rule with fixed tolerances: stop once three
+consecutive terms fall below 1e-14 times the magnitude of the partial sum
+(guards against a premature stop on sign-alternating series), and raise
+ConvergenceError after 10000 terms. Alternating series that would lose
+precision to cancellation are accumulated in compensated double-double
 arithmetic; no arbitrary-precision library is used anywhere.
 
 The Meijer G evaluator sums the residue (Slater) expansion when the
@@ -43,23 +45,9 @@ class PrecisionWarning(UserWarning):
     """A degraded evaluation path had to be taken (e.g. pole collision)."""
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the infinite series in this module."""
-
-    rel_tol: float = 1e-14
-    max_terms: int = 10000
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0):
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-DEFAULT_CONTROL = SeriesControl()
-
-# Stop once this many consecutive terms are below rel_tol * |partial sum|.
+# The stopping rule of the module docstring.
+_REL_TOL = 1e-14
+_MAX_TERMS = 10000
 _STOP_STREAK = 3
 
 _LN_2PI = 1.8378770664093454836
@@ -118,13 +106,6 @@ def _dd_div(x, y):
 # ---------------------------------------------------------------------------
 # gamma family
 # ---------------------------------------------------------------------------
-
-
-def lgamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
-    if not x > 0.0:
-        raise ValueError(f"lgamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def _is_nonpositive_integer(x: float, tol: float = 1e-9) -> bool:
@@ -236,7 +217,8 @@ def _dd_add_scaled(rh: float, rl: float, dh: float, dl: float, q: float):
     return h, (s - (h - bb)) + (e - bb)
 
 
-def _hyp_series_dd(num, den, x: float, control: SeriesControl):
+def _hyp_series_dd(num, den, x: float, rel_tol: float = _REL_TOL,
+                   max_terms: int = _MAX_TERMS):
     """Double-double variant of :func:`_hyp_series`; returns ((hi, lo), max_mag).
 
     Parameters may be floats or (hi, lo) pairs; pairs keep exactly-known
@@ -255,9 +237,8 @@ def _hyp_series_dd(num, den, x: float, control: SeriesControl):
     th, tl = 1.0, 0.0  # term
     sh, sl = 1.0, 0.0  # partial sum
     max_mag = 1.0
-    rel_tol = control.rel_tol
     streak = 0
-    for k in range(control.max_terms):
+    for k in range(max_terms):
         fk = float(k)
         nh, nl = _dd_shifted_product(x, 0.0, num, fk)
         dh, dl = _dd_shifted_product(fk + 1.0, 0.0, den, fk)
@@ -304,7 +285,7 @@ def _hyp_series_dd(num, den, x: float, control: SeriesControl):
     raise ConvergenceError("hypergeometric series exhausted max_terms")
 
 
-def _hyp_series(num, den, x: float, control: SeriesControl, compensated: bool):
+def _hyp_series(num, den, x: float, compensated: bool):
     """sum_k prod(num)_k / prod(den)_k * x^k / k! with the shared stopping rule.
 
     Returns (value, max_abs_term). ``den`` entries must avoid nonpositive
@@ -312,7 +293,7 @@ def _hyp_series(num, den, x: float, control: SeriesControl, compensated: bool):
     so alternating series survive cancellation up to ~1e18 amplification.
     """
     if compensated:
-        total, max_mag = _hyp_series_dd(num, den, x, control)
+        total, max_mag = _hyp_series_dd(num, den, x)
         return total[0] + total[1], max_mag
     for d in den:
         if _is_nonpositive_integer(d):
@@ -320,9 +301,8 @@ def _hyp_series(num, den, x: float, control: SeriesControl, compensated: bool):
     term = 1.0
     total = 1.0
     max_mag = 1.0
-    rel_tol = control.rel_tol
     streak = 0
-    for k in range(control.max_terms):
+    for k in range(_MAX_TERMS):
         fk = float(k)
         for u in num:
             term *= u + fk
@@ -336,7 +316,7 @@ def _hyp_series(num, den, x: float, control: SeriesControl, compensated: bool):
             max_mag = mag
         if not math.isfinite(total):
             raise OverflowError("hypergeometric series overflowed")
-        if mag <= rel_tol * max(abs(total), 1e-300):
+        if mag <= _REL_TOL * max(abs(total), 1e-300):
             streak += 1
             if streak >= _STOP_STREAK:
                 return total, max_mag
@@ -345,7 +325,7 @@ def _hyp_series(num, den, x: float, control: SeriesControl, compensated: bool):
     raise ConvergenceError("hypergeometric series exhausted max_terms")
 
 
-def kummer_1f1(a: float, b: float, x: float, control: SeriesControl = DEFAULT_CONTROL) -> float:
+def kummer_1f1(a: float, b: float, x: float) -> float:
     """Kummer's confluent hypergeometric 1F1(a; b; x) for real arguments, b > 0.
 
     Nonnegative x is summed directly (terms are single-signed for a >= 0, so
@@ -363,16 +343,15 @@ def kummer_1f1(a: float, b: float, x: float, control: SeriesControl = DEFAULT_CO
                 f"kummer_1f1 argument {x} exceeds the exp overflow boundary; "
                 "use a log-scaled path"
             )
-        value, _ = _hyp_series((a,), (b,), x, control, compensated=a < 0.0)
+        value, _ = _hyp_series((a,), (b,), x, compensated=a < 0.0)
         return value
     if x < -745.0:
         return 0.0  # e^x underflows; the transformed series stays O(x^-a)
-    value, _ = _hyp_series((b - a,), (b,), -x, control, compensated=(b - a) < 0.0)
+    value, _ = _hyp_series((b - a,), (b,), -x, compensated=(b - a) < 0.0)
     return math.exp(x) * value
 
 
-def _kummer_transformed(a: float, b: float, x: float,
-                        control: SeriesControl = DEFAULT_CONTROL) -> float:
+def _kummer_transformed(a: float, b: float, x: float) -> float:
     """1F1 via e^x 1F1(b-a; b; -x) with compensated summation.
 
     Cross-check twin for :func:`kummer_1f1` on moderate positive x, where the
@@ -381,18 +360,16 @@ def _kummer_transformed(a: float, b: float, x: float,
     """
     if not b > 0.0:
         raise ValueError(f"_kummer_transformed requires b > 0, got {b}")
-    value, _ = _hyp_series((b - a,), (b,), -x, control, compensated=True)
+    value, _ = _hyp_series((b - a,), (b,), -x, compensated=True)
     return math.exp(x) * value
 
 
-def _gauss_2f1_series(a: float, b: float, c: float, z: float,
-                      control: SeriesControl = DEFAULT_CONTROL) -> float:
-    value, _ = _hyp_series((a, b), (c,), z, control, compensated=z < 0.0)
+def _gauss_2f1_series(a: float, b: float, c: float, z: float) -> float:
+    value, _ = _hyp_series((a, b), (c,), z, compensated=z < 0.0)
     return value
 
 
-def gauss_2f1(a: float, b: float, c: float, z: float,
-              control: SeriesControl = DEFAULT_CONTROL) -> float:
+def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric 2F1(a, b; c; z) for real z < 1, c > 0.
 
     Direct series on [0, 1); the Pfaff transformation maps z < 0 into [0, 1),
@@ -408,13 +385,12 @@ def gauss_2f1(a: float, b: float, c: float, z: float,
     if z < 0.0:
         w = z / (z - 1.0)  # in (0, 1)
         if c - b >= 0.0 or a >= 0.0:
-            return (1.0 - z) ** (-a) * _gauss_2f1_series(a, c - b, c, w, control)
-        return (1.0 - z) ** (-b) * _gauss_2f1_series(c - a, b, c, w, control)
-    return _gauss_2f1_series(a, b, c, z, control)
+            return (1.0 - z) ** (-a) * _gauss_2f1_series(a, c - b, c, w)
+        return (1.0 - z) ** (-b) * _gauss_2f1_series(c - a, b, c, w)
+    return _gauss_2f1_series(a, b, c, z)
 
 
-def gauss_2f1_da(a: float, b: float, c: float, z: float,
-                 control: SeriesControl = DEFAULT_CONTROL) -> float:
+def gauss_2f1_da(a: float, b: float, c: float, z: float) -> float:
     """d/da 2F1(a, b; c; z) for |z| < 1.
 
     Series sum_{n>=1} [(a)_n (b)_n / ((c)_n n!)] (psi(a+n) - psi(a)) z^n; the
@@ -431,13 +407,13 @@ def gauss_2f1_da(a: float, b: float, c: float, z: float,
     total = 0.0
     max_mag = 0.0
     streak = 0
-    for n in range(control.max_terms):
+    for n in range(_MAX_TERMS):
         coeff *= (a + n) * (b + n) * z / ((c + n) * (n + 1.0))
         harmonic += 1.0 / (a + n)
         term = coeff * harmonic
         total += term
         max_mag = max(max_mag, abs(term))
-        if abs(term) <= control.rel_tol * max(abs(total), 1e-300):
+        if abs(term) <= _REL_TOL * max(abs(total), 1e-300):
             streak += 1
             if streak >= _STOP_STREAK:
                 return total
@@ -446,8 +422,7 @@ def gauss_2f1_da(a: float, b: float, c: float, z: float,
     raise ConvergenceError("gauss_2f1_da series exhausted max_terms")
 
 
-def appell_phi2(b1: float, b2: float, c: float, x: float, y: float,
-                control: SeriesControl = DEFAULT_CONTROL) -> float:
+def appell_phi2(b1: float, b2: float, c: float, x: float, y: float) -> float:
     """Confluent Appell Phi2(b1, b2; c; x, y).
 
     Evaluated through the single-series expansion in 1F1 kernels,
@@ -462,16 +437,16 @@ def appell_phi2(b1: float, b2: float, c: float, x: float, y: float,
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError("appell_phi2 requires finite x, y")
     if y == 0.0:
-        return kummer_1f1(b1, c, x, control)
+        return kummer_1f1(b1, c, x)
     if y < 0.0:
-        return _phi2_alternating(b1, b2, c, x, y, control)
+        return _phi2_alternating(b1, b2, c, x, y)
     weight = 1.0  # (b2)_k y^k / ((c)_k k!)
     total = 0.0
     streak = 0
-    for k in range(control.max_terms):
-        term = weight * kummer_1f1(b1, c + k, x, control)
+    for k in range(_MAX_TERMS):
+        term = weight * kummer_1f1(b1, c + k, x)
         total += term
-        if abs(term) <= control.rel_tol * max(abs(total), 1e-300) and k >= 1:
+        if abs(term) <= _REL_TOL * max(abs(total), 1e-300) and k >= 1:
             streak += 1
             if streak >= _STOP_STREAK:
                 return total
@@ -481,8 +456,13 @@ def appell_phi2(b1: float, b2: float, c: float, x: float, y: float,
     raise ConvergenceError("appell_phi2 series exhausted max_terms")
 
 
-def _phi2_alternating(b1: float, b2: float, c: float, x: float, y: float,
-                      control: SeriesControl) -> float:
+# Inner kernels of _phi2_alternating are huge against the cancelled total, so
+# their truncation error must sit near the double-double floor, not at _REL_TOL.
+_PHI2_REL_TOL = 1e-30
+_PHI2_MAX_TERMS = 20000
+
+
+def _phi2_alternating(b1: float, b2: float, c: float, x: float, y: float) -> float:
     """Phi2 for y < 0: the outer series alternates and cancels by ~e^|y|.
 
     Everything (weights, inner 1F1 kernels, accumulation) stays in
@@ -491,22 +471,19 @@ def _phi2_alternating(b1: float, b2: float, c: float, x: float, y: float,
     amplified by the cancellation.
     """
     flip = x < 0.0
-    # Inner kernels are huge against the cancelled total, so their truncation
-    # error must sit near the double-double floor, not at control.rel_tol.
-    tight = SeriesControl(rel_tol=1e-30, max_terms=max(control.max_terms, 20000))
     weight = (1.0, 0.0)
     total = (0.0, 0.0)
     streak = 0
-    for k in range(control.max_terms):
+    for k in range(_MAX_TERMS):
         ck = _two_sum(c, float(k))  # c + k without a rounding
         if flip:
             num = _dd_add(ck, (-b1, 0.0))
-            inner, _ = _hyp_series_dd((num,), (ck,), -x, tight)
+            inner, _ = _hyp_series_dd((num,), (ck,), -x, _PHI2_REL_TOL, _PHI2_MAX_TERMS)
         else:
-            inner, _ = _hyp_series_dd((b1,), (ck,), x, tight)
+            inner, _ = _hyp_series_dd((b1,), (ck,), x, _PHI2_REL_TOL, _PHI2_MAX_TERMS)
         term = _dd_mul(weight, inner)
         total = _dd_add(total, term)
-        if abs(term[0]) <= tight.rel_tol * max(abs(total[0]), 1e-300) and k >= 1:
+        if abs(term[0]) <= _PHI2_REL_TOL * max(abs(total[0]), 1e-300) and k >= 1:
             streak += 1
             if streak >= _STOP_STREAK:
                 value = total[0] + total[1]
@@ -586,7 +563,7 @@ _DD_CANCEL = 1e18
 _CROSS_TERM_CANCEL = 3e3
 
 
-def meijer_g(spec: MeijerGSpec, z: float, control: SeriesControl = DEFAULT_CONTROL) -> float:
+def meijer_g(spec: MeijerGSpec, z: float) -> float:
     """Evaluate G^{m,n}_{p,q}(z | a; b) for real parameters and z > 0.
 
     Residue (Slater) series when every contributing pole is simple and the
@@ -605,22 +582,22 @@ def meijer_g(spec: MeijerGSpec, z: float, control: SeriesControl = DEFAULT_CONTR
             a_params=tuple(1.0 - b for b in spec.b_params),
             b_params=tuple(1.0 - a for a in spec.a_params),
         )
-        return meijer_g(flipped, 1.0 / z, control)
+        return meijer_g(flipped, 1.0 / z)
     if spec.m == 0:
         raise ConvergenceError("meijer_g needs at least one contributing lower parameter")
     if p == q and z == 1.0:
-        return _meijer_contour(spec, z, control)
+        return _meijer_contour(spec, z)
     if _has_pole_collision(spec):
         warnings.warn(
             "Meijer G pole collision: falling back to Mellin-Barnes contour",
             PrecisionWarning,
             stacklevel=2,
         )
-        return _meijer_contour(spec, z, control)
+        return _meijer_contour(spec, z)
     try:
-        return _meijer_slater(spec, z, control)
+        return _meijer_slater(spec, z)
     except _SlaterUnstable:
-        return _meijer_contour(spec, z, control)
+        return _meijer_contour(spec, z)
 
 
 def _has_pole_collision(spec: MeijerGSpec, tol: float = 1e-9) -> bool:
@@ -633,7 +610,7 @@ def _has_pole_collision(spec: MeijerGSpec, tol: float = 1e-9) -> bool:
     return False
 
 
-def _meijer_slater(spec: MeijerGSpec, z: float, control: SeriesControl) -> float:
+def _meijer_slater(spec: MeijerGSpec, z: float) -> float:
     a, b = spec.a_params, spec.b_params
     m, n = spec.m, spec.n
     p, q = len(a), len(b)
@@ -686,7 +663,7 @@ def _meijer_slater(spec: MeijerGSpec, z: float, control: SeriesControl) -> float
         num = tuple(1.0 + bh - aj for aj in a)
         den = tuple(1.0 + bh - b[j] for j in range(q) if j != h)
         try:
-            series, max_term = _hyp_series(num, den, w, control, compensated=False)
+            series, max_term = _hyp_series(num, den, w, compensated=False)
         except (ConvergenceError, OverflowError, ValueError):
             raise _SlaterUnstable
         scale = math.exp(logmag)
@@ -694,7 +671,7 @@ def _meijer_slater(spec: MeijerGSpec, z: float, control: SeriesControl) -> float
             if max_term > _DD_CANCEL * max(abs(series), 1e-300):
                 raise _SlaterUnstable
             try:
-                series, max_term = _hyp_series(num, den, w, control, compensated=True)
+                series, max_term = _hyp_series(num, den, w, compensated=True)
             except (ConvergenceError, OverflowError, ValueError):
                 raise _SlaterUnstable
             noise_floor = max(noise_floor, scale * max_term * 1e-30)
@@ -750,7 +727,7 @@ def _gauss_runs(values, tol: float = 1e-12):
 _CONTOUR_BLOCK = 2048
 
 
-def _meijer_contour(spec: MeijerGSpec, z: float, control: SeriesControl) -> float:
+def _meijer_contour(spec: MeijerGSpec, z: float) -> float:
     """G via trapezoidal Mellin-Barnes quadrature on a vertical line."""
     a, b = spec.a_params, spec.b_params
     m, n = spec.m, spec.n

@@ -3,7 +3,8 @@ import warnings
 
 import pytest
 
-from abxs import cli
+from abxs import cli, metrics
+from abxs.channel import ChannelParams
 from abxs.specfun import PrecisionWarning
 from oracles import rayleigh_bpsk_aber
 
@@ -14,21 +15,31 @@ def run_cli(capsys, *argv):
     return rc, out.out, out.err
 
 
+def exit_code(capsys, *argv):
+    """cli.main's exit code, whether it returns it or raises SystemExit."""
+    try:
+        rc = cli.main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
+    capsys.readouterr()
+    return rc
+
+
 class TestSweepSpec:
-    def test_invariants(self):
-        from abxs.channel import ChannelParams
-        base = ChannelParams(1.0, 1.0, 1.0, 0.5, 2.0, 10.0)
-        spec = cli.SweepSpec("alpha", 1.0, 4.0, 0.5, base, "aber")
-        assert spec.values() == [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
-        assert spec.params_at(3.0).alpha == 3.0
-        assert spec.params_at(3.0).m_x == base.m_x
-        gb = cli.SweepSpec("gamma_bar_db", 0.0, 10.0, 5.0, base, "capacity")
-        assert gb.params_at(10.0).gamma_bar == pytest.approx(10.0)
-        for bad in (dict(variable="gamma"), dict(step=0.0), dict(start=9.0)):
-            kw = dict(variable="m_x", start=1.0, stop=2.0, step=0.5)
-            kw.update(bad)
-            with pytest.raises(ValueError):
-                cli.SweepSpec(fixed=base, metric="aber", **kw)
+    """The --sweep VAR=START:STEP:STOP specification."""
+
+    def test_sweep_replaces_one_field_of_the_baseline(self, capsys):
+        rc, out, _ = run_cli(capsys, "eval", "--metric", "capacity", "--mx", "1.5",
+                             "--my", "2", "--omega-y", "-3", "--snr-db", "10",
+                             "--sweep", "alpha=1:0.5:2")
+        assert rc == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "alpha,exact,asymptotic"
+        for line, alpha in zip(lines[1:], (1.0, 1.5, 2.0), strict=True):
+            pars = ChannelParams(1.5, 2.0, 1.0, cli.db_to_linear(-3.0), alpha, 10.0)
+            cells = line.split(",")
+            assert float(cells[0]) == alpha
+            assert cells[1] == cli._fmt(metrics.capacity_exact(pars).value)
 
     def test_bad_sweep_variable_is_usage_error(self, capsys):
         rc, _, err = run_cli(capsys, "eval", "--metric", "aber", "--mod", "bpsk",
@@ -184,6 +195,64 @@ class TestConfigFile:
             cli.main(["eval", "--config", str(tmp_path / "absent.conf")])
         assert exc.value.code == 2
 
+    def test_config_values_are_checked_like_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("metric=bogus\nsnr-db=10\n")
+        assert exit_code(capsys, "eval", "--config", str(cfg)) == 2
+        cfg.write_text("no_such_flag=1\n")
+        assert exit_code(capsys, "eval", "--config", str(cfg)) == 2
+
+    def test_config_lines_name_flags(self, capsys, tmp_path):
+        # underscores stand for dashes, and a bare key sets a switch
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("mod=bpsk\nmx=1\nmy=5\nomega_y=-inf\nsnr_db=10\noracle\n")
+        rc, out, _ = run_cli(capsys, "eval", "--config", str(cfg))
+        header, row = out.strip().splitlines()
+        assert rc == 0 and header == "gamma_bar_db,exact,asymptotic,oracle"
+        cells = [float(c) for c in row.split(",")]
+        assert cells[0] == 10.0
+        assert cells[1] == pytest.approx(rayleigh_bpsk_aber(10.0), rel=1e-8)
+        cfg.write_text("metric\n")  # a flag that takes a value
+        assert exit_code(capsys, "eval", "--config", str(cfg)) == 2
+
+
+class TestPrecedence:
+    """Flag, then --fig preset, then --config file, then built-in default."""
+
+    def test_abbreviated_flags_beat_the_preset(self, capsys):
+        rc, out, _ = run_cli(capsys, "eval", "--fig", "2", "--mo", "qam4", "--snr-db", "10")
+        assert rc == 0
+        row = out.strip().splitlines()[1].split(",")
+        qam4 = cli.get_modulation("qam4")
+        pars = ChannelParams(1.2, 1.2, cli.db_to_linear(1.0), cli.db_to_linear(1.0), 1.0, 10.0)
+        assert row[:2] == ["1", "10"]
+        assert row[2] == cli._fmt(metrics.aber_exact(pars, qam4).value)
+        rc, out, _ = run_cli(capsys, "eval", "--fig", "2", "--sn", "10")
+        assert rc == 0
+        assert len(out.strip().splitlines()) == 1 + 3  # one SNR point per curve
+
+    def test_preset_beats_config_beats_default(self, capsys, tmp_path):
+        cfg = tmp_path / "run.conf"
+        # fig 2 sets the SNR grid and the modulation but no --sweep
+        cfg.write_text("snr-db=10\nmod=bpsk\nsweep=gamma_bar_db=0:20:40\n")
+        _, with_config, _ = run_cli(capsys, "eval", "--fig", "2", "--config", str(cfg))
+        _, flags_only, _ = run_cli(capsys, "eval", "--fig", "2", "--snr-db", "0:20:40")
+        assert with_config == flags_only
+        assert len(with_config.strip().splitlines()) == 1 + 3 * 3
+
+    def test_preset_from_config(self, capsys, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("fig=2\nsnr-db=20\n")
+        _, from_config, _ = run_cli(capsys, "eval", "--config", str(cfg), "--snr-db", "15")
+        _, from_flag, _ = run_cli(capsys, "eval", "--fig", "2", "--snr-db", "15")
+        assert from_config == from_flag
+
+    def test_bad_threads_environment_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("ABXS_THREADS", "two")
+        assert exit_code(capsys, "eval", "--snr-db", "5") == 2
+        rc, _, _ = run_cli(capsys, "eval", "--snr-db", "5", "--threads", "1")
+        assert rc == 0
+
 
 class TestSimulateCommand:
     def test_histogram_and_summary(self, capsys):
@@ -205,16 +274,6 @@ class TestSimulateCommand:
         assert a == b
 
 
-class TestBenchmarkCommand:
-    def test_report_structure(self, capsys):
-        rc, out, _ = run_cli(capsys, "benchmark", "--repeats", "1", "--step-db", "20")
-        assert rc == 0
-        lines = out.strip().splitlines()
-        assert lines[0].startswith("regime,param_set,")
-        body = [l.split(",") for l in lines[1:]]
-        assert {row[0] for row in body} == {"-30..10dB", "10..50dB"}
-        assert {row[1] for row in body} == {"integer", "non-integer"}
-        for row in body:
-            speedup = float(row[5])
-            assert math.isfinite(speedup) and speedup > 0.0
-            assert float(row[6]) < 0.01  # both routes agree to the 1% target
+class TestRemovedCommands:
+    def test_benchmark_is_unknown(self, capsys):
+        assert exit_code(capsys, "benchmark") == 2

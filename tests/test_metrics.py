@@ -263,6 +263,14 @@ class TestCapacityExact:
         assert got.path == "series-quadrature"
         assert got.value == pytest.approx(15.643722826061696, rel=1e-6)
 
+    def test_tiny_alpha_does_not_overflow(self):
+        # The mho_alpha power overflows at alpha = 0.01, so derived_constants
+        # must not compute it. A 1e-5-step trapezoid in log u gives this
+        # value (QUADPACK returns 4.85e-32).
+        got = mt.capacity_exact(ChannelParams(1.2, 1.2, 1.0, 0.0, 0.01, 10.0))
+        assert got.path == "series-quadrature"
+        assert got.value == pytest.approx(5.7393061e-32, rel=1e-6)
+
 
 class TestCapacityAsymptotic:
     def test_nakagami_closed_form(self):

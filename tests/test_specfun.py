@@ -15,29 +15,7 @@ from paramsets import fig3_params, fig4_params
 EULER = 0.5772156649015328606
 
 
-class TestSeriesControl:
-    def test_defaults(self):
-        ctl = sf.SeriesControl()
-        assert ctl.rel_tol == 1e-14 and ctl.max_terms == 10000
-
-    @pytest.mark.parametrize("bad", [dict(rel_tol=0.0), dict(rel_tol=-1e-3),
-                                     dict(max_terms=0)])
-    def test_invalid(self, bad):
-        with pytest.raises(ValueError):
-            sf.SeriesControl(**bad)
-
-
 class TestGammaFamily:
-    def test_lgamma_known(self):
-        assert sf.lgamma(1.0) == 0.0
-        assert sf.lgamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-13)
-        assert sf.lgamma(10.0) == pytest.approx(math.log(362880.0), rel=1e-13)
-
-    def test_lgamma_domain(self):
-        for bad in (0.0, -1.5):
-            with pytest.raises(ValueError):
-                sf.lgamma(bad)
-
     def test_digamma_known(self):
         assert sf.digamma(1.0) == pytest.approx(-EULER, abs=1e-12)
         assert sf.digamma(2.0) == pytest.approx(1.0 - EULER, abs=1e-12)
@@ -150,7 +128,7 @@ class TestKummer1F1:
 
     @pytest.mark.parametrize("a, b, x", [(1.5, 1.6, -30.0), (0.3, 1.7, -35.0)])
     def test_double_double_series_survives_cancellation(self, a, b, x):
-        (hi, lo), max_term = sf._hyp_series_dd((a,), (b,), x, sf.DEFAULT_CONTROL)
+        (hi, lo), max_term = sf._hyp_series_dd((a,), (b,), x)
         value = hi + lo
         assert max_term >= 1e10 * abs(value)
         assert value == pytest.approx(dec_1f1(a, b, x), rel=1e-13)
@@ -368,5 +346,5 @@ class TestMeijerGDifferential:
         # sigma = -1/2 puts 1/Gamma(1 - b_3 + s) on a pole at t = 0, where
         # the integrand vanishes.
         spec = sf.MeijerGSpec(m=2, n=0, a_params=(), b_params=(0.0, 0.25, 1.5))
-        got = sf._meijer_contour(spec, 2.0, sf.DEFAULT_CONTROL)
+        got = sf._meijer_contour(spec, 2.0)
         assert got == pytest.approx(_mpmath_meijer_g(spec, 2.0), rel=1e-10)
