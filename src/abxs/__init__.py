@@ -29,6 +29,7 @@ from .metrics import (
     capacity_asymptotic,
     capacity_exact,
     capacity_quadrature,
+    cdf_quadrature,
     coding_gain,
     diversity_order,
     modulation_coeffs,

@@ -183,13 +183,6 @@ def _log_1f1(a: float, b: float, x: float) -> float:
     return math.log(specfun.kummer_1f1(a, b, x))
 
 
-def _origin_density(params: ChannelParams, dc: DerivedConstants) -> float:
-    """lim f(gamma) / (gamma/gamma_bar)^(alpha*m_x/2 - 1) as gamma -> 0."""
-    return (params.alpha * (1.0 - dc.beta_bar) ** params.m_y
-            / (2.0 * dc.c_alpha ** params.m_x * math.gamma(params.m_x)
-               * params.gamma_bar))
-
-
 def _snr_density(params: ChannelParams, gamma: float, log_confluent) -> float:
     """The SNR density, its confluent factor's log given as log_confluent(bb * u)."""
     if gamma < 0:
@@ -197,9 +190,10 @@ def _snr_density(params: ChannelParams, gamma: float, log_confluent) -> float:
     dc = derived_constants(params)
     exponent = params.alpha * params.m_x / 2.0 - 1.0
     if gamma == 0.0:
-        if exponent > 0.0:
-            return 0.0
-        return _origin_density(params, dc) if exponent == 0.0 else math.inf
+        if exponent != 0.0:
+            return 0.0 if exponent > 0.0 else math.inf
+        return (params.alpha * (1.0 - dc.beta_bar) ** params.m_y
+                / (2.0 * dc.c_alpha ** params.m_x * math.gamma(params.m_x) * params.gamma_bar))
     ratio = gamma / params.gamma_bar
     u = ratio ** (params.alpha / 2.0) / dc.c_alpha
     log_f = (math.log(params.alpha / 2.0)
@@ -341,18 +335,3 @@ def bxs_power_pdf(params: ChannelParams, w: float) -> float:
     rw = math.sqrt(w)
     return bxs_envelope_pdf(params, rw) / (2.0 * rw)
 
-
-def _snr_pdf_smooth(params: ChannelParams, gamma: float) -> float:
-    """f(gamma) with the (gamma/gamma_bar)^(alpha*m_x/2 - 1) factor removed.
-
-    Finite at the origin; lets quadrature treat the endpoint singularity as an
-    explicit algebraic weight.
-    """
-    dc = derived_constants(params)
-    base = _origin_density(params, dc)
-    if gamma == 0.0:
-        return base
-    u = (gamma / params.gamma_bar) ** (params.alpha / 2.0) / dc.c_alpha
-    v = dc.beta_bar * u
-    log_rest = -u + _log_1f1(params.m_y, params.m_x, v)
-    return base * math.exp(log_rest)

@@ -43,6 +43,13 @@ class UsageError(Exception):
     """Flag combination errors surfaced with exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise UsageError instead of exiting."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
@@ -141,7 +148,7 @@ _DEFAULTS = {
 
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser; every flag defaults to None so that unset flags show."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="abxs",
         description="alpha-Beaulieu-Xie shadowed fading channel toolkit",
     )
@@ -202,9 +209,9 @@ def _read_config(parser: argparse.ArgumentParser, command: str, path: str) -> di
                 key, eq, value = line.partition("=")
                 flag = "--" + key.strip().replace("_", "-")
                 tokens.append(f"{flag}={value.strip()}" if eq else flag)
-    except OSError as err:
-        parser.error(f"cannot read config file: {err}")
-    return _given(parser.parse_args(tokens))
+        return _given(parser.parse_args(tokens))
+    except (OSError, UsageError) as err:
+        raise UsageError(f"config file {path}: {err}") from None
 
 
 def _resolve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.Namespace:
@@ -233,10 +240,7 @@ def _eval_row(metric: str, params: ChannelParams, mod, gamma, want_oracle, mc_cf
             out.append(snr_cdf(params, gamma))
             out.append(snr_cdf_asymptotic(params, gamma))
             if want_oracle:
-                from scipy import integrate
-                val, _ = integrate.quad(lambda g: snr_pdf(params, g), 0.0, gamma,
-                                        epsabs=1e-13, epsrel=1e-10, limit=200)
-                out.append(val)
+                out.append(metrics.cdf_quadrature(params, gamma))
         elif metric == "aber":
             out.append(metrics.aber_exact(params, mod).value)
             out.append(metrics.aber_asymptotic(params, mod).value)
@@ -253,8 +257,6 @@ def _eval_row(metric: str, params: ChannelParams, mod, gamma, want_oracle, mc_cf
             if mc_cfg is not None:
                 est, se = montecarlo.mc_capacity(params, mc_cfg)
                 out.extend([est, se])
-    except NumericalFailure:
-        raise
     except (ConvergenceError, OverflowError, ValueError, ZeroDivisionError) as err:
         raise NumericalFailure(f"{metric} evaluation", err)
     return out
@@ -403,12 +405,10 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        args = _resolve(parser, args)
+        args = _resolve(parser, parser.parse_args(argv))
         return cmd_eval(args) if args.command == "eval" else cmd_simulate(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except NumericalFailure as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import erfc, gammaln
+from scipy.special import erfc, gammaln, hyp1f1
 
-from . import channel, specfun
+from . import specfun
 from .channel import ChannelParams, derived_constants
 from .specfun import ConvergenceError, MeijerGSpec
 
@@ -36,6 +36,10 @@ _K_MAX_TERMS = 64
 # Above this denominator of alpha/2 the Meijer-G parameter count makes the
 # closed form worse than quadrature; switch to the mixture expectation.
 _MAX_MEIJER_Q = 8
+
+# QUADPACK settings of the quadrature oracle.
+_QUAD_EPSREL = 1e-11
+_QUAD_LIMIT = 200
 
 # Nodes per mixture-density evaluation, which bounds the (weights x nodes) array.
 _MIXTURE_BLOCK = 64
@@ -120,10 +124,6 @@ def modulation_coeffs(kind: str, order: int = 2) -> ModulationScheme:
     raise ValueError(f"unsupported modulation kind {kind!r}")
 
 
-def _q_func(x: float) -> float:
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-
 def _make_aber(value: float, terms_used: int, path: str,
                mod: ModulationScheme) -> AberResult:
     bound = 0.5 * mod.delta1 * mod.delta3
@@ -132,54 +132,82 @@ def _make_aber(value: float, terms_used: int, path: str,
     return AberResult(value=min(value, bound), terms_used=terms_used, path=path)
 
 
-def _snr_integral(params: ChannelParams, weight, extra_breaks=(),
-                  epsrel: float = 1e-11, limit: int = 200) -> float:
-    """integral of weight(gamma) * f(gamma) over [0, inf).
+def _log_1f1(a: float, b: float, x: float) -> float:
+    """log 1F1(a; b; x) for x >= 0 from scipy's hyp1f1, asymptotic past its range."""
+    value = hyp1f1(a, b, x) if x <= 650.0 else math.inf
+    return math.log(value) if math.isfinite(value) else specfun._log_1f1_large_x(a, b, x)
 
-    Splits at the natural scales, pulls the algebraic origin singularity
-    (alpha*m_x < 2) into an explicit quadrature weight, and lets QUADPACK's
-    rational map handle the semi-infinite tail.
+
+def _snr_integral(params: ChannelParams, h, t_hi: float = math.inf) -> float:
+    """E[h(log gamma); t < t_hi] by QUADPACK over t = log u, u = (gamma/gamma_bar)^(alpha/2) / C.
+
+    The t-density (1-bb)^m_y e^(m_x t - e^t) 1F1(m_y; m_x; bb e^t) / Gamma(m_x)
+    is smooth and decays at both ends, so three pieces split at log E[U] +- 5
+    need no breaks, endpoint weight or tail scale. It shares no code with the pdf,
+    the NB weights or Meijer G. ``h`` runs only where the density has not underflowed.
     """
     dc = derived_constants(params)
-    s = params.alpha * params.m_x / 2.0 - 1.0
-    tail_start = params.gamma_bar * (45.0 * dc.c_alpha) ** (2.0 / params.alpha)
-    breaks = sorted({params.gamma_bar, *extra_breaks})
-    breaks = [x for x in breaks if 0.0 < x < tail_start] + [tail_start]
+    bb, m_x, m_y = dc.beta_bar, params.m_x, params.m_y
+    log_norm = m_y * math.log1p(-bb) - math.lgamma(m_x)
+    two_over_alpha = 2.0 / params.alpha
+    log_scale = math.log(params.gamma_bar) + two_over_alpha * math.log(dc.c_alpha)
 
+    def integrand(t: float) -> float:
+        if t > 700.0:
+            return 0.0
+        u = math.exp(t)
+        log_dens = log_norm + m_x * t - u + _log_1f1(m_y, m_x, bb * u)
+        if log_dens < -745.0:
+            return 0.0
+        return h(log_scale + two_over_alpha * t) * math.exp(log_dens)
+
+    mid = math.log(m_x + m_y * bb / (1.0 - bb))
+    cuts = [c for c in (mid - 5.0, mid + 5.0) if c < t_hi]
     # full_output returns QUADPACK's message instead of warning: the error
     # estimate is gated below, and a warning filter is process-global.
-    total = 0.0
-    err = 0.0
-    lo = 0.0
-    for hi in breaks + [math.inf]:
-        opts = dict(epsabs=1e-14 if hi == math.inf else 0.0, epsrel=epsrel, limit=limit,
-                    full_output=1)
-        if lo == 0.0 and s < 0.0:
-            scale = params.gamma_bar ** (-s)
-            val, e = integrate.quad(
-                lambda g: weight(g) * channel._snr_pdf_smooth(params, g) * scale,
-                lo, hi, weight="alg", wvar=(s, 0.0), **opts)[:2]
-        else:
-            val, e = integrate.quad(lambda g: weight(g) * channel.snr_pdf(params, g),
-                                    lo, hi, **opts)[:2]
+    total = err = 0.0
+    for lo, hi in zip([-math.inf] + cuts, cuts + [t_hi]):
+        val, e = integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=_QUAD_EPSREL,
+                                limit=_QUAD_LIMIT, full_output=1)[:2]
         total += val
         err += e
-        lo = hi
-    gate = max(10.0 * epsrel * abs(total), 1e-6 * abs(total), 1e-13)
+    gate = max(10.0 * _QUAD_EPSREL * abs(total), 1e-6 * abs(total), 1e-13)
     if err > gate:
         raise ConvergenceError(f"quadrature error estimate too large: {err:g} on {total:g}")
     return total
 
 
-def aber_quadrature(params: ChannelParams, mod: ModulationScheme,
-                    epsrel: float = 1e-11) -> AberResult:
+def _aber_h(mod: ModulationScheme):
+    """delta1 sum_j Q(sqrt(2 delta2_j gamma)) as a function of log gamma (float or ndarray)."""
+    def h(log_g):
+        return mod.delta1 * sum(0.5 * erfc(np.sqrt(d2 * np.exp(log_g))) for d2 in mod.delta2)
+    return h
+
+
+def _capacity_h(log_g):
+    """log2(1 + gamma) as a function of log gamma (float or ndarray)."""
+    return np.logaddexp(0.0, log_g) / math.log(2.0)
+
+
+def aber_quadrature(params: ChannelParams, mod: ModulationScheme) -> AberResult:
     """ABER by direct adaptive quadrature of the Q-function expectation."""
-    total = 0.0
-    for d2 in mod.delta2:
-        # second break marks where the Gaussian tail has died (Q ~ e^-45)
-        total += _snr_integral(params, lambda g, d=d2: _q_func(math.sqrt(2.0 * d * g)),
-                               extra_breaks=(1.0 / d2, 45.0 / d2), epsrel=epsrel)
-    return _make_aber(mod.delta1 * total, 0, "oracle", mod)
+    return _make_aber(_snr_integral(params, _aber_h(mod)), 0, "oracle", mod)
+
+
+def capacity_quadrature(params: ChannelParams) -> float:
+    """Ergodic capacity (bits per channel use) by direct quadrature."""
+    return _snr_integral(params, _capacity_h)
+
+
+def cdf_quadrature(params: ChannelParams, gamma: float) -> float:
+    """SNR cdf by direct quadrature of the density up to gamma."""
+    if gamma < 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if gamma == 0.0:
+        return 0.0
+    t_hi = (0.5 * params.alpha * math.log(gamma / params.gamma_bar)
+            - math.log(derived_constants(params).c_alpha))
+    return _snr_integral(params, lambda log_g: 1.0, t_hi)
 
 
 def _mixture_expectation(params: ChannelParams, h):
@@ -329,10 +357,7 @@ def aber_exact_truncation_profile(params: ChannelParams, mod: ModulationScheme,
 
 def _aber_mixture(params: ChannelParams, mod: ModulationScheme) -> AberResult:
     """ABER as the mixture expectation of delta1 sum_j Q(sqrt(2 delta2_j gamma))."""
-    def h(log_g: np.ndarray) -> np.ndarray:
-        return mod.delta1 * sum(0.5 * erfc(np.sqrt(d2 * np.exp(log_g))) for d2 in mod.delta2)
-
-    value, terms = _mixture_expectation(params, h)
+    value, terms = _mixture_expectation(params, _aber_h(mod))
     return _make_aber(value, terms, "series-quadrature", mod)
 
 
@@ -359,12 +384,6 @@ def coding_gain(params: ChannelParams, mod: ModulationScheme) -> float:
              - params.m_x * math.log(dc.c_alpha)
              - math.lgamma(params.m_x + 1.0))
     return math.exp(log_c) * sum(d ** (-gd) for d in mod.delta2)
-
-
-def capacity_quadrature(params: ChannelParams) -> float:
-    """Ergodic capacity (bits per channel use) by direct quadrature."""
-    ln2 = math.log(2.0)
-    return _snr_integral(params, lambda g: math.log1p(g) / ln2, extra_breaks=(1.0,))
 
 
 def capacity_exact(params: ChannelParams) -> CapacityResult:
@@ -399,8 +418,7 @@ def capacity_exact(params: ChannelParams) -> CapacityResult:
 
 def _capacity_mixture(params: ChannelParams) -> CapacityResult:
     """Capacity as the mixture expectation of log2(1 + gamma)."""
-    value, terms = _mixture_expectation(params,
-                                        lambda log_g: np.logaddexp(0.0, log_g) / math.log(2.0))
+    value, terms = _mixture_expectation(params, _capacity_h)
     return CapacityResult(value=value, terms_used=terms, path="series-quadrature")
 
 

@@ -34,8 +34,8 @@ def test_01_normalization_and_mean():
     worst_norm = 0.0
     worst_mean = 0.0
     for pars in grid72():
-        norm = mt._snr_integral(pars, lambda g: 1.0)
-        mean = mt._snr_integral(pars, lambda g: g)
+        norm = mt._snr_integral(pars, lambda log_g: 1.0)
+        mean = mt._snr_integral(pars, math.exp)
         worst_norm = max(worst_norm, abs(norm - 1.0))
         worst_mean = max(worst_mean, abs(mean / pars.gamma_bar - 1.0))
     elapsed = time.perf_counter() - t0

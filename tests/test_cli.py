@@ -191,9 +191,10 @@ class TestConfigFile:
         assert row[1] == pytest.approx(rayleigh_bpsk_aber(100.0), rel=1e-8)
 
     def test_missing_config_is_usage_error(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["eval", "--config", str(tmp_path / "absent.conf")])
-        assert exc.value.code == 2
+        path = str(tmp_path / "absent.conf")
+        rc, _, err = run_cli(capsys, "eval", "--config", path)
+        assert rc == 2
+        assert path in err
 
     def test_config_values_are_checked_like_flags(self, capsys, tmp_path):
         cfg = tmp_path / "run.conf"

@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +11,10 @@ from paramsets import db, fig2_params, fig3_params, nakagami, rayleigh
 
 QAM16 = mt.modulation_coeffs("mqam", 16)
 BPSK = mt.modulation_coeffs("bpsk")
+
+# mpmath references at 40 digits for QAM-16 ABER and capacity on 67 laws.
+DOMAIN_REFERENCE = (pathlib.Path(__file__).resolve().parent.parent
+                    / "perfbench" / "reference" / "domain.json")
 
 
 class TestModulationCoeffs:
@@ -72,6 +78,39 @@ class TestAberQuadrature:
         # frozen oracle value, reference scenario at 20 dB
         assert mt.aber_quadrature(fig2_params(2.0, 20.0), QAM16).value == pytest.approx(
             0.013298337983603904, rel=1e-10)
+
+
+class TestOracleAgainstMpmath:
+    def test_domain_grid(self):
+        laws = json.loads(DOMAIN_REFERENCE.read_text())["laws"]
+        assert len(laws) == 67
+        misses = []
+        for i, law in enumerate(laws):
+            pars = ChannelParams(*law["law"])
+            got = {"aber": mt.aber_quadrature(pars, QAM16).value,
+                   "capacity": mt.capacity_quadrature(pars)}
+            misses += [(i, name, value) for name, value in got.items()
+                       if abs(value / law[name] - 1.0) > 1e-10]
+        assert not misses
+
+    def test_tiny_alpha_capacity(self):
+        pars = ChannelParams(1.2, 1.2, 1.0, 0.0, 0.01, 10.0)
+        assert mt.capacity_quadrature(pars) == pytest.approx(5.7393061e-32, rel=1e-6, abs=0.0)
+
+    def test_hyp1f1_overflow(self):
+        # beta_bar = 0.95 puts bb*u past 625, where scipy's hyp1f1(20; 0.5; x)
+        # overflows, inside the bulk of the density. mpmath references.
+        pars = ChannelParams(0.5, 20.0, 1.0, 760.0, 2.0, 10.0)
+        assert mt.capacity_quadrature(pars) == pytest.approx(3.4264310273892744, rel=1e-10)
+        assert mt.aber_quadrature(pars, QAM16).value == pytest.approx(0.06224938472924356,
+                                                                      rel=1e-10)
+
+    def test_cdf_rayleigh(self):
+        pars = rayleigh(gamma_bar=db(10.0))
+        assert mt.cdf_quadrature(pars, 0.0) == 0.0
+        for g in (0.01, 1.0, 10.0, 100.0):
+            assert mt.cdf_quadrature(pars, g) == pytest.approx(
+                -math.expm1(-g / pars.gamma_bar), rel=1e-10)
 
 
 class TestAberExact:
@@ -257,19 +296,18 @@ class TestCapacityExact:
 
     def test_los_dominated_k_series_falls_back(self):
         # At beta_bar ~ 0.95 the Meijer k-series outgrows its 64 terms and the
-        # mixture takes over; the QUADPACK oracle returns 14.643 here. mpmath
-        # reference.
+        # mixture takes over. mpmath reference.
         got = mt.capacity_exact(fig3_params(2.5, 0.5, 0.8, snr_db=60.0))
         assert got.path == "series-quadrature"
         assert got.value == pytest.approx(15.643722826061696, rel=1e-6)
 
     def test_tiny_alpha_does_not_overflow(self):
         # The mho_alpha power overflows at alpha = 0.01, so derived_constants
-        # must not compute it. A 1e-5-step trapezoid in log u gives this
-        # value (QUADPACK returns 4.85e-32).
+        # must not compute it. A 1e-5-step trapezoid in log u and the
+        # quadrature oracle give this value.
         got = mt.capacity_exact(ChannelParams(1.2, 1.2, 1.0, 0.0, 0.01, 10.0))
         assert got.path == "series-quadrature"
-        assert got.value == pytest.approx(5.7393061e-32, rel=1e-6)
+        assert got.value == pytest.approx(5.7393061e-32, rel=1e-6, abs=0.0)
 
 
 class TestCapacityAsymptotic:
