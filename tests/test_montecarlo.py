@@ -2,19 +2,39 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import special as sp_special, stats
 
 from abxs import channel as ch
 from abxs import metrics as mt
 from abxs import montecarlo as mc
 from abxs.channel import ChannelParams
-from paramsets import FIG1, fig2_params, grid72, rayleigh
+from paramsets import FIG1, db, fig2_params, grid72, rayleigh
 
 QAM16 = mt.modulation_coeffs("mqam", 16)
 
 
 def fig1(alpha=2.0):
     return ChannelParams(alpha=alpha, **FIG1)
+
+
+def ks_brute_force(samples, cdf_fn):
+    """Reference KS statistic: cdf_fn at every sorted sample."""
+    x = np.sort(np.asarray(samples, dtype=float))
+    n = x.size
+    f = np.asarray(cdf_fn(x), dtype=float)
+    return float(max((np.arange(1, n + 1) / n - f).max(), (f - np.arange(0, n) / n).max()))
+
+
+# The perfbench montecarlo laws (beta_bar 0.5, 0.44, 0.16 and 0) and
+# a beta_bar ~ 0.8 law with 148 mixture weights.
+KS_LAWS = (
+    ChannelParams(1.2, 1.2, db(1.0), db(1.0), 2.0, db(10.0)),
+    ChannelParams(0.5, 2.5, db(-3.0), db(3.0), 0.8, db(30.0)),
+    ChannelParams(0.7, 1.8, db(0.0), db(-3.0), 4.0, db(40.0)),
+    ChannelParams(2.0, 1.0, db(0.0), 0.0, 2.5, db(20.0)),
+    ChannelParams(1.2, 1.2, 1.0, 4.0, 2.0, 10.0),
+)
 
 
 def power_cdf_fn(params):
@@ -111,6 +131,14 @@ class TestSnrSampler:
         scal = np.array([ch.snr_cdf(pars, x) for x in pts])
         assert np.abs(vec - scal).max() < 1e-12
 
+    def test_ks_line_of_sight_dominated(self):
+        # beta_bar = 0.995: 6432 mixture weights, a K-factor near 23 dB
+        pars = ChannelParams(1.0, 1.0, 1.0, 199.0, 2.2, 10.0)
+        g = mc.snr_samples(pars, mc.SimulationConfig(seed=9, trials=10 ** 6))
+        cdf = mc.snr_cdf_fn(pars)
+        assert mc.ks_statistic(g, cdf) < mc.ks_critical_1pct(g.size)
+        assert mc.ks_statistic(g[:10_000], cdf) == ks_brute_force(g[:10_000], cdf)
+
     def test_ks_and_mean_across_validation_grid(self):
         # moderate sample size keeps the whole 72-point sweep quick
         for i, pars in enumerate(grid72()):
@@ -202,9 +230,83 @@ class TestKsStatistic:
         rng = mc.stream_generator(72, 0)
         x = rng.uniform(0.0, 1.0, 50_000)
         shift = 0.07
-        d = mc.ks_statistic(x, lambda v: np.clip(np.asarray(v) + shift, 0.0, 1.0))
+
+        def cdf(v):
+            return np.clip(np.asarray(v) + shift, 0.0, 1.0)
+
+        d = mc.ks_statistic(x, cdf)
         assert d == pytest.approx(shift, abs=0.01)
+        assert d == ks_brute_force(x, cdf)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mc.ks_statistic([], lambda v: v)
+
+    def test_nan_sample_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            mc.ks_statistic([1.0, math.nan, 2.0], lambda v: 1.0 - np.exp(-np.asarray(v)))
+
+    def test_nan_cdf_value_rejected(self):
+        x = np.linspace(0.0, 1.0, 1001)
+        with pytest.raises(ValueError, match="NaN"):
+            mc.ks_statistic(x, lambda v: np.where(np.asarray(v) > 0.3, math.nan, v))
+
+    @pytest.mark.parametrize("i", range(len(KS_LAWS)))
+    def test_exact_on_model_laws(self, i):
+        pars = KS_LAWS[i]
+        g = mc.snr_samples(pars, mc.SimulationConfig(seed=3100 + i, trials=200_000))
+        cdf = mc.snr_cdf_fn(pars)
+        assert mc.ks_statistic(g, cdf) == ks_brute_force(g, cdf)
+
+    @pytest.mark.parametrize("x", [[0.3], [0.7, 0.2], [0.5] * 1000],
+                             ids=["n1", "n2", "all-tied"])
+    def test_exact_on_small_and_tied_samples(self, x):
+        assert mc.ks_statistic(x, np.asarray) == ks_brute_force(x, np.asarray)
+
+    def test_exact_on_step_cdf(self):
+        # jumps at multiples of 1/4, flat between, tied samples on a 0.1 grid
+        x = mc.stream_generator(73, 0).integers(0, 11, 5000) / 10.0
+
+        def cdf(v):
+            return np.floor(np.asarray(v) * 4.0) / 4.0
+
+        assert mc.ks_statistic(x, cdf) == ks_brute_force(x, cdf)
+
+    def test_sup_at_first_sample(self):
+        # an atom of 1/2 at the origin: F_0 - 0/n is the largest gap
+        x = np.sort(mc.stream_generator(74, 0).uniform(0.0, 1.0, 20_000))
+
+        def cdf(v):
+            return 0.5 + 0.5 * np.asarray(v)
+
+        d = mc.ks_statistic(x, cdf)
+        assert d == ks_brute_force(x, cdf) == cdf(x[:1])[0]
+
+    def test_sup_at_last_sample(self):
+        # half the mass missing on the right: 1 - F_{n-1} is the largest gap
+        x = np.sort(mc.stream_generator(75, 0).uniform(0.0, 1.0, 20_000))
+
+        def cdf(v):
+            return 0.5 * np.asarray(v)
+
+        d = mc.ks_statistic(x, cdf)
+        assert d == ks_brute_force(x, cdf) == 1.0 - cdf(x[-1:])[0]
+
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=400),
+           st.lists(st.floats(0.0, 1.0), min_size=2, max_size=30),
+           st.booleans())
+    def test_exact_on_random_monotone_cdfs(self, ints, steps, stepwise):
+        # tied samples on a coarse grid; a piecewise-linear or step cdf whose
+        # knot values are normalised cumulative sums, so non-decreasing
+        x = np.array(ints) / 4.0
+        knots = np.linspace(-1.0, 11.0, len(steps))
+        levels = np.cumsum(steps)
+        levels = levels / levels[-1] if levels[-1] > 0 else levels
+
+        def cdf(v):
+            v = np.asarray(v)
+            if stepwise:
+                return levels[np.searchsorted(knots, v, side="right") - 1]
+            return np.interp(v, knots, levels)
+
+        assert mc.ks_statistic(x, cdf) == ks_brute_force(x, cdf)
