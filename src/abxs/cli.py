@@ -59,13 +59,16 @@ def _fmt(x: float) -> str:
 
 
 def parse_range(text: str):
-    """START:STEP:STOP (inclusive) or a single value."""
+    """START:STEP:STOP (inclusive) or a single value, all finite."""
     parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ValueError(f"expected VALUE or START:STEP:STOP, got {text!r}")
-    start, step, stop = (float(v) for v in parts)
+    values = [float(v) for v in parts]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"range values must be finite, got {text!r}")
+    if len(values) == 1:
+        return values
+    start, step, stop = values
     if step <= 0:
         raise ValueError(f"sweep step must be positive, got {step}")
     if start > stop:
@@ -266,11 +269,11 @@ def cmd_eval(args) -> int:
     metric = args.metric
     if metric == "pdf" and args.oracle:
         raise UsageError("--oracle is not defined for the pdf metric")
-    if metric in ("pdf", "cdf") and args.mc:
+    if metric in ("pdf", "cdf") and args.mc is not None:
         raise UsageError("--mc applies to the aber and capacity metrics only")
     mod = get_modulation(args.mod) if metric == "aber" else None
     mc_cfg = None
-    if args.mc:
+    if args.mc is not None:
         mc_cfg = montecarlo.SimulationConfig(seed=args.seed, trials=args.mc,
                                              streams=args.streams)
 

@@ -391,7 +391,9 @@ def capacity_exact(params: ChannelParams) -> CapacityResult:
 
     The G terms here always carry an integer pole collision (a doubled zero
     parameter), so they go straight to the Mellin-Barnes contour, which is
-    where meijer_g would send them. Falls back like :func:`aber_exact`.
+    where meijer_g would send them. The terms differ only in their
+    Gamma(m_x + k - q s) factor, so one memo lets every term reuse the other
+    factors' values. Falls back like :func:`aber_exact`.
     """
     dc = derived_constants(params)
     if dc.q is None or dc.q > _MAX_MEIJER_Q:
@@ -401,13 +403,14 @@ def capacity_exact(params: ChannelParams) -> CapacityResult:
                  / ((2.0 * math.pi) ** ((q - 3.0) / 2.0 + p) * math.log(2.0)))
     z = (1.0 / (q * dc.c_alpha * params.gamma_bar ** (params.alpha / 2.0))) ** q
     upper = tuple(i / p for i in range(p)) + (1.0,)
+    memo = {}
 
     def g_term(k: int) -> float:
         lower = (tuple(i / p for i in range(p))
                  + tuple((params.m_x + k + i) / q for i in range(q))
                  + (0.0,))
         spec = MeijerGSpec(m=q + p + 1, n=p, a_params=upper, b_params=lower)
-        return specfun._meijer_contour(spec, z)
+        return specfun._meijer_contour(spec, z, memo)
 
     try:
         total, terms_used = _k_series(params, dc, g_term)

@@ -13,18 +13,14 @@ ConvergenceError after 10000 terms. Alternating series that would lose
 precision to cancellation are accumulated in compensated double-double
 arithmetic; no arbitrary-precision library is used anywhere.
 
-The Meijer G evaluator sums the residue (Slater) expansion when the
-contributing poles are simple and the sum is well conditioned, and falls back
-to numerical Mellin-Barnes contour integration on a vertical line otherwise.
-
-Both routes are built for cost. The double-double series is one fused loop
-on local floats: per term, the shifted numerator parameters and the shifted
-denominator parameters each multiply into one double-double product, so a
-term takes one double-double division. The contour evaluates its gamma
-factors with scipy's complex ``loggamma``, one call per block of points,
-after merging each run of parameters spaced 1/N into a single factor by
-Gauss's multiplication formula; each trapezoid refinement evaluates only the
-new midpoints.
+The Meijer G evaluator sums the residue (Slater) expansion in plain double
+precision when the contributing poles are simple and the sum is well
+conditioned, and falls back to numerical Mellin-Barnes contour integration on
+a vertical line otherwise. The contour evaluates its gamma factors with
+scipy's complex ``loggamma``, one call per factor and block of points, after
+merging each run of parameters spaced 1/N into a single factor by Gauss's
+multiplication formula; each trapezoid refinement evaluates only the new
+midpoints, and contours sharing a memo evaluate a common factor once.
 """
 
 from __future__ import annotations
@@ -167,119 +163,40 @@ def pochhammer(a: float, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _dd_shifted_product(h: float, l: float, params, k: float):
-    """(h, l) * prod(u + k) over the double-double ``params``, inlined."""
-    for uh, ul in params:
-        # (vh, vl) = u + k: _dd_add, whose renormalisation is a no-op when ul == 0
-        s = uh + k
-        bb = s - uh
-        e = (uh - (s - bb)) + (k - bb)
-        if ul:
-            e += ul
-            vh = s + e
-            bb = vh - s
-            vl = (s - (vh - bb)) + (e - bb)
-        else:
-            vh, vl = s, e
-        # (h, l) *= (vh, vl): _dd_mul
-        p = h * vh
-        t = 134217729.0 * h
-        ah = t - (t - h)
-        al = h - ah
-        t = 134217729.0 * vh
-        bh = t - (t - vh)
-        bl = vh - bh
-        e = (((ah * bh - p) + ah * bl + al * bh) + al * bl) + (h * vl + l * vh)
-        h = p + e
-        bb = h - p
-        l = (p - (h - bb)) + (e - bb)
-    return h, l
-
-
-def _dd_add_scaled(rh: float, rl: float, dh: float, dl: float, q: float):
-    """(rh, rl) + (dh, dl) * q, inlined _dd_add(r, _dd_mul(d, (q, 0)))."""
-    p = dh * q
-    t = 134217729.0 * dh
-    ah = t - (t - dh)
-    al = dh - ah
-    t = 134217729.0 * q
-    bh = t - (t - q)
-    bl = q - bh
-    e = (((ah * bh - p) + ah * bl + al * bh) + al * bl) + dl * q
-    mh = p + e
-    bb = mh - p
-    ml = (p - (mh - bb)) + (e - bb)
-    s = rh + mh
-    bb = s - rh
-    e = ((rh - (s - bb)) + (mh - bb)) + (rl + ml)
-    h = s + e
-    bb = h - s
-    return h, (s - (h - bb)) + (e - bb)
-
-
 def _hyp_series_dd(num, den, x: float, rel_tol: float = _REL_TOL,
                    max_terms: int = _MAX_TERMS):
     """Double-double variant of :func:`_hyp_series`; returns ((hi, lo), max_mag).
 
     Parameters may be floats or (hi, lo) pairs; pairs keep exactly-known
     sums like c + k free of a rounding that outer cancellation would amplify.
-
-    One fused loop: term k+1 is term k times the ratio N / D, where
-    N = x prod(u + k) and D = (k + 1) prod(d + k) are each built as one
-    double-double product, so a term costs one double-double division. The
-    two-sum and two-product steps are written out on local floats.
+    Term k+1 is term k times x prod(u + k) / ((k + 1) prod(d + k)), with the
+    numerator and the denominator each built as one double-double product.
     """
     num = [p if isinstance(p, tuple) else (p, 0.0) for p in num]
     den = [p if isinstance(p, tuple) else (p, 0.0) for p in den]
     for d in den:
         if _is_nonpositive_integer(d[0] + d[1]):
             raise ValueError(f"series denominator parameter is a nonpositive integer: {d}")
-    th, tl = 1.0, 0.0  # term
-    sh, sl = 1.0, 0.0  # partial sum
+    term = (1.0, 0.0)
+    total = (1.0, 0.0)
     max_mag = 1.0
     streak = 0
     for k in range(max_terms):
-        fk = float(k)
-        nh, nl = _dd_shifted_product(x, 0.0, num, fk)
-        dh, dl = _dd_shifted_product(fk + 1.0, 0.0, den, fk)
-        # (th, tl) *= (nh, nl): _dd_mul
-        p = th * nh
-        t = 134217729.0 * th
-        ah = t - (t - th)
-        al = th - ah
-        t = 134217729.0 * nh
-        bh = t - (t - nh)
-        bl = nh - bh
-        e = (((ah * bh - p) + ah * bl + al * bh) + al * bl) + (th * nl + tl * nh)
-        th = p + e
-        bb = th - p
-        tl = (p - (th - bb)) + (e - bb)
-        # (th, tl) /= (dh, dl): _dd_div
-        q1 = th / dh
-        rh, rl = _dd_add_scaled(th, tl, dh, dl, -q1)
-        q2 = rh / dh
-        rh, rl = _dd_add_scaled(rh, rl, dh, dl, -q2)
-        q3 = rh / dh
-        s = q1 + q2
-        bb = s - q1
-        e = ((q1 - (s - bb)) + (q2 - bb)) + q3
-        th = s + e
-        bb = th - s
-        tl = (s - (th - bb)) + (e - bb)
-        # (sh, sl) += (th, tl): _dd_add
-        s = sh + th
-        bb = s - sh
-        e = ((sh - (s - bb)) + (th - bb)) + (sl + tl)
-        sh = s + e
-        bb = sh - s
-        sl = (s - (sh - bb)) + (e - bb)
-        mag = abs(th)
-        if mag > max_mag:
-            max_mag = mag
-        if mag <= rel_tol * max(abs(sh), 1e-300):
+        shift = (float(k), 0.0)
+        ratio_num = (x, 0.0)
+        for u in num:
+            ratio_num = _dd_mul(ratio_num, _dd_add(u, shift))
+        ratio_den = (float(k + 1), 0.0)
+        for d in den:
+            ratio_den = _dd_mul(ratio_den, _dd_add(d, shift))
+        term = _dd_div(_dd_mul(term, ratio_num), ratio_den)
+        total = _dd_add(total, term)
+        mag = abs(term[0])
+        max_mag = max(max_mag, mag)
+        if mag <= rel_tol * max(abs(total[0]), 1e-300):
             streak += 1
             if streak >= _STOP_STREAK:
-                return (sh, sl), max_mag
+                return total, max_mag
         else:
             streak = 0
     raise ConvergenceError("hypergeometric series exhausted max_terms")
@@ -557,19 +474,20 @@ class _SlaterUnstable(Exception):
 
 
 # Cancellation budgets: max acceptable ratio of largest magnitude seen to the
-# final magnitude. Plain doubles keep ~16 digits, double-double ~32.
+# final magnitude, for one residue's series and across the residues. Doubles
+# keep ~16 digits, so either budget leaves ~12 of them.
 _PLAIN_CANCEL = 1e4
-_DD_CANCEL = 1e18
 _CROSS_TERM_CANCEL = 3e3
 
 
 def meijer_g(spec: MeijerGSpec, z: float) -> float:
     """Evaluate G^{m,n}_{p,q}(z | a; b) for real parameters and z > 0.
 
-    Residue (Slater) series when every contributing pole is simple and the
-    sum is well conditioned; otherwise numerical Mellin-Barnes contour
-    integration. Pole collisions (contributing lower parameters differing by
-    an integer) force the contour and emit a :class:`PrecisionWarning`.
+    Residue (Slater) series, summed in plain double precision, when every
+    contributing pole is simple and the sum is well conditioned; otherwise
+    numerical Mellin-Barnes contour integration. Pole collisions (contributing
+    lower parameters differing by an integer) force the contour and emit a
+    :class:`PrecisionWarning`.
     """
     if not (z > 0.0 and math.isfinite(z)):
         raise ValueError(f"meijer_g requires finite z > 0, got {z}")
@@ -611,6 +529,11 @@ def _has_pole_collision(spec: MeijerGSpec, tol: float = 1e-9) -> bool:
 
 
 def _meijer_slater(spec: MeijerGSpec, z: float) -> float:
+    """G as the sum of its residue series, each summed in plain double precision.
+
+    Raises :class:`_SlaterUnstable` when a residue degenerates, overflows or
+    cancels beyond the budgets above; :func:`meijer_g` then takes the contour.
+    """
     a, b = spec.a_params, spec.b_params
     m, n = spec.m, spec.n
     p, q = len(a), len(b)
@@ -630,7 +553,6 @@ def _meijer_slater(spec: MeijerGSpec, z: float) -> float:
             lg, sg = _signed_loggamma(b[j] - bh)
             logmag += lg
             sign *= sg
-        degenerate = False
         for j in range(n):
             arg = 1.0 + bh - a[j]
             if _is_nonpositive_integer(arg):
@@ -638,26 +560,14 @@ def _meijer_slater(spec: MeijerGSpec, z: float) -> float:
             lg, sg = _signed_loggamma(arg)
             logmag += lg
             sign *= sg
-        for j in range(m, q):
-            arg = 1.0 + bh - b[j]
-            if _is_nonpositive_integer(arg):
-                degenerate = True  # denominator pole kills this residue
-                break
+        den_args = [1.0 + bh - b[j] for j in range(m, q)] + [a[j] - bh for j in range(n, p)]
+        if any(map(_is_nonpositive_integer, den_args)):
+            values.append(0.0)  # a denominator pole kills this residue
+            continue
+        for arg in den_args:
             lg, sg = _signed_loggamma(arg)
             logmag -= lg
             sign *= sg
-        if not degenerate:
-            for j in range(n, p):
-                arg = a[j] - bh
-                if _is_nonpositive_integer(arg):
-                    degenerate = True
-                    break
-                lg, sg = _signed_loggamma(arg)
-                logmag -= lg
-                sign *= sg
-        if degenerate:
-            values.append(0.0)
-            continue
         if logmag > 700.0:
             raise _SlaterUnstable
         num = tuple(1.0 + bh - aj for aj in a)
@@ -666,25 +576,16 @@ def _meijer_slater(spec: MeijerGSpec, z: float) -> float:
             series, max_term = _hyp_series(num, den, w, compensated=False)
         except (ConvergenceError, OverflowError, ValueError):
             raise _SlaterUnstable
-        scale = math.exp(logmag)
         if max_term > _PLAIN_CANCEL * max(abs(series), 1e-300):
-            if max_term > _DD_CANCEL * max(abs(series), 1e-300):
-                raise _SlaterUnstable
-            try:
-                series, max_term = _hyp_series(num, den, w, compensated=True)
-            except (ConvergenceError, OverflowError, ValueError):
-                raise _SlaterUnstable
-            noise_floor = max(noise_floor, scale * max_term * 1e-30)
-        else:
-            noise_floor = max(noise_floor, scale * max_term * 1e-15)
+            raise _SlaterUnstable
+        scale = math.exp(logmag)
+        noise_floor = max(noise_floor, scale * max_term * 1e-15)
         values.append(sign * scale * series)
 
     if not all(map(math.isfinite, values)):
         raise _SlaterUnstable  # a residue overflowed; fsum would raise on inf - inf
     total = math.fsum(values)
     peak = max((abs(v) for v in values), default=0.0)
-    if total == 0.0 and peak > 0.0:
-        raise _SlaterUnstable
     if peak > _CROSS_TERM_CANCEL * abs(total) or noise_floor > 1e-9 * abs(total):
         raise _SlaterUnstable
     return total
@@ -723,12 +624,17 @@ def _gauss_runs(values, tol: float = 1e-12):
     return runs + [(c, 1) for c in rest]
 
 
-# Points per loggamma call, which bounds the (factors x points) array.
+# Points per block of nodes, which bounds each loggamma call.
 _CONTOUR_BLOCK = 2048
 
 
-def _meijer_contour(spec: MeijerGSpec, z: float) -> float:
-    """G via trapezoidal Mellin-Barnes quadrature on a vertical line."""
+def _meijer_contour(spec: MeijerGSpec, z: float, memo: dict | None = None) -> float:
+    """G via trapezoidal Mellin-Barnes quadrature on a vertical line.
+
+    ``memo`` keeps the points and each gamma factor's values on each block of
+    nodes, so calls sharing it evaluate a factor they have in common, on the
+    same line and nodes, once.
+    """
     a, b = spec.a_params, spec.b_params
     m, n = spec.m, spec.n
     p, q = len(a), len(b)
@@ -744,26 +650,35 @@ def _meijer_contour(spec: MeijerGSpec, z: float) -> float:
     else:
         sigma = right_min - 0.5
     lnz = math.log(z)
-    # The integrand is exp(const + slope_s s) prod_j Gamma(shift_j + slope_j s) ** power_j.
-    shift, slope, power = [], [], []
+    # The integrand is exp(const + slope_s s) prod_j Gamma(shift_j + slope_j s) ** power_j;
+    # factors holds (shift_j, slope_j, power_j), numerators first.
+    factors = []
     const, slope_s = 0.0, lnz
     for values, sgn, pw in ((b[:m], -1.0, 1.0), ([1.0 - aj for aj in a[:n]], 1.0, 1.0),
                             ([1.0 - bj for bj in b[m:]], 1.0, -1.0), (a[n:], -1.0, -1.0)):
         for c, size in _gauss_runs(values):
-            shift.append(size * c)
-            slope.append(size * sgn)
-            power.append(pw)
+            factors.append((size * c, size * sgn, pw))
             ln_size = math.log(size)
             const += pw * (0.5 * (size - 1) * _LN_2PI + (0.5 - size * c) * ln_size)
             slope_s -= pw * size * sgn * ln_size
-    shift = np.array(shift)[:, None]
-    slope = np.array(slope)[:, None]
-    power = np.array(power)
+    memo = {} if memo is None else memo
 
-    def log_integrand(t: np.ndarray) -> np.ndarray:
-        """log of the integrand at s = sigma + i t, for at most a block of t."""
-        s = sigma + 1j * t
-        out = power @ loggamma(shift + slope * s) + (const + slope_s * s)
+    def log_integrand(block: tuple) -> np.ndarray:
+        """log of the integrand at s = sigma + i t on the block of nodes
+        t = h (j + offset), lo <= j < hi, named by block = (h, offset, lo, hi)."""
+        if (sigma, block) not in memo:
+            h, offset, lo, hi = block
+            memo[sigma, block] = sigma + 1j * (h * (np.arange(lo, hi) + offset))
+        s = memo[sigma, block]
+        for c, sl, pw in factors:
+            if (sigma, block, c, sl, pw) not in memo:
+                row = loggamma(c + sl * s)
+                memo[sigma, block, c, sl, pw] = row if pw > 0.0 else -row
+        rows = [memo[sigma, block, c, sl, pw] for c, sl, pw in factors]
+        # Added row by row in factor order (denominators stored negated): a BLAS
+        # product woke worker threads whose start-up slowed a process's first
+        # seconds of contours by a third.
+        out = sum(rows[1:], rows[0]) + (const + slope_s * s)
         # loggamma is nan at its poles, which only a denominator factor can
         # reach (on the real axis); 1/Gamma vanishes there.
         out[np.isnan(out)] = -np.inf
@@ -773,21 +688,20 @@ def _meijer_contour(spec: MeijerGSpec, z: float) -> float:
         """Sum of the scaled integrand's real part at t = h (j + offset), j < count."""
         total = 0.0
         for lo in range(0, count, _CONTOUR_BLOCK):
-            t = h * (np.arange(lo, min(lo + _CONTOUR_BLOCK, count)) + offset)
-            total += np.exp(log_integrand(t) - peak).real.sum()
+            block = (h, offset, lo, min(lo + _CONTOUR_BLOCK, count))
+            total += np.exp(log_integrand(block) - peak).real.sum()
         return total
 
-    # Truncation point: march outward until the integrand is ~1e-20 of its peak.
+    # Truncation point: march outward, on a grid of 129 points from t = 0 to t_max,
+    # until the integrand is ~1e-20 of its peak.
     t_max = max(8.0, (50.0 + abs(lnz)) / (math.pi * decay))
-    grid = np.linspace(0.0, t_max, 129)
-    logf = log_integrand(grid)
+    logf = log_integrand((t_max / 128, 0.0, 0, 129))
     peak = logf.real.max()
     while logf.real[-1] - peak > -46.0:
         t_max *= 1.5
         if t_max > 2e4:
             raise ConvergenceError("Mellin-Barnes truncation point not found")
-        grid = np.linspace(0.0, t_max, 129)
-        logf = log_integrand(grid)
+        logf = log_integrand((t_max / 128, 0.0, 0, 129))
         peak = max(peak, logf.real.max())
 
     # Trapezoid rule on the nodes t = i h, i <= nodes (the integrand's real part is

@@ -60,7 +60,8 @@ class TestParsing:
         assert cli.parse_range("1:0.25:1.5") == [1.0, 1.25, 1.5]
 
     def test_parse_range_rejects(self):
-        for bad in ("1:2", "5:0:10", "10:1:0"):
+        for bad in ("1:2", "5:0:10", "10:1:0", "nan", "inf", "nan:1:5", "0:nan:40",
+                    "0:5:inf", "-inf:5:0"):
             with pytest.raises(ValueError):
                 cli.parse_range(bad)
 
@@ -167,6 +168,17 @@ class TestExitCodes:
                              "--mod", "bpsk", "--snr-db", "5")
         assert rc == 3
         assert "m_x" in err
+
+    def test_non_finite_range_is_usage_error(self, capsys):
+        assert run_cli(capsys, "eval", "--snr-db", "0:5:inf")[0] == 2
+        assert run_cli(capsys, "eval", "--metric", "pdf", "--gamma", "nan")[0] == 2
+
+    def test_zero_mc_trials_is_usage_error(self, capsys):
+        rc, out, err = run_cli(capsys, "eval", "--metric", "aber", "--mod", "bpsk",
+                               "--snr-db", "5", "--mc", "0")
+        assert rc == 2
+        assert out == ""
+        assert "trials" in err
 
     def test_success_is_zero(self, capsys):
         assert run_cli(capsys, "eval", "--metric", "aber", "--mod", "bpsk",

@@ -173,8 +173,8 @@ class TestAberExact:
         assert got.value == pytest.approx(0.6602567351595884, rel=1e-6)
 
     # Fig-3 rows (20 dB, powers -3 / +3 dB), mpmath references at 40 digits.
-    # At alpha 2.5 and 3.75 most G terms leave the Slater series after its
-    # double-double run and evaluate on the contour.
+    # At alpha 2.5 and 3.75 most G terms fail the Slater series' cancellation
+    # gates and evaluate on the contour.
     @pytest.mark.parametrize("m_x, m_y, alpha, want", [
         (0.5, 0.5, 1.25, 0.1652216485975596),
         (0.5, 0.5, 2.5, 0.043308621967241084),

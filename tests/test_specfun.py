@@ -10,7 +10,7 @@ from abxs import metrics as mt
 from abxs import specfun as sf
 from abxs.channel import ChannelParams, derived_constants, snr_ccdf, snr_cdf
 from oracles import dec_1f1, dec_2f1, dec_phi2_double
-from paramsets import fig3_params, fig4_params
+from paramsets import fig2_params, fig3_params, fig4_params
 
 EULER = 0.5772156649015328606
 
@@ -306,7 +306,13 @@ class TestMeijerGDifferential:
 
     CASES = {
         "plain-slater": lambda: _aber_term_spec(fig3_params(0.5, 0.5, 1.25), QAM16.delta2[0], 0),
-        "dd-slater": lambda: _aber_term_spec(fig3_params(0.5, 0.5, 3.0), QAM16.delta2[0], 0),
+        # a residue series cancels beyond the plain-double budget
+        "contour-after-cancellation": lambda: _aber_term_spec(fig3_params(0.5, 0.5, 3.0),
+                                                              QAM16.delta2[0], 0),
+        "contour-after-cancellation-fig2-alpha3": lambda: _aber_term_spec(
+            fig2_params(3.0, 10.0), QAM16.delta2[1], 2),
+        "contour-after-cancellation-fig3-corner": lambda: _aber_term_spec(
+            fig3_params(2.5, 0.5, 2.0), QAM16.delta2[0], 8),
         # the cross-term gate rejects this residue sum
         "contour-after-rejection": lambda: _aber_term_spec(fig3_params(0.5, 0.5, 3.75),
                                                            QAM16.delta2[0], 0),
@@ -318,29 +324,47 @@ class TestMeijerGDifferential:
 
     @staticmethod
     def _route(monkeypatch, spec, z):
-        """(value, route) with the route read off spies on the kernel's stages."""
+        """(value, route) with the route read off spies on the kernel's stages.
+
+        The Slater route sums in plain double precision only, so the
+        double-double series must never run inside meijer_g.
+        """
         seen = []
-        for name in ("_meijer_slater", "_meijer_contour", "_hyp_series_dd"):
+        for name in ("_meijer_slater", "_meijer_contour"):
             def spy(*args, _real=getattr(sf, name), _name=name):
                 try:
                     return _real(*args)
                 finally:
                     seen.append(_name)
             monkeypatch.setattr(sf, name, spy)
+
+        def series_spy(*args, _real=sf._hyp_series, **kwargs):
+            value, max_term = _real(*args, **kwargs)
+            if max_term > sf._PLAIN_CANCEL * max(abs(value), 1e-300):
+                seen.append("cancelled")
+            return value, max_term
+
+        def forbidden(*args, **kwargs):
+            pytest.fail("meijer_g ran the double-double series")
+
+        monkeypatch.setattr(sf, "_hyp_series", series_spy)
+        monkeypatch.setattr(sf, "_hyp_series_dd", forbidden)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", sf.PrecisionWarning)
             value = sf.meijer_g(spec, z)
-        if "_meijer_contour" in seen:
-            return value, ("contour-after-rejection" if "_meijer_slater" in seen
-                           else "contour-pole-collision")
-        return value, "dd-slater" if "_hyp_series_dd" in seen else "plain-slater"
+        if "_meijer_contour" not in seen:
+            return value, "plain-slater"
+        if "_meijer_slater" not in seen:
+            return value, "contour-pole-collision"
+        return value, ("contour-after-cancellation" if "cancelled" in seen
+                       else "contour-after-rejection")
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_mpmath(self, monkeypatch, case):
         spec, z = self.CASES[case]()
         value, route = self._route(monkeypatch, spec, z)
         assert case.startswith(route)
-        assert value == pytest.approx(_mpmath_meijer_g(spec, z), rel=1e-10)
+        assert value == pytest.approx(_mpmath_meijer_g(spec, z), rel=1e-12)
 
     def test_contour_at_a_denominator_gamma_pole(self):
         # sigma = -1/2 puts 1/Gamma(1 - b_3 + s) on a pole at t = 0, where
@@ -348,3 +372,19 @@ class TestMeijerGDifferential:
         spec = sf.MeijerGSpec(m=2, n=0, a_params=(), b_params=(0.0, 0.25, 1.5))
         got = sf._meijer_contour(spec, 2.0)
         assert got == pytest.approx(_mpmath_meijer_g(spec, 2.0), rel=1e-10)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.5, 3.0])
+    def test_shared_memo_changes_no_bit(self, monkeypatch, alpha):
+        # capacity_exact shares one memo over its k-series, where only the
+        # (m_x + k) factor changes: each term must equal the contour evaluated
+        # alone to the last bit, from under half the loggamma points.
+        points = []
+        real = sf.loggamma
+        monkeypatch.setattr(sf, "loggamma", lambda x: points.append(x.size) or real(x))
+        specs = [_capacity_term_spec(fig4_params(0.5, 2.5, alpha, 20.0), k) for k in range(8)]
+        alone = [sf._meijer_contour(spec, z) for spec, z in specs]
+        alone_points = sum(points)
+        points.clear()
+        memo = {}
+        assert [sf._meijer_contour(spec, z, memo) for spec, z in specs] == alone
+        assert sum(points) < 0.5 * alone_points
