@@ -25,9 +25,11 @@ from .metrics import (
     ModulationScheme,
     aber_asymptotic,
     aber_exact,
+    aber_mixture,
     aber_quadrature,
     capacity_asymptotic,
     capacity_exact,
+    capacity_mixture,
     capacity_quadrature,
     cdf_quadrature,
     coding_gain,

@@ -18,10 +18,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import metrics, montecarlo
 from .channel import ChannelParams, snr_cdf, snr_cdf_asymptotic, snr_pdf, snr_pdf_asymptotic
@@ -139,7 +137,7 @@ FIG_PRESETS = {
 
 
 # Built-in values of the flags that neither the command line, the preset nor
-# the config file sets; --threads falls back to ABXS_THREADS, then 1.
+# the config file sets.
 _COMMON_DEFAULTS = {"alpha": 2.0, "mx": 1.0, "my": 1.0, "omega_x": 0.0, "omega_y": 0.0,
                     "snr_db": "10", "seed": 1, "streams": 8}
 _DEFAULTS = {
@@ -183,8 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="add the quadrature-oracle column (aber/capacity/cdf)")
     p_eval.add_argument("--mc", type=int, metavar="N",
                         help="add Monte-Carlo estimate column from N trials")
-    p_eval.add_argument("--threads", type=int,
-                        help="grid-point evaluation threads (env ABXS_THREADS)")
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo histogram + summary, CSV to stdout")
     add_common_flags(p_sim)
@@ -222,18 +218,16 @@ def _resolve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> argpa
     given = _given(args)
     config = _read_config(parser, args.command, args.config) if args.config else {}
     preset = FIG_PRESETS.get(given.get("fig", config.get("fig")), {})
-    resolved = {**vars(args), **_DEFAULTS[args.command], **config, **preset, **given}
-    if args.command == "eval" and resolved["threads"] is None:
-        raw = os.environ.get("ABXS_THREADS", "1")
-        try:
-            resolved["threads"] = int(raw)
-        except ValueError:
-            raise UsageError(f"ABXS_THREADS must be an integer, got {raw!r}")
-    return argparse.Namespace(**resolved)
+    return argparse.Namespace(**{**vars(args), **_DEFAULTS[args.command], **config,
+                                 **preset, **given})
 
 
 def _eval_row(metric: str, params: ChannelParams, mod, gamma, want_oracle, mc_cfg):
-    """(exact, asymptotic, oracle?, mc?, mc_se?) for one grid point."""
+    """(exact, asymptotic, oracle?, mc?, mc_se?) for one grid point.
+
+    The aber and capacity ``exact`` cells are the gamma-mixture expectation,
+    which is faster than the Meijer-G closed form and closer to mpmath.
+    """
     out = []
     try:
         if metric == "pdf":
@@ -245,7 +239,7 @@ def _eval_row(metric: str, params: ChannelParams, mod, gamma, want_oracle, mc_cf
             if want_oracle:
                 out.append(metrics.cdf_quadrature(params, gamma))
         elif metric == "aber":
-            out.append(metrics.aber_exact(params, mod).value)
+            out.append(metrics.aber_mixture(params, mod).value)
             out.append(metrics.aber_asymptotic(params, mod).value)
             if want_oracle:
                 out.append(metrics.aber_quadrature(params, mod).value)
@@ -253,7 +247,7 @@ def _eval_row(metric: str, params: ChannelParams, mod, gamma, want_oracle, mc_cf
                 est, se = montecarlo.mc_aber(params, mod, mc_cfg)
                 out.extend([est, se])
         elif metric == "capacity":
-            out.append(metrics.capacity_exact(params).value)
+            out.append(metrics.capacity_mixture(params).value)
             out.append(metrics.capacity_asymptotic(params))
             if want_oracle:
                 out.append(metrics.capacity_quadrature(params))
@@ -318,19 +312,10 @@ def cmd_eval(args) -> int:
         header.extend(["mc", "mc_se"])
     print(",".join(header))
 
-    def run(job):
-        label_cols, _, sweep_val, pars, gamma = job
+    for label_cols, _, sweep_val, pars, gamma in jobs:
         values = _eval_row(metric, pars, mod, gamma, args.oracle, mc_cfg)
         cells = [_fmt(v) for _, v in label_cols] + [_fmt(sweep_val)] + [_fmt(v) for v in values]
-        return ",".join(cells)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            for line in pool.map(run, jobs):
-                print(line)
-    else:
-        for line in map(run, jobs):
-            print(line)
+        print(",".join(cells))
     return 0
 
 

@@ -4,9 +4,12 @@ Each metric comes in three flavours:
 
 * a quadrature oracle integrating the SNR density directly (the reference
   every closed form is judged against),
-* the exact closed form (a truncated series of Meijer G terms, falling back
-  to the expectation over the negative-binomial gamma mixture when alpha/2
-  has no small rational form or the series fails), and
+* the exact value, two ways: the paper's closed form (a truncated series of
+  Meijer G terms, ``aber_exact`` / ``capacity_exact``) and the expectation
+  over the negative-binomial gamma mixture (``aber_mixture`` /
+  ``capacity_mixture``), which the closed form falls back to when alpha/2
+  has no small rational form or the series fails, and which ``abxs eval``
+  prints as its ``exact`` column, and
 * the high-SNR asymptote, which also yields diversity order and coding gain.
 
 The Q-function is taken from erfc, never a polynomial fit, so the oracle is
@@ -326,12 +329,12 @@ def aber_exact(params: ChannelParams, mod: ModulationScheme) -> AberResult:
     """
     dc = derived_constants(params)
     if dc.q is None or dc.q > _MAX_MEIJER_Q:
-        return _aber_mixture(params, mod)
+        return aber_mixture(params, mod)
     try:
         sums = [_k_series(params, dc, lambda k, d2=d2: _aber_meijer_term(params, d2, k, dc))
                 for d2 in mod.delta2]
     except (ConvergenceError, OverflowError):
-        return _aber_mixture(params, mod)
+        return aber_mixture(params, mod)
     total = sum(partial for partial, _ in sums)
     terms_used = max(terms for _, terms in sums)
     return _make_aber(_aber_prefactor(params, mod, dc) * total, terms_used, "meijer-g", mod)
@@ -355,8 +358,13 @@ def aber_exact_truncation_profile(params: ChannelParams, mod: ModulationScheme,
     return [prefactor * acc for acc in itertools.accumulate(per_k)]
 
 
-def _aber_mixture(params: ChannelParams, mod: ModulationScheme) -> AberResult:
-    """ABER as the mixture expectation of delta1 sum_j Q(sqrt(2 delta2_j gamma))."""
+def aber_mixture(params: ChannelParams, mod: ModulationScheme) -> AberResult:
+    """ABER as the mixture expectation of delta1 sum_j Q(sqrt(2 delta2_j gamma)).
+
+    Refined until two trapezoid levels agree to 1e-12 (path
+    ``series-quadrature``). The Meijer-G route of :func:`aber_exact` stops
+    its k-series at 1e-7, so the two can differ by about that much.
+    """
     value, terms = _mixture_expectation(params, _aber_h(mod))
     return _make_aber(value, terms, "series-quadrature", mod)
 
@@ -397,7 +405,7 @@ def capacity_exact(params: ChannelParams) -> CapacityResult:
     """
     dc = derived_constants(params)
     if dc.q is None or dc.q > _MAX_MEIJER_Q:
-        return _capacity_mixture(params)
+        return capacity_mixture(params)
     p, q = dc.p, dc.q
     prefactor = (q ** (params.m_x - 0.5) * (1.0 - dc.beta_bar) ** params.m_y
                  / ((2.0 * math.pi) ** ((q - 3.0) / 2.0 + p) * math.log(2.0)))
@@ -415,12 +423,12 @@ def capacity_exact(params: ChannelParams) -> CapacityResult:
     try:
         total, terms_used = _k_series(params, dc, g_term)
     except (ConvergenceError, OverflowError):
-        return _capacity_mixture(params)
+        return capacity_mixture(params)
     return CapacityResult(value=prefactor * total, terms_used=terms_used, path="meijer-g")
 
 
-def _capacity_mixture(params: ChannelParams) -> CapacityResult:
-    """Capacity as the mixture expectation of log2(1 + gamma)."""
+def capacity_mixture(params: ChannelParams) -> CapacityResult:
+    """Capacity as the mixture expectation of log2(1 + gamma); see :func:`aber_mixture`."""
     value, terms = _mixture_expectation(params, _capacity_h)
     return CapacityResult(value=value, terms_used=terms, path="series-quadrature")
 

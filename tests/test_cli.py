@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -39,7 +40,9 @@ class TestSweepSpec:
             pars = ChannelParams(1.5, 2.0, 1.0, cli.db_to_linear(-3.0), alpha, 10.0)
             cells = line.split(",")
             assert float(cells[0]) == alpha
-            assert cells[1] == cli._fmt(metrics.capacity_exact(pars).value)
+            assert cells[1] == cli._fmt(metrics.capacity_mixture(pars).value)
+            assert float(cells[1]) == pytest.approx(metrics.capacity_exact(pars).value,
+                                                    rel=1e-6)
 
     def test_bad_sweep_variable_is_usage_error(self, capsys):
         rc, _, err = run_cli(capsys, "eval", "--metric", "aber", "--mod", "bpsk",
@@ -104,20 +107,12 @@ class TestEvalCommand:
         assert lines[0] == "alpha,gamma,exact,asymptotic"
         assert len(lines) == 1 + 3 * 4
 
-    def test_threads_preserve_order(self, capsys):
-        rc, serial, _ = run_cli(capsys, "eval", "--fig", "2", "--snr-db", "0:10:40")
-        rc2, threaded, _ = run_cli(capsys, "eval", "--fig", "2", "--snr-db", "0:10:40",
-                                   "--threads", "4")
-        assert rc == rc2 == 0
-        assert serial == threaded
-
-    def test_threads_leave_warning_state_alone(self, capsys, recwarn):
-        # warnings.catch_warnings is process-global: worker threads entering and
-        # leaving it used to print PrecisionWarnings and leak an "ignore" filter.
+    def test_eval_leaves_warning_state_alone(self, capsys, recwarn):
+        # warnings.catch_warnings is process-global, so eval must neither enter
+        # it nor let a PrecisionWarning or an "ignore" filter escape.
         before = list(warnings.filters)
         for _ in range(5):
-            rc, _, err = run_cli(capsys, "eval", "--fig", "4", "--snr-db", "0:10:40",
-                                 "--threads", "2")
+            rc, _, err = run_cli(capsys, "eval", "--fig", "4", "--snr-db", "0:10:40")
             assert rc == 0 and err == ""
             assert warnings.filters == before
         assert not [w for w in recwarn if issubclass(w.category, PrecisionWarning)]
@@ -151,6 +146,45 @@ class TestEvalCommand:
         assert rc == 0
         row = [float(c) for c in out.strip().splitlines()[1].split(",")]
         assert row[1] == pytest.approx(row[3], abs=1e-8)
+
+
+def preset_rows(capsys, *argv):
+    """(header, rows of floats) of one in-process eval run."""
+    rc, out, err = run_cli(capsys, "eval", *argv)
+    assert rc == 0 and err == ""
+    lines = out.strip().splitlines()
+    return lines[0].split(","), [[float(c) for c in line.split(",")] for line in lines[1:]]
+
+
+class TestPresets:
+    """The preset CSVs against independent routes and the paper's closed form."""
+
+    @pytest.mark.parametrize("fig, count", [("2", 27), ("4", 36)])
+    def test_exact_matches_oracle(self, capsys, fig, count):
+        # The exact column is an NB-weight trapezoid; the oracle is QUADPACK on
+        # the closed-form 1F1 density. They share no code.
+        header, rows = preset_rows(capsys, "--fig", fig, "--oracle")
+        exact, oracle = header.index("exact"), header.index("oracle")
+        assert len(rows) == count
+        for row in rows:
+            assert row[exact] == pytest.approx(row[oracle], rel=1e-10), row
+
+    def test_fig3_exact_tracks_closed_form(self, capsys):
+        header, rows = preset_rows(capsys, "--fig", "3")
+        assert header == ["m_x", "m_y", "alpha", "exact", "asymptotic"]
+        qam16 = cli.get_modulation("qam16")
+        assert len(rows) == 4 * 13
+        for m_x, m_y, alpha, exact, _ in rows:
+            pars = ChannelParams(m_x, m_y, cli.db_to_linear(-3.0), cli.db_to_linear(3.0),
+                                 alpha, cli.db_to_linear(20.0))
+            assert exact == pytest.approx(metrics.aber_exact(pars, qam16).value, rel=1e-6)
+
+    def test_fig1_bytes_pinned(self, capsys):
+        # The pdf preset's CSV has kept these bytes since the presets were added.
+        rc, out, _ = run_cli(capsys, "eval", "--fig", "1")
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "897642ea806921b9b0e53b4cfcae74fb69f44989da9e690b64fca4b46afc3ecb")
 
 
 class TestExitCodes:
@@ -239,7 +273,8 @@ class TestPrecedence:
         qam4 = cli.get_modulation("qam4")
         pars = ChannelParams(1.2, 1.2, cli.db_to_linear(1.0), cli.db_to_linear(1.0), 1.0, 10.0)
         assert row[:2] == ["1", "10"]
-        assert row[2] == cli._fmt(metrics.aber_exact(pars, qam4).value)
+        assert row[2] == cli._fmt(metrics.aber_mixture(pars, qam4).value)
+        assert float(row[2]) == pytest.approx(metrics.aber_exact(pars, qam4).value, rel=1e-6)
         rc, out, _ = run_cli(capsys, "eval", "--fig", "2", "--sn", "10")
         assert rc == 0
         assert len(out.strip().splitlines()) == 1 + 3  # one SNR point per curve
@@ -259,12 +294,6 @@ class TestPrecedence:
         _, from_config, _ = run_cli(capsys, "eval", "--config", str(cfg), "--snr-db", "15")
         _, from_flag, _ = run_cli(capsys, "eval", "--fig", "2", "--snr-db", "15")
         assert from_config == from_flag
-
-    def test_bad_threads_environment_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("ABXS_THREADS", "two")
-        assert exit_code(capsys, "eval", "--snr-db", "5") == 2
-        rc, _, _ = run_cli(capsys, "eval", "--snr-db", "5", "--threads", "1")
-        assert rc == 0
 
 
 class TestSimulateCommand:
@@ -290,3 +319,8 @@ class TestSimulateCommand:
 class TestRemovedCommands:
     def test_benchmark_is_unknown(self, capsys):
         assert exit_code(capsys, "benchmark") == 2
+
+    def test_threads_is_unknown(self, capsys, monkeypatch):
+        assert exit_code(capsys, "eval", "--snr-db", "5", "--threads", "2") == 2
+        monkeypatch.setenv("ABXS_THREADS", "two")  # ignored, not a usage error
+        assert exit_code(capsys, "eval", "--snr-db", "5") == 0
