@@ -8,7 +8,10 @@ evaluator. Log-gamma and the regularized incomplete gammas come from
 
 All series share one stopping rule with fixed tolerances: stop once three
 consecutive terms fall below 1e-14 times the magnitude of the partial sum
-(guards against a premature stop on sign-alternating series), and raise
+(guards against a premature stop on sign-alternating series); in the
+hypergeometric series each of the three must also be no larger than the term
+before it, so a term made tiny by a parameter near a nonpositive integer does
+not end a series whose later terms grow again. Raise
 ConvergenceError after 10000 terms. Alternating series that would lose
 precision to cancellation are accumulated in compensated double-double
 arithmetic; no arbitrary-precision library is used anywhere.
@@ -179,7 +182,7 @@ def _hyp_series_dd(num, den, x: float, rel_tol: float = _REL_TOL,
             raise ValueError(f"series denominator parameter is a nonpositive integer: {d}")
     term = (1.0, 0.0)
     total = (1.0, 0.0)
-    max_mag = 1.0
+    max_mag = mag = 1.0
     streak = 0
     for k in range(max_terms):
         shift = (float(k), 0.0)
@@ -191,9 +194,9 @@ def _hyp_series_dd(num, den, x: float, rel_tol: float = _REL_TOL,
             ratio_den = _dd_mul(ratio_den, _dd_add(d, shift))
         term = _dd_div(_dd_mul(term, ratio_num), ratio_den)
         total = _dd_add(total, term)
-        mag = abs(term[0])
+        mag, prev_mag = abs(term[0]), mag
         max_mag = max(max_mag, mag)
-        if mag <= rel_tol * max(abs(total[0]), 1e-300):
+        if mag <= rel_tol * max(abs(total[0]), 1e-300) and mag <= prev_mag:
             streak += 1
             if streak >= _STOP_STREAK:
                 return total, max_mag
@@ -217,7 +220,7 @@ def _hyp_series(num, den, x: float, compensated: bool):
             raise ValueError(f"series denominator parameter is a nonpositive integer: {d}")
     term = 1.0
     total = 1.0
-    max_mag = 1.0
+    max_mag = mag = 1.0
     streak = 0
     for k in range(_MAX_TERMS):
         fk = float(k)
@@ -228,12 +231,12 @@ def _hyp_series(num, den, x: float, compensated: bool):
             term /= d + fk
         term /= fk + 1.0
         total += term
-        mag = abs(term)
+        mag, prev_mag = abs(term), mag
         if mag > max_mag:
             max_mag = mag
         if not math.isfinite(total):
             raise OverflowError("hypergeometric series overflowed")
-        if mag <= _REL_TOL * max(abs(total), 1e-300):
+        if mag <= _REL_TOL * max(abs(total), 1e-300) and mag <= prev_mag:
             streak += 1
             if streak >= _STOP_STREAK:
                 return total, max_mag
@@ -248,7 +251,8 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
     Nonnegative x is summed directly (terms are single-signed for a >= 0, so
     the sum is stable up to the exp overflow boundary). Negative x is routed
     through the Kummer transformation 1F1(a;b;x) = e^x 1F1(b-a;b;-x), which
-    replaces an exponentially cancelling alternating series with a stable one.
+    replaces an exponentially cancelling alternating series with a stable one;
+    when b - a < 0 that series is summed in double-double with b - a exact.
     """
     if not b > 0.0:
         raise ValueError(f"kummer_1f1 requires b > 0, got {b}")
@@ -264,7 +268,13 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
         return value
     if x < -745.0:
         return 0.0  # e^x underflows; the transformed series stays O(x^-a)
-    value, _ = _hyp_series((b - a,), (b,), -x, compensated=(b - a) < 0.0)
+    c = _two_sum(b, -a)
+    if c[0] < 0.0:
+        # b - a is kept exact: near a nonpositive integer the rounding of
+        # b - a alone would move the value by about its ulp times e^-x.
+        value, _ = _hyp_series((c,), (b,), -x, compensated=True)
+    else:
+        value, _ = _hyp_series((c[0],), (b,), -x, compensated=False)
     return math.exp(x) * value
 
 

@@ -3,7 +3,7 @@ import warnings
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy import integrate
 
 from abxs import metrics as mt
@@ -103,6 +103,7 @@ class TestKummer1F1:
     @given(st.floats(min_value=0.1, max_value=4.0),
            st.floats(min_value=0.2, max_value=4.0),
            st.floats(min_value=-40.0, max_value=60.0))
+    @example(a=1.2, b=0.2, x=-22.0)  # float b - a rounds to exactly -1
     def test_against_decimal(self, a, b, x):
         assert sf.kummer_1f1(a, b, x) == pytest.approx(dec_1f1(a, b, x),
                                                        rel=1e-10, abs=1e-280)
