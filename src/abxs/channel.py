@@ -100,6 +100,10 @@ def mho_alpha(params: ChannelParams) -> float:
 # Mass of the negative-binomial weights left out of DerivedConstants.nb_weights.
 _NB_TAIL = 1e-14
 
+# Most weights nb_weights builds (1 - bb of 2.7e-4 to 1.2e-3 for m_y of 0.1 to
+# 50); the count grows as 1/(1 - bb), and past it each route takes seconds.
+_NB_MAX_WEIGHTS = 100_000
+
 
 @dataclass(frozen=True)
 class DerivedConstants:
@@ -108,10 +112,13 @@ class DerivedConstants:
     ``p``/``q`` are the reduced numerator/denominator of alpha/2, or None when
     alpha/2 has no small rational approximation (quadrature-only regime).
     ``m_y`` and ``beta_bar`` fix the mixing law of :attr:`nb_weights`.
+    ``one_minus_beta_bar`` is 1 - beta_bar from its own quotient, so it keeps
+    its digits as beta_bar -> 1.
     """
 
     c_alpha: float
     beta_bar: float
+    one_minus_beta_bar: float
     p: int | None
     q: int | None
     m_y: float
@@ -126,10 +133,11 @@ class DerivedConstants:
         w_{k+1} / (1 - max(r_k, bb)) on the mass left out falls below 1e-14;
         r_k = w_{k+1}/w_k, and max(r_k, bb) bounds every later ratio. Built on
         first use: the pdf and the Meijer-G routes never need the weights, and
-        their count grows as 1/(1 - bb).
+        their count grows as 1/(1 - bb). Raises ConvergenceError once the list
+        would pass _NB_MAX_WEIGHTS entries.
         """
         m_y, bb = self.m_y, self.beta_bar
-        w = (1.0 - bb) ** m_y
+        w = self.one_minus_beta_bar ** m_y
         out = [w]
         k = 0
         while bb > 0.0:
@@ -138,6 +146,10 @@ class DerivedConstants:
             rho = max(r, bb)
             if rho < 1.0 and w < _NB_TAIL * (1.0 - rho):
                 break
+            if len(out) == _NB_MAX_WEIGHTS:
+                raise specfun.ConvergenceError(
+                    f"NB weight table would pass {_NB_MAX_WEIGHTS} entries "
+                    f"(1 - beta_bar = {self.one_minus_beta_bar:.3g})")
             out.append(w)
             k += 1
         weights = np.array(out)
@@ -145,46 +157,61 @@ class DerivedConstants:
         return weights
 
 
+def _log_los_2f1(m_x: float, m_y: float, bb: float, one_minus_bb: float, s: float) -> float:
+    """log 2F1(m_y, -s; m_x; -bb/(1-bb)), the LoS factor of E[U^s].
+
+    Taken through Pfaff's map as (1-bb)^-s 2F1(m_x - m_y, -s; m_x; bb): at
+    z = -bb/(1-bb) scipy's hyp2f1 loses up to 2e-7 when m_y + s is an integer
+    (m_y = 1.2, alpha = 2.5, 1 - bb from 6e-7 to 8e-4); on this form it stays within 1e-15.
+    """
+    hyp = specfun.gauss_2f1(m_x - m_y, -s, m_x, bb)
+    if not 0.0 < hyp < math.inf:
+        raise specfun.ConvergenceError(f"hyp2f1 returned {hyp} for a positive 2F1")
+    return math.log(hyp) - s * math.log(one_minus_bb)
+
+
 @lru_cache(maxsize=256)
 def derived_constants(params: ChannelParams) -> DerivedConstants:
     bb = beta_bar(params)
+    one_minus_bb = params.m_y * params.omega_x / (params.m_y * params.omega_x
+                                                  + params.m_x * params.omega_y)
+    if bb == 1.0:
+        raise specfun.ConvergenceError(
+            f"1 - beta_bar = {one_minus_bb:.3g} is below the resolution of a double")
     two_over_alpha = 2.0 / params.alpha
-    if params.omega_y == 0.0:
-        hyp = 1.0
-    else:
-        z = -params.m_x * params.omega_y / (params.m_y * params.omega_x)
-        hyp = specfun.gauss_2f1(params.m_y, -two_over_alpha, params.m_x, z)
     log_c = (math.lgamma(params.m_x) - math.lgamma(params.m_x + two_over_alpha)
-             - math.log(hyp)) / two_over_alpha
+             - _log_los_2f1(params.m_x, params.m_y, bb, one_minus_bb, two_over_alpha)
+             ) / two_over_alpha
     try:
         p, q = rationalize_alpha(params.alpha)
     except ValueError:
         p, q = None, None
-    return DerivedConstants(c_alpha=math.exp(log_c), beta_bar=bb, p=p, q=q, m_y=params.m_y)
+    return DerivedConstants(c_alpha=math.exp(log_c), beta_bar=bb,
+                            one_minus_beta_bar=one_minus_bb, p=p, q=q, m_y=params.m_y)
 
 
 def envelope_moment(params: ChannelParams, k: float) -> float:
     """k-th raw moment of the (unnormalized) envelope, E{R^k}."""
     if not k > 0:
         raise ValueError(f"moment order must be positive, got {k}")
-    if params.omega_y == 0.0:
-        hyp = 1.0
-    else:
-        z = -params.m_x * params.omega_y / (params.m_y * params.omega_x)
-        hyp = specfun.gauss_2f1(params.m_y, -k / 2.0, params.m_x, z)
+    dc = derived_constants(params)
+    log_hyp = _log_los_2f1(params.m_x, params.m_y, dc.beta_bar, dc.one_minus_beta_bar, k / 2.0)
     log_ratio = math.lgamma(params.m_x + k / 2.0) - math.lgamma(params.m_x)
-    return hyp * math.exp(log_ratio) * (params.omega_x / params.m_x) ** (k / 2.0)
+    return math.exp(log_hyp + log_ratio) * (params.omega_x / params.m_x) ** (k / 2.0)
 
 
-def _log_1f1(a: float, b: float, x: float) -> float:
-    """log 1F1(a; b; x) for x >= 0, switching to the asymptotic form late."""
+def _log_scaled_1f1(a: float, b: float, x: float) -> float:
+    """log(e^-x 1F1(a; b; x)) for x >= 0; past x = 650 the asymptotic form never adds x."""
     if x > 650.0:
-        return specfun._log_1f1_large_x(a, b, x)
-    return math.log(specfun.kummer_1f1(a, b, x))
+        return specfun._log_scaled_1f1_large_x(a, b, x)
+    return math.log(specfun.kummer_1f1(a, b, x)) - x
 
 
 def _snr_density(params: ChannelParams, gamma: float, log_confluent) -> float:
-    """The SNR density, its confluent factor's log given as log_confluent(bb * u)."""
+    """The SNR density, log(e^-v 1F1(m_y; m_x; v)) given as log_confluent(v) at v = bb * u.
+
+    Its e^-u 1F1(m_y; m_x; bb u) is e^-((1-bb) u) times that, so no u * eps cancels as bb -> 1.
+    """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     dc = derived_constants(params)
@@ -192,17 +219,17 @@ def _snr_density(params: ChannelParams, gamma: float, log_confluent) -> float:
     if gamma == 0.0:
         if exponent != 0.0:
             return 0.0 if exponent > 0.0 else math.inf
-        return (params.alpha * (1.0 - dc.beta_bar) ** params.m_y
+        return (params.alpha * dc.one_minus_beta_bar ** params.m_y
                 / (2.0 * dc.c_alpha ** params.m_x * math.gamma(params.m_x) * params.gamma_bar))
     ratio = gamma / params.gamma_bar
     u = ratio ** (params.alpha / 2.0) / dc.c_alpha
     log_f = (math.log(params.alpha / 2.0)
-             + params.m_y * math.log1p(-dc.beta_bar)
+             + params.m_y * math.log(dc.one_minus_beta_bar)
              - params.m_x * math.log(dc.c_alpha)
              - math.lgamma(params.m_x)
              - math.log(params.gamma_bar)
              + exponent * math.log(ratio)
-             - u
+             - dc.one_minus_beta_bar * u
              + log_confluent(dc.beta_bar * u))
     if log_f > 709.0:
         return math.inf
@@ -216,7 +243,7 @@ def snr_pdf(params: ChannelParams, gamma: float) -> float:
     alpha*m_x = 2, and unbounded for alpha*m_x < 2 (reported as inf so
     downstream integrals keep working).
     """
-    return _snr_density(params, gamma, lambda v: _log_1f1(params.m_y, params.m_x, v))
+    return _snr_density(params, gamma, lambda v: _log_scaled_1f1(params.m_y, params.m_x, v))
 
 
 def _gamma_mixture(params: ChannelParams, gamma, inc_gamma):
@@ -264,14 +291,14 @@ def snr_cdf_phi2(params: ChannelParams, gamma: float) -> float:
     if u > 650.0:
         raise OverflowError("snr_cdf_phi2 argument too large; use snr_cdf")
     phi2 = specfun.appell_phi2(1.0, params.m_y, params.m_x + 1.0, u, dc.beta_bar * u)
-    log_f = (params.m_y * math.log1p(-dc.beta_bar) + params.m_x * math.log(u)
+    log_f = (params.m_y * math.log(dc.one_minus_beta_bar) + params.m_x * math.log(u)
              - u - math.lgamma(params.m_x + 1.0))
     return math.exp(log_f) * phi2
 
 
 def snr_pdf_asymptotic(params: ChannelParams, gamma: float) -> float:
     """High-mean-SNR density approximation (confluent factor dropped)."""
-    return _snr_density(params, gamma, lambda v: 0.0)
+    return _snr_density(params, gamma, lambda v: -v)  # log(e^-v * 1)
 
 
 def snr_cdf_asymptotic(params: ChannelParams, gamma: float) -> float:
@@ -282,7 +309,7 @@ def snr_cdf_asymptotic(params: ChannelParams, gamma: float) -> float:
         return 0.0
     dc = derived_constants(params)
     ratio = gamma / params.gamma_bar
-    log_f = (params.m_y * math.log1p(-dc.beta_bar)
+    log_f = (params.m_y * math.log(dc.one_minus_beta_bar)
              - params.m_x * math.log(dc.c_alpha)
              - math.lgamma(params.m_x + 1.0)
              + (params.alpha * params.m_x / 2.0) * math.log(ratio))
@@ -312,8 +339,8 @@ def bxs_envelope_pdf(params: ChannelParams, r: float) -> float:
              - math.lgamma(params.m_x)
              + params.m_y * math.log1p(-bb)
              + params.m_x * math.log(params.m_x / params.omega_x)
-             - t
-             + _log_1f1(params.m_y, params.m_x, bb * t))
+             - (1.0 - bb) * t
+             + _log_scaled_1f1(params.m_y, params.m_x, bb * t))
     if log_f > 709.0:
         return math.inf
     return math.exp(log_f)

@@ -108,30 +108,32 @@ def get_modulation(name: str) -> ModulationScheme:
 
 # Preset parameter scenarios (1: pdf overlay, 2: QAM-16 ABER vs mean SNR,
 # 3: ABER vs nonlinearity for four fading/shadowing corners, 4: capacity),
-# keyed by flag name; "curves" lists the curve overrides of the baseline.
+# keyed by flag name; "curves" lists the curve overrides of the baseline, each
+# a dict of ChannelParams fields that also become the CSV's label columns.
 FIG_PRESETS = {
     1: {
         "metric": "pdf",
         "omega_x": 2.0, "omega_y": 2.0, "mx": 1.6, "my": 1.5,
-        "snr_db": "3", "gamma": "0.05:0.05:8", "curves": [("alpha", a) for a in (1.0, 2.0, 4.0)],
+        "snr_db": "3", "gamma": "0.05:0.05:8", "curves": [{"alpha": a} for a in (1.0, 2.0, 4.0)],
     },
     2: {
         "metric": "aber", "mod": "qam16",
         "omega_x": 1.0, "omega_y": 1.0, "mx": 1.2, "my": 1.2,
-        "snr_db": "0:5:40", "curves": [("alpha", a) for a in (1.0, 2.0, 3.0)],
+        "snr_db": "0:5:40", "curves": [{"alpha": a} for a in (1.0, 2.0, 3.0)],
     },
     3: {
         "metric": "aber", "mod": "qam16",
         "omega_x": -3.0, "omega_y": 3.0, "snr_db": "20",
         "sweep": "alpha=1:0.25:4",
-        "curves": [("m_x+m_y", mm) for mm in ((0.5, 0.5), (0.5, 2.5), (2.5, 0.5), (2.5, 2.5))],
+        "curves": [{"m_x": mx, "m_y": my}
+                   for mx, my in ((0.5, 0.5), (0.5, 2.5), (2.5, 0.5), (2.5, 2.5))],
     },
     4: {
         "metric": "capacity",
         "omega_x": 1.0, "omega_y": 1.0,
         "snr_db": "0:5:40",
-        "curves": [("m+alpha", c) for c in ((0.5, 0.5, 1.0), (0.5, 0.5, 3.0),
-                                            (2.5, 2.5, 1.0), (2.5, 2.5, 3.0))],
+        "curves": [{"m_x": m, "m_y": m, "alpha": a}
+                   for m, a in ((0.5, 1.0), (0.5, 3.0), (2.5, 1.0), (2.5, 3.0))],
     },
 }
 
@@ -142,7 +144,7 @@ _COMMON_DEFAULTS = {"alpha": 2.0, "mx": 1.0, "my": 1.0, "omega_x": 0.0, "omega_y
                     "snr_db": "10", "seed": 1, "streams": 8}
 _DEFAULTS = {
     "eval": {**_COMMON_DEFAULTS, "metric": "aber", "mod": "qam16", "gamma": "1",
-             "oracle": False, "curves": [(None, None)]},
+             "oracle": False, "curves": [{}]},
     "simulate": {**_COMMON_DEFAULTS, "trials": 1_000_000, "bins": 100},
 }
 
@@ -273,19 +275,9 @@ def cmd_eval(args) -> int:
 
     # Build the grid: (curve_label_cols, sweep_col_name, sweep_value, params, gamma)
     jobs = []
-    for curve_kind, curve_val in args.curves:
-        overrides = {}
-        label_cols = []
-        if curve_kind == "alpha":
-            overrides["alpha"] = curve_val
-            label_cols = [("alpha", curve_val)]
-        elif curve_kind == "m_x+m_y":
-            overrides["m_x"], overrides["m_y"] = curve_val
-            label_cols = [("m_x", curve_val[0]), ("m_y", curve_val[1])]
-        elif curve_kind == "m+alpha":
-            overrides["m_x"], overrides["m_y"], overrides["alpha"] = curve_val
-            label_cols = [("m_x", curve_val[0]), ("m_y", curve_val[1]),
-                          ("alpha", curve_val[2])]
+    for curve in args.curves:
+        overrides = dict(curve)
+        label_cols = list(curve.items())
 
         if metric in ("pdf", "cdf"):
             snr_vals = parse_range(str(args.snr_db))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import erfc, gammaln, hyp1f1
+from scipy.special import digamma, erfc, gammaln, hyp1f1
 
 from . import specfun
 from .channel import ChannelParams, derived_constants
@@ -135,10 +135,12 @@ def _make_aber(value: float, terms_used: int, path: str,
     return AberResult(value=min(value, bound), terms_used=terms_used, path=path)
 
 
-def _log_1f1(a: float, b: float, x: float) -> float:
-    """log 1F1(a; b; x) for x >= 0 from scipy's hyp1f1, asymptotic past its range."""
+def _log_scaled_1f1(a: float, b: float, x: float) -> float:
+    """log(e^-x 1F1(a; b; x)) for x >= 0 from scipy's hyp1f1, asymptotic past its range."""
     value = hyp1f1(a, b, x) if x <= 650.0 else math.inf
-    return math.log(value) if math.isfinite(value) else specfun._log_1f1_large_x(a, b, x)
+    if math.isfinite(value):
+        return math.log(value) - x
+    return specfun._log_scaled_1f1_large_x(a, b, x)
 
 
 def _snr_integral(params: ChannelParams, h, t_hi: float = math.inf) -> float:
@@ -146,12 +148,15 @@ def _snr_integral(params: ChannelParams, h, t_hi: float = math.inf) -> float:
 
     The t-density (1-bb)^m_y e^(m_x t - e^t) 1F1(m_y; m_x; bb e^t) / Gamma(m_x)
     is smooth and decays at both ends, so three pieces split at log E[U] +- 5
-    need no breaks, endpoint weight or tail scale. It shares no code with the pdf,
-    the NB weights or Meijer G. ``h`` runs only where the density has not underflowed.
+    need no breaks, endpoint weight or tail scale. Its exponent is taken as
+    -(1-bb) e^t plus log(e^-x 1F1) at x = bb e^t, so nothing cancels as bb -> 1.
+    It shares no code with the pdf, the NB weights or Meijer G. ``h`` runs
+    only where the density has not underflowed.
     """
     dc = derived_constants(params)
     bb, m_x, m_y = dc.beta_bar, params.m_x, params.m_y
-    log_norm = m_y * math.log1p(-bb) - math.lgamma(m_x)
+    one_minus_bb = dc.one_minus_beta_bar
+    log_norm = m_y * math.log(one_minus_bb) - math.lgamma(m_x)
     two_over_alpha = 2.0 / params.alpha
     log_scale = math.log(params.gamma_bar) + two_over_alpha * math.log(dc.c_alpha)
 
@@ -159,12 +164,12 @@ def _snr_integral(params: ChannelParams, h, t_hi: float = math.inf) -> float:
         if t > 700.0:
             return 0.0
         u = math.exp(t)
-        log_dens = log_norm + m_x * t - u + _log_1f1(m_y, m_x, bb * u)
+        log_dens = log_norm + m_x * t - one_minus_bb * u + _log_scaled_1f1(m_y, m_x, bb * u)
         if log_dens < -745.0:
             return 0.0
         return h(log_scale + two_over_alpha * t) * math.exp(log_dens)
 
-    mid = math.log(m_x + m_y * bb / (1.0 - bb))
+    mid = math.log(m_x + m_y * bb / one_minus_bb)
     cuts = [c for c in (mid - 5.0, mid + 5.0) if c < t_hi]
     # full_output returns QUADPACK's message instead of warning: the error
     # estimate is gated below, and a warning filter is process-global.
@@ -314,7 +319,7 @@ def _aber_series_weights(params: ChannelParams, dc, terms: int):
 
 def _aber_prefactor(params: ChannelParams, mod: ModulationScheme, dc) -> float:
     return (mod.delta1 * math.sqrt(math.pi)
-            * (1.0 - dc.beta_bar) ** params.m_y
+            * dc.one_minus_beta_bar ** params.m_y
             * dc.q ** (params.m_x - 0.5)
             / (2.0 * math.pi) ** ((dc.p + dc.q) / 2.0))
 
@@ -386,7 +391,7 @@ def coding_gain(params: ChannelParams, mod: ModulationScheme) -> float:
     dc = derived_constants(params)
     gd = diversity_order(params)
     log_c = (math.log(mod.delta1)
-             + params.m_y * math.log1p(-dc.beta_bar)
+             + params.m_y * math.log(dc.one_minus_beta_bar)
              + math.lgamma(gd + 0.5)
              - math.log(2.0) - 0.5 * math.log(math.pi)
              - params.m_x * math.log(dc.c_alpha)
@@ -407,7 +412,7 @@ def capacity_exact(params: ChannelParams) -> CapacityResult:
     if dc.q is None or dc.q > _MAX_MEIJER_Q:
         return capacity_mixture(params)
     p, q = dc.p, dc.q
-    prefactor = (q ** (params.m_x - 0.5) * (1.0 - dc.beta_bar) ** params.m_y
+    prefactor = (q ** (params.m_x - 0.5) * dc.one_minus_beta_bar ** params.m_y
                  / ((2.0 * math.pi) ** ((q - 3.0) / 2.0 + p) * math.log(2.0)))
     z = (1.0 / (q * dc.c_alpha * params.gamma_bar ** (params.alpha / 2.0))) ** q
     upper = tuple(i / p for i in range(p)) + (1.0,)
@@ -437,14 +442,12 @@ def capacity_asymptotic(params: ChannelParams) -> float:
     """High-SNR ergodic capacity.
 
     (2 / (alpha ln 2)) [ln(C gamma_bar^(alpha/2)) + psi(m_x)
-                        + (1-bb)^m_y d/da 2F1(m_x, m_y; m_x; bb)].
+                        + (1-bb)^m_y d/da 2F1(m_x, m_y; m_x; bb)],
+    where psi(m_x) + (1-bb)^m_y d/da 2F1 = sum_k w_k psi(m_x + k) = E[log U]
+    over the NB weights.
     """
     dc = derived_constants(params)
-    if dc.beta_bar == 0.0:
-        deriv = 0.0
-    else:
-        deriv = specfun.gauss_2f1_da(params.m_x, params.m_y, params.m_x, dc.beta_bar)
+    mean_log_u = float(dc.nb_weights @ digamma(params.m_x + np.arange(dc.nb_weights.size)))
     bracket = (math.log(dc.c_alpha) + 0.5 * params.alpha * math.log(params.gamma_bar)
-               + specfun.digamma(params.m_x)
-               + (1.0 - dc.beta_bar) ** params.m_y * deriv)
+               + mean_log_u)
     return 2.0 / (params.alpha * math.log(2.0)) * bracket

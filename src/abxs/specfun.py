@@ -3,8 +3,12 @@
 Provides the gamma family (digamma, rising factorial), Kummer's 1F1, the
 Gauss 2F1 and its derivative with respect to the first parameter, the
 bivariate confluent Appell function Phi2, and a real-argument Meijer G
-evaluator. Log-gamma and the regularized incomplete gammas come from
-``math`` and scipy.special.
+evaluator. Digamma and the Gauss 2F1 are thin wrappers around
+``scipy.special.digamma`` and ``scipy.special.hyp2f1``; log-gamma and the
+regularized incomplete gammas come from ``math`` and scipy.special. Kummer's
+1F1 is summed here so that it stays independent of the quadrature oracle's
+scipy ``hyp1f1``; the 2F1 derivative, Phi2 and Meijer G have no scipy
+counterpart.
 
 All series share one stopping rule with fixed tolerances: stop once three
 consecutive terms fall below 1e-14 times the magnitude of the partial sum
@@ -33,6 +37,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 from scipy.special import loggamma
 
 
@@ -122,33 +127,11 @@ def _signed_loggamma(x: float):
     return math.lgamma(x), sign
 
 
-# Asymptotic expansion coefficients B_2n / (2n) for psi(x) ~ ln x - 1/(2x) - sum c_n / x^2n.
-_DIGAMMA_ASYMP = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
-
-
 def digamma(x: float) -> float:
-    """psi(x) for x > 0, via upward recurrence plus the asymptotic series."""
+    """psi(x) for x > 0, from scipy's ``digamma``."""
     if not x > 0.0:
         raise ValueError(f"digamma requires x > 0, got {x}")
-    acc = 0.0
-    while x < 10.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    tail = 0.0
-    power = inv2
-    for c in _DIGAMMA_ASYMP:
-        tail += c * power
-        power *= inv2
-    return acc + math.log(x) - 0.5 / x - tail
+    return float(special.digamma(x))
 
 
 def pochhammer(a: float, k: int) -> float:
@@ -291,30 +274,19 @@ def _kummer_transformed(a: float, b: float, x: float) -> float:
     return math.exp(x) * value
 
 
-def _gauss_2f1_series(a: float, b: float, c: float, z: float) -> float:
-    value, _ = _hyp_series((a, b), (c,), z, compensated=z < 0.0)
-    return value
-
-
 def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
-    """Gauss hypergeometric 2F1(a, b; c; z) for real z < 1, c > 0.
+    """Gauss hypergeometric 2F1(a, b; c; z) for real z < 1, c > 0, from scipy's ``hyp2f1``.
 
-    Direct series on [0, 1); the Pfaff transformation maps z < 0 into [0, 1),
-    choosing whichever of the two Pfaff variants keeps the new numerator
-    parameters nonnegative when possible.
+    scipy's transformations reach every z < 1 with no term cap. Its value can
+    be inf or nan, and at z < -1 it is not always accurate: 2F1(1.2, -0.8;
+    1.5; z) is off by up to 2e-7 for z from -1.6e6 to -1.3e3 (a - b an
+    integer). The channel normaliser therefore calls it at z = bb in [0, 1).
     """
     if not c > 0.0:
         raise ValueError(f"gauss_2f1 requires c > 0, got {c}")
     if z >= 1.0:
         raise ValueError(f"gauss_2f1 requires z < 1, got {z}")
-    if z == 0.0:
-        return 1.0
-    if z < 0.0:
-        w = z / (z - 1.0)  # in (0, 1)
-        if c - b >= 0.0 or a >= 0.0:
-            return (1.0 - z) ** (-a) * _gauss_2f1_series(a, c - b, c, w)
-        return (1.0 - z) ** (-b) * _gauss_2f1_series(c - a, b, c, w)
-    return _gauss_2f1_series(a, b, c, z)
+    return float(special.hyp2f1(a, b, c, z))
 
 
 def gauss_2f1_da(a: float, b: float, c: float, z: float) -> float:
@@ -322,6 +294,8 @@ def gauss_2f1_da(a: float, b: float, c: float, z: float) -> float:
 
     Series sum_{n>=1} [(a)_n (b)_n / ((c)_n n!)] (psi(a+n) - psi(a)) z^n; the
     digamma difference is accumulated as the harmonic increment sum 1/(a+i).
+    Public API only: no abxs route calls it (the capacity asymptote sums
+    psi(m_x + k) over the NB weights instead).
     """
     if not c > 0.0:
         raise ValueError(f"gauss_2f1_da requires c > 0, got {c}")
@@ -424,11 +398,12 @@ def _phi2_alternating(b1: float, b2: float, c: float, x: float, y: float) -> flo
     raise ConvergenceError("appell_phi2 series exhausted max_terms")
 
 
-def _log_1f1_large_x(a: float, b: float, x: float, terms: int = 12) -> float:
-    """log 1F1(a; b; x) from the large-x asymptotic expansion (x >> 1).
+def _log_scaled_1f1_large_x(a: float, b: float, x: float, terms: int = 12) -> float:
+    """log(e^-x 1F1(a; b; x)) from the large-x asymptotic expansion (x >> 1).
 
     1F1 ~ Gamma(b)/Gamma(a) e^x x^(a-b) sum_k (b-a)_k (1-a)_k / (k! x^k).
-    Serves callers whose arguments exceed the exp overflow boundary.
+    Serves callers whose arguments exceed the exp overflow boundary; the e^x
+    is left out, so a caller's -x does not cancel against it.
     """
     s = 1.0
     term = 1.0
@@ -437,7 +412,7 @@ def _log_1f1_large_x(a: float, b: float, x: float, terms: int = 12) -> float:
         s += term
         if abs(term) < 1e-16 * abs(s):
             break
-    return math.lgamma(b) - math.lgamma(a) + x + (a - b) * math.log(x) + math.log(s)
+    return math.lgamma(b) - math.lgamma(a) + (a - b) * math.log(x) + math.log(s)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+import pathlib
 import warnings
 
 import pytest
@@ -8,6 +10,10 @@ from abxs import cli, metrics
 from abxs.channel import ChannelParams
 from abxs.specfun import PrecisionWarning
 from oracles import rayleigh_bpsk_aber
+
+# mpmath references at 40 digits for the four preset CSVs.
+FIGURES_REFERENCE = (pathlib.Path(__file__).resolve().parent.parent
+                     / "perfbench" / "reference" / "figures.json")
 
 
 def run_cli(capsys, *argv):
@@ -180,11 +186,21 @@ class TestPresets:
             assert exact == pytest.approx(metrics.aber_exact(pars, qam16).value, rel=1e-6)
 
     def test_fig1_bytes_pinned(self, capsys):
-        # The pdf preset's CSV has kept these bytes since the presets were added.
+        # Re-pinned when the normaliser moved to scipy's hyp2f1: of the 480
+        # exact cells, 401 moved towards the mpmath references, 63 moved away
+        # by at most 1.6e-15 relative and 16 kept their bytes.
         rc, out, _ = run_cli(capsys, "eval", "--fig", "1")
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "897642ea806921b9b0e53b4cfcae74fb69f44989da9e690b64fca4b46afc3ecb")
+            "a777c27933901dcf13c3c834de86c9476b5a283bc2aa2be05480575dd5016226")
+
+    def test_fig1_matches_mpmath(self, capsys):
+        header, rows = preset_rows(capsys, "--fig", "1")
+        ref = json.loads(FIGURES_REFERENCE.read_text())["1"]
+        assert header == ref["header"] and len(rows) == len(ref["rows"]) == 480
+        for row, want in zip(rows, ref["rows"]):
+            assert row[:2] == [float(v) for v in want["inputs"]]
+            assert row[2] == pytest.approx(want["value"], rel=3e-14, abs=0.0)
 
 
 class TestExitCodes:

@@ -155,17 +155,24 @@ class TestGauss2F1:
         assert sf.gauss_2f1(a, b, c, z) == pytest.approx(dec_2f1(a, b, c, z),
                                                          rel=1e-9, abs=1e-280)
 
-    @given(st.floats(min_value=-0.5, max_value=-1e-6))
-    def test_pfaff_overlap(self, z):
-        # direct alternating series vs the Pfaff-transformed route
-        direct = sf._gauss_2f1_series(1.4, 2.2, 1.8, z)
-        assert sf.gauss_2f1(1.4, 2.2, 1.8, z) == pytest.approx(direct, rel=1e-10)
-
     def test_large_negative_argument(self):
-        # Pfaff route reaches arguments far outside the series disc
+        # far outside the series disc
         got = sf.gauss_2f1(1.5, -1.0, 1.2, -40.0)
         exact = 1.0 + 1.5 * (-1.0) * (-40.0) / 1.2  # terminating series
         assert got == pytest.approx(exact, rel=1e-11)
+
+    # The normaliser's 2F1(m_x - m_y, -2/alpha; m_x; bb) as bb -> 1. In the
+    # first four, c - a - b = m_y + 2/alpha is an integer (2, 2, 4, 2), the
+    # case the connection formula at 1 must take as a limit.
+    @pytest.mark.parametrize("m_x, m_y, alpha", [(1.0, 1.0, 2.0), (1.5, 1.2, 2.5),
+                                                 (3.0, 2.0, 1.0), (0.5, 1.5, 4.0),
+                                                 (1.5, 1.2, 2.2), (2.5, 0.3, 0.5)])
+    @pytest.mark.parametrize("one_minus_bb", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_normaliser_near_one_against_mpmath(self, m_x, m_y, alpha, one_minus_bb):
+        a, b, c, z = m_x - m_y, -2.0 / alpha, m_x, 1.0 - one_minus_bb
+        with mpmath.workdps(30):
+            want = float(mpmath.hyp2f1(a, b, c, z))
+        assert sf.gauss_2f1(a, b, c, z) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestGauss2F1Derivative:
