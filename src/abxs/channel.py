@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy import integrate
 from scipy.special import gammainc, gammaincc
 
 from . import specfun
@@ -80,6 +81,12 @@ def beta_bar(params: ChannelParams) -> float:
     """LoS power fraction m_x*omega_y / (m_y*omega_x + m_x*omega_y), in [0, 1)."""
     num = params.m_x * params.omega_y
     return num / (params.m_y * params.omega_x + num)
+
+
+def _one_minus_beta_bar(params: ChannelParams) -> float:
+    """1 - beta_bar from its own quotient, so it keeps its digits as beta_bar -> 1."""
+    num = params.m_y * params.omega_x
+    return num / (num + params.m_x * params.omega_y)
 
 
 def c_alpha(params: ChannelParams) -> float:
@@ -157,24 +164,57 @@ class DerivedConstants:
         return weights
 
 
+# Agreement asked of scipy's hyp2f1 and Euler's integral, in log 2F1 per unit of s.
+_LOS_CHECK_TOL = 1e-11
+
+
 def _log_los_2f1(m_x: float, m_y: float, bb: float, one_minus_bb: float, s: float) -> float:
     """log 2F1(m_y, -s; m_x; -bb/(1-bb)), the LoS factor of E[U^s].
 
     Taken through Pfaff's map as (1-bb)^-s 2F1(m_x - m_y, -s; m_x; bb): at
     z = -bb/(1-bb) scipy's hyp2f1 loses up to 2e-7 when m_y + s is an integer
-    (m_y = 1.2, alpha = 2.5, 1 - bb from 6e-7 to 8e-4); on this form it stays within 1e-15.
+    (m_y = 1.2, alpha = 2.5, 1 - bb from 6e-7 to 8e-4); on this form it stays within 1e-15
+    there. For m_x > m_y scipy can still be far off (1.5e-4 in C at m_x = 21.12,
+    m_y = 1.385, alpha = 0.0905, bb = 0.84), so there the value must agree with
+    Euler's integral to _LOS_CHECK_TOL * max(s, 1) in the log, or ConvergenceError is raised.
     """
     hyp = specfun.gauss_2f1(m_x - m_y, -s, m_x, bb)
     if not 0.0 < hyp < math.inf:
         raise specfun.ConvergenceError(f"hyp2f1 returned {hyp} for a positive 2F1")
-    return math.log(hyp) - s * math.log(one_minus_bb)
+    log_hyp = math.log(hyp)
+    if m_x > m_y:
+        log_euler = _log_euler_2f1(m_x, m_y, one_minus_bb, s)
+        if not abs(log_hyp - log_euler) <= _LOS_CHECK_TOL * max(s, 1.0):
+            raise specfun.ConvergenceError(
+                f"hyp2f1 and Euler's integral disagree on log 2F1({m_x - m_y:g}, {-s:g}; "
+                f"{m_x:g}; {bb:g}): {log_hyp!r} against {log_euler!r}")
+    return log_hyp - s * math.log(one_minus_bb)
+
+
+def _log_euler_2f1(m_x: float, m_y: float, one_minus_bb: float, s: float) -> float:
+    """log 2F1(m_x - m_y, -s; m_x; bb) for m_x > m_y by Euler's integral.
+
+    2F1 = int_0^1 t^(m_x-m_y-1) (1-t)^(m_y-1) (1 - bb t)^s dt / B(m_x - m_y, m_y),
+    a positive integrand with 1 - bb t taken as (1 - t) + (1 - bb) t. QUADPACK's
+    algebraic weight carries only the endpoint powers below 0; larger ones stay
+    in the integrand, since the weight's moments lose digits at large exponents.
+    Shares no code with hyp2f1.
+    """
+    a, b = m_x - m_y - 1.0, m_y - 1.0
+    wa, wb = min(a, 0.0), min(b, 0.0)
+    val = integrate.quad(
+        lambda t: t ** (a - wa) * (1.0 - t) ** (b - wb) * ((1.0 - t) + one_minus_bb * t) ** s,
+        0.0, 1.0, weight="alg", wvar=(wa, wb), epsabs=0.0, epsrel=1e-12, limit=200,
+        full_output=1)[0]
+    if not val > 0.0:
+        return -math.inf
+    return math.log(val) + math.lgamma(m_x) - math.lgamma(m_x - m_y) - math.lgamma(m_y)
 
 
 @lru_cache(maxsize=256)
 def derived_constants(params: ChannelParams) -> DerivedConstants:
     bb = beta_bar(params)
-    one_minus_bb = params.m_y * params.omega_x / (params.m_y * params.omega_x
-                                                  + params.m_x * params.omega_y)
+    one_minus_bb = _one_minus_beta_bar(params)
     if bb == 1.0:
         raise specfun.ConvergenceError(
             f"1 - beta_bar = {one_minus_bb:.3g} is below the resolution of a double")
@@ -328,18 +368,17 @@ def bxs_envelope_pdf(params: ChannelParams, r: float) -> float:
         if params.m_x > 0.5:
             return 0.0
         if params.m_x == 0.5:
-            bb = beta_bar(params)
-            return (2.0 * (1.0 - bb) ** params.m_y
+            return (2.0 * _one_minus_beta_bar(params) ** params.m_y
                     * (params.m_x / params.omega_x) ** params.m_x
                     / math.gamma(params.m_x))
         return math.inf
-    bb = beta_bar(params)
+    bb, one_minus_bb = beta_bar(params), _one_minus_beta_bar(params)
     t = params.m_x * r * r / params.omega_x
     log_f = (math.log(2.0) + (2.0 * params.m_x - 1.0) * math.log(r)
              - math.lgamma(params.m_x)
-             + params.m_y * math.log1p(-bb)
+             + params.m_y * math.log(one_minus_bb)
              + params.m_x * math.log(params.m_x / params.omega_x)
-             - (1.0 - bb) * t
+             - one_minus_bb * t
              + _log_scaled_1f1(params.m_y, params.m_x, bb * t))
     if log_f > 709.0:
         return math.inf
@@ -356,9 +395,8 @@ def bxs_power_pdf(params: ChannelParams, w: float) -> float:
             return 0.0
         if params.m_x < 1.0:
             return math.inf
-        bb = beta_bar(params)
-        return ((1.0 - bb) ** params.m_y * (params.m_x / params.omega_x) ** params.m_x
-                / math.gamma(params.m_x))
+        return (_one_minus_beta_bar(params) ** params.m_y
+                * (params.m_x / params.omega_x) ** params.m_x / math.gamma(params.m_x))
     rw = math.sqrt(w)
     return bxs_envelope_pdf(params, rw) / (2.0 * rw)
 

@@ -1,12 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate, special as sp_special
 
 from abxs import channel as ch
+from abxs import specfun
 from abxs.channel import ChannelParams
+from oracles import MpSnrLaw
 from paramsets import FIG1, FIG1_ALPHAS, db, grid72, nakagami, rayleigh
 
 
@@ -96,6 +99,59 @@ class TestDerivedConstants:
     def test_cache_returns_same_object(self):
         pars = fig1_params(2.0)
         assert ch.derived_constants(pars) is ch.derived_constants(pars)
+
+
+# Small alpha with m_x well above m_y, where scipy's hyp2f1 can be far off on
+# the normaliser's 2F1: (m_x, m_y, omega_x, omega_y, alpha).
+NORMALISER_CORNER = [
+    (21.12, 1.385, 1.0, 0.34, 0.0905),  # C off by 1.5e-4 on hyp2f1 alone
+    (43.18, 8.12, 1.0, 1.39, 0.105),
+    (45.53, 0.38, 1.0, 0.1, 0.195),
+    (34.47, 2.55, 1.0, 49.84, 0.218),
+    (16.89, 3.96, 1.0, 0.15, 0.074),
+    (38.77, 8.73, 1.0, 381.76, 0.042),
+    (49.71, 7.29, 1.0, 0.41, 0.27),
+    (39.41, 0.26, 1.0, 0.39, 0.023),
+]
+
+
+class TestNormaliserCheck:
+    @pytest.mark.parametrize("law", NORMALISER_CORNER)
+    def test_right_or_raises(self, law):
+        # a C that comes back is right; a raise means hyp2f1 really is off
+        pars = ChannelParams(*law, 10.0)
+        try:
+            got = ch.c_alpha(pars)
+        except specfun.ConvergenceError as err:
+            assert "Euler's integral" in str(err)
+            s = 2.0 / pars.alpha
+            bb = ch.beta_bar(pars)
+            with mpmath.workdps(30):
+                want = mpmath.log(mpmath.hyp2f1(pars.m_x - pars.m_y, -s, pars.m_x, bb))
+            log_hyp = math.log(specfun.gauss_2f1(pars.m_x - pars.m_y, -s, pars.m_x, bb))
+            assert abs(log_hyp - float(want)) > ch._LOS_CHECK_TOL * max(s, 1.0)
+        else:
+            assert got == pytest.approx(MpSnrLaw(pars).c_alpha(), rel=1e-11, abs=0.0)
+
+    def test_reproducer_raises(self):
+        with pytest.raises(specfun.ConvergenceError, match="disagree"):
+            ch.c_alpha(ChannelParams(*NORMALISER_CORNER[0], 10.0))
+
+    @pytest.mark.parametrize("law", NORMALISER_CORNER[4:])
+    def test_corner_laws_where_hyp2f1_holds_return(self, law):
+        pars = ChannelParams(*law, 10.0)
+        assert ch.c_alpha(pars) == pytest.approx(MpSnrLaw(pars).c_alpha(), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("m_x, m_y, alpha", [(2.5, 0.5, 3.7), (30.0, 2.0, 0.5),
+                                                 (0.7, 0.2, 8.0), (5.0, 4.9, 1.0),
+                                                 (36.51, 10.64, 0.01022)])
+    @pytest.mark.parametrize("one_minus_bb", [0.5, 1e-3, 1e-8])
+    def test_euler_integral_against_mpmath(self, m_x, m_y, alpha, one_minus_bb):
+        s = 2.0 / alpha
+        with mpmath.workdps(30):
+            want = mpmath.log(mpmath.hyp2f1(m_x - m_y, -s, m_x, 1 - mpmath.mpf(one_minus_bb)))
+        assert ch._log_euler_2f1(m_x, m_y, one_minus_bb, s) == pytest.approx(
+            float(want), rel=0.0, abs=1e-12 * max(s, 1.0))
 
 
 class TestEnvelopeMoment:
@@ -250,6 +306,20 @@ class TestEnvelopePdf:
         val, _ = integrate.quad(lambda r: ch.bxs_envelope_pdf(pars, r), 0.0, math.inf,
                                 epsabs=1e-12, epsrel=1e-11, limit=300)
         assert val == pytest.approx(1.0, abs=1e-8)
+
+    def test_los_dominated_against_mpmath(self):
+        # 1 - bb = 1e-8 is taken from its own quotient, not from 1 - bb
+        pars = ChannelParams(1.5, 1.2, 1.0, 1.2 * (1.0 - 1e-8) / (1.5 * 1e-8), 2.0, 1.0)
+        with mpmath.workdps(30):
+            mx, my, ox, oy = (mpmath.mpf(v) for v in (pars.m_x, pars.m_y, pars.omega_x,
+                                                      pars.omega_y))
+            bb, omb = mx * oy / (my * ox + mx * oy), my * ox / (my * ox + mx * oy)
+            for r in (1e3, 1e4, 3e4):
+                t = mx * mpmath.mpf(r) ** 2 / ox
+                want = (2 * (mx / ox) ** mx * mpmath.mpf(r) ** (2 * mx - 1) * omb ** my
+                        * mpmath.exp(-t) * mpmath.hyp1f1(my, mx, bb * t) / mpmath.gamma(mx))
+                assert ch.bxs_envelope_pdf(pars, r) == pytest.approx(float(want), rel=1e-12,
+                                                                     abs=0.0)
 
     def test_rician_limit(self):
         # huge shadowing severity freezes the LoS power: Rice with nu^2=omega_y
