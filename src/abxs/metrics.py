@@ -298,6 +298,25 @@ def _k_series(params: ChannelParams, dc, g_term):
     raise ConvergenceError("Meijer k-series exhausted max_terms")
 
 
+def _capacity_series_can_stop(params: ChannelParams, dc) -> bool:
+    """Whether the capacity k-series can meet its stopping rule within _K_MAX_TERMS.
+
+    Term k is NB_k E[log2(1 + gamma) | K = k], with NB_k the negative-binomial
+    weight (1-bb)^m_y (m_y)_k bb^k / k!. The conditional expectation does not
+    decrease in k, so term k over the partial sum is at least NB_k / F_k, F_k
+    the weights' partial sum; the series cannot stop before _STOP_STREAK
+    consecutive k with NB_k / F_k <= _K_REL_TOL.
+    """
+    weight, mass, streak = 1.0, 0.0, 0  # NB_k / NB_0 and F_k / NB_0
+    for k in range(_K_MAX_TERMS):
+        mass += weight
+        streak = streak + 1 if weight <= _K_REL_TOL * mass else 0
+        if streak >= specfun._STOP_STREAK:
+            return True
+        weight *= (params.m_y + k) * dc.beta_bar / (k + 1.0)
+    return False
+
+
 def _aber_meijer_term(params: ChannelParams, d2: float, k: int,
                       dc) -> float:
     p, q = dc.p, dc.q
@@ -405,11 +424,15 @@ def capacity_exact(params: ChannelParams) -> CapacityResult:
     The G terms here always carry an integer pole collision (a doubled zero
     parameter), so they go straight to the Mellin-Barnes contour, which is
     where meijer_g would send them. The terms differ only in their
-    Gamma(m_x + k - q s) factor, so one memo lets every term reuse the other
-    factors' values. Falls back like :func:`aber_exact`.
+    Gamma(m_x + k - q s) factor, and their pole ladders start at 0 and -1/p
+    for every k, so one memo lets every term keep the first term's line and
+    reuse the other factors' values. Falls back like :func:`aber_exact`; a
+    k-series that :func:`_capacity_series_can_stop` shows would run to its
+    cap is not started, and the fallback is returned at once.
     """
     dc = derived_constants(params)
-    if dc.q is None or dc.q > _MAX_MEIJER_Q:
+    if (dc.q is None or dc.q > _MAX_MEIJER_Q
+            or not _capacity_series_can_stop(params, dc)):
         return capacity_mixture(params)
     p, q = dc.p, dc.q
     prefactor = (q ** (params.m_x - 0.5) * dc.one_minus_beta_bar ** params.m_y

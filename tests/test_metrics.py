@@ -5,9 +5,11 @@ import pathlib
 import pytest
 from hypothesis import given, strategies as st
 from abxs import metrics as mt
-from abxs.channel import ChannelParams
+from abxs import specfun as sf
+from abxs.channel import ChannelParams, derived_constants
 from oracles import (nakagami_bpsk_aber, rayleigh_bpsk_aber, rayleigh_capacity)
-from paramsets import db, fig2_params, fig3_params, nakagami, rayleigh
+from paramsets import (FIG4_SETS, FIG4_SNR_DB, db, fig2_params, fig3_params, fig4_params,
+                       nakagami, rayleigh)
 
 QAM16 = mt.modulation_coeffs("mqam", 16)
 BPSK = mt.modulation_coeffs("bpsk")
@@ -195,6 +197,14 @@ class TestAberExact:
         assert got.path == "series-quadrature"
         assert got.value == pytest.approx(0.001720374419720987, rel=1e-6)
 
+    def test_domain_law_55(self):
+        # alpha = 4 at 60 dB: the contour's line used to sit at the midpoint
+        # between the pole ladders, where it missed the value by 1.1e-7.
+        # mpmath reference at 40 digits.
+        got = mt.aber_exact(ChannelParams(2.5, 0.5, 10 ** -0.3, 10 ** 0.3, 4.0, 1e6), QAM16)
+        assert got.path == "meijer-g"
+        assert got.value == pytest.approx(2.015024060343589e-23, rel=1e-12, abs=0.0)
+
     def test_truncation_profile_converges(self):
         pars = fig2_params(2.0, 20.0)
         prof = mt.aber_exact_truncation_profile(pars, QAM16, k_max=12)
@@ -300,6 +310,37 @@ class TestCapacityExact:
         got = mt.capacity_exact(fig3_params(2.5, 0.5, 0.8, snr_db=60.0))
         assert got.path == "series-quadrature"
         assert got.value == pytest.approx(15.643722826061696, rel=1e-6)
+
+    def test_gated_law_runs_no_contour(self, monkeypatch):
+        # At beta_bar ~ 0.95 no run of three k < 64 has NB_k / F_k <= 1e-7, so
+        # the k-series cannot stop and is not started.
+        pars = fig3_params(2.5, 0.5, 0.8, snr_db=60.0)
+        assert not mt._capacity_series_can_stop(pars, derived_constants(pars))
+
+        def forbidden(*args, **kwargs):
+            pytest.fail("the gated capacity ran a Mellin-Barnes contour")
+
+        monkeypatch.setattr(sf, "_meijer_contour", forbidden)
+        assert mt.capacity_exact(pars).path == "series-quadrature"
+
+    def test_gate_changes_no_bit(self, monkeypatch):
+        # Every domain law the gate sends to the mixture: the ungated k-series
+        # runs to its cap and falls back to the same value and path.
+        laws = json.loads(DOMAIN_REFERENCE.read_text())["laws"]
+        gated = [ChannelParams(*law["law"]) for law in laws]
+        gated = [pars for pars in gated
+                 if (derived_constants(pars).q or 99) <= mt._MAX_MEIJER_Q
+                 and not mt._capacity_series_can_stop(pars, derived_constants(pars))]
+        assert gated
+        got = [mt.capacity_exact(pars) for pars in gated]
+        monkeypatch.setattr(mt, "_capacity_series_can_stop", lambda params, dc: True)
+        assert [mt.capacity_exact(pars) for pars in gated] == got
+
+    def test_gate_never_fires_on_fig4_grid(self):
+        for m_x, m_y, alpha in FIG4_SETS:
+            for snr_db in FIG4_SNR_DB:
+                pars = fig4_params(m_x, m_y, alpha, snr_db)
+                assert mt._capacity_series_can_stop(pars, derived_constants(pars))
 
     def test_tiny_alpha_does_not_overflow(self):
         # The mho_alpha power overflows at alpha = 0.01, so derived_constants

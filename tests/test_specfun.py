@@ -123,6 +123,35 @@ class TestKummer1F1:
         with pytest.raises(OverflowError):
             sf.kummer_1f1(1.2, 1.5, 750.0)
 
+    # Past x = -709 the large-|x| expansion takes over; the last two cases
+    # have Gamma(b - a) < 0, so 1F1 is negative there.
+    @pytest.mark.parametrize("a, b, x", [(1.0, 2.0, -1000.0), (0.5, 1.5, -800.0),
+                                         (2.3, 1.1, -900.0), (0.5, 1.5, -720.0),
+                                         (3.5, 0.7, -1000.0), (0.5, 0.2, -800.0)])
+    def test_large_negative_argument(self, a, b, x):
+        with mpmath.workdps(30):
+            want = float(mpmath.hyp1f1(a, b, x))
+        assert sf.kummer_1f1(a, b, x) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_large_negative_expansion_meets_series(self):
+        # At x = -700 both branches converge; they agree with each other and
+        # with mpmath.
+        for a, b in ((0.5, 1.5), (2.3, 1.1), (1.0, 2.0), (3.5, 0.7)):
+            with mpmath.workdps(30):
+                want = float(mpmath.hyp1f1(a, b, -700.0))
+            series = sf.kummer_1f1(a, b, -700.0)
+            expansion = sf._kummer_large_negative(a, b, -700.0)
+            assert series == pytest.approx(want, rel=1e-13, abs=0.0)
+            assert expansion == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_large_negative_polynomial_case(self):
+        # b - a = -2: 1F1 = e^x (1 - 2x + x^2/2), which underflows at -1000;
+        # at -720 e^x is subnormal, with about 35 bits left.
+        assert sf.kummer_1f1(3.0, 1.0, -1000.0) == 0.0
+        with mpmath.workdps(30):
+            want = float(mpmath.hyp1f1(3.0, 1.0, -720.0))
+        assert sf.kummer_1f1(3.0, 1.0, -720.0) == pytest.approx(want, rel=1e-9)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             sf.kummer_1f1(1.0, -2.0, 1.0)
@@ -303,10 +332,11 @@ def _capacity_term_spec(params, k):
     return sf.MeijerGSpec(m=q + p + 1, n=p, a_params=upper, b_params=lower), z
 
 
-def _mpmath_meijer_g(spec, z):
+def _mpmath_meijer_g(spec, z, **kwargs):
     a, b = spec.a_params, spec.b_params
     with mpmath.workdps(30):
-        return float(mpmath.meijerg([a[:spec.n], a[spec.n:]], [b[:spec.m], b[spec.m:]], z))
+        return float(mpmath.meijerg([a[:spec.n], a[spec.n:]], [b[:spec.m], b[spec.m:]], z,
+                                    **kwargs))
 
 
 class TestMeijerGDifferential:
@@ -374,25 +404,52 @@ class TestMeijerGDifferential:
         assert case.startswith(route)
         assert value == pytest.approx(_mpmath_meijer_g(spec, z), rel=1e-12)
 
+    # G terms of the exact ABER that the contour evaluates, where a line at
+    # the midpoint between the pole ladders was off by 2.8e-5, 1.9e5, 6.5e4,
+    # 1.1e9 and 1.5e3 relative: fig-2 QAM-16 at alpha 3 and 35 dB, and the
+    # benchmark's domain laws 55 and 54 (alpha 4 at 60 and 50 dB). These
+    # specs have more upper than lower parameters, and mpmath needs its
+    # first series with a larger term budget for them.
+    @pytest.mark.parametrize("params, k", [
+        (fig2_params(3.0, 35.0), 5),
+        (fig2_params(3.0, 35.0), 11),
+        (ChannelParams(2.5, 0.5, 10 ** -0.3, 10 ** 0.3, 4.0, 1e6), 2),
+        (ChannelParams(2.5, 0.5, 10 ** -0.3, 10 ** 0.3, 4.0, 1e6), 3),
+        (ChannelParams(1.2, 1.2, 10 ** -0.3, 10 ** 0.3, 4.0, 1e5), 4),
+    ])
+    def test_contour_on_the_saddle_line(self, monkeypatch, params, k):
+        spec, z = _aber_term_spec(params, QAM16.delta2[1], k)
+        value, route = self._route(monkeypatch, spec, z)
+        assert route.startswith("contour")
+        want = _mpmath_meijer_g(spec, z, series=1, maxterms=10 ** 6)
+        assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_contour_at_a_denominator_gamma_pole(self):
-        # sigma = -1/2 puts 1/Gamma(1 - b_3 + s) on a pole at t = 0, where
-        # the integrand vanishes.
+        # A memo's line at sigma = -1/2 puts 1/Gamma(1 - b_3 + s) on a pole
+        # at t = 0, where the integrand vanishes; the saddle line never
+        # sits on a pole.
         spec = sf.MeijerGSpec(m=2, n=0, a_params=(), b_params=(0.0, 0.25, 1.5))
-        got = sf._meijer_contour(spec, 2.0)
-        assert got == pytest.approx(_mpmath_meijer_g(spec, 2.0), rel=1e-10)
+        want = _mpmath_meijer_g(spec, 2.0)
+        assert sf._meijer_contour(spec, 2.0, {"sigma": -0.5}) == pytest.approx(want, rel=1e-10)
+        assert sf._meijer_contour(spec, 2.0) == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("alpha", [1.0, 2.5, 3.0])
     def test_shared_memo_changes_no_bit(self, monkeypatch, alpha):
         # capacity_exact shares one memo over its k-series, where only the
-        # (m_x + k) factor changes: each term must equal the contour evaluated
-        # alone to the last bit, from under half the loggamma points.
+        # (m_x + k) factor changes and the pole ladders stay put, so every term
+        # keeps the first term's line. Each term must equal the contour
+        # evaluated alone on that line to the last bit, from under half the
+        # loggamma points, and match mpmath.
         points = []
         real = sf.loggamma
         monkeypatch.setattr(sf, "loggamma", lambda x: points.append(x.size) or real(x))
         specs = [_capacity_term_spec(fig4_params(0.5, 2.5, alpha, 20.0), k) for k in range(8)]
-        alone = [sf._meijer_contour(spec, z) for spec, z in specs]
-        alone_points = sum(points)
-        points.clear()
         memo = {}
-        assert [sf._meijer_contour(spec, z, memo) for spec, z in specs] == alone
-        assert sum(points) < 0.5 * alone_points
+        shared = [sf._meijer_contour(spec, z, memo) for spec, z in specs]
+        shared_points = sum(points)
+        points.clear()
+        alone = [sf._meijer_contour(spec, z, {"sigma": memo["sigma"]}) for spec, z in specs]
+        assert shared == alone
+        assert shared_points < 0.5 * sum(points)
+        for (spec, z), got in zip(specs, shared):
+            assert got == pytest.approx(_mpmath_meijer_g(spec, z), rel=1e-12, abs=0.0)
