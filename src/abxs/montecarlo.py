@@ -12,14 +12,19 @@ suite. SNR follows by the deterministic map
 gamma = gamma_bar (C m_x W / omega_x)^(2/alpha).
 
 Randomness comes from counter-based Philox streams keyed (seed, stream), each
-stream owning a disjoint trial range; reductions run in stream order, so
-results are bit-identical for a given (seed, streams, trials) regardless of
+stream owning a disjoint trial range. The streams are drawn concurrently on
+up to the available cores: numpy's samplers and scipy's ufuncs release the
+interpreter lock, so threads overlap them. Each stream's work depends only on
+its key and size, and results are combined in stream order, so they are
+bit-identical for a given (seed, streams, trials) whatever the core count or
 execution interleaving.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +36,13 @@ from .channel import ChannelParams, derived_constants
 
 @dataclass(frozen=True)
 class SimulationConfig:
+    """Seed, trial count and stream split of a simulation.
+
+    The trials are split over `streams` Philox streams as evenly as possible
+    (streams beyond `trials` draw nothing). The streams run on up to the
+    available cores; the split, not the core count, fixes every result.
+    """
+
     seed: int = 1
     trials: int = 1_000_000
     streams: int = 8
@@ -57,6 +69,43 @@ def _stream_sizes(cfg: SimulationConfig):
     return [base + (1 if i < extra else 0) for i in range(cfg.streams)]
 
 
+def _available_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_streams(params: ChannelParams, cfg: SimulationConfig, work) -> list:
+    """[work(i, lo, n) for each non-empty stream], in stream order.
+
+    Stream i holds trials lo .. lo + n - 1. The streams are cut into one
+    contiguous run per worker, with as many workers as available cores but
+    no more than non-empty streams; the calling thread takes the first run
+    and pool threads the others (one pool thread fewer keeps one fewer
+    malloc arena). work must depend only on its arguments.
+    """
+    jobs = []
+    lo = 0
+    for i, n in enumerate(_stream_sizes(cfg)):
+        if n > 0:
+            jobs.append((i, lo, n))
+            lo += n
+    workers = min(_available_cores(), len(jobs))
+    cuts = [len(jobs) * w // workers for w in range(workers + 1)]
+    runs = [jobs[a:b] for a, b in zip(cuts, cuts[1:])]
+
+    def run(part):
+        return [work(*job) for job in part]
+
+    derived_constants(params)  # cached once here, not computed by racing threads
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        futures = [pool.submit(run, part) for part in runs[1:]]
+        results = run(runs[0])
+        for future in futures:
+            results += future.result()
+    return results
+
+
 def sample_bxs_power(params: ChannelParams, rng: np.random.Generator, size=None):
     """Draw envelope power W = R^2 (scalar for size=None, else ndarray)."""
     n = 1 if size is None else size
@@ -71,30 +120,35 @@ def sample_bxs_power(params: ChannelParams, rng: np.random.Generator, size=None)
 
 def sample_snr(params: ChannelParams, rng: np.random.Generator, size=None):
     """Draw instantaneous SNR gamma (scalar for size=None, else ndarray)."""
-    w = sample_bxs_power(params, rng, size=1 if size is None else size)
+    g = sample_bxs_power(params, rng, size=1 if size is None else size)
     dc = derived_constants(params)
-    g = params.gamma_bar * (dc.c_alpha * params.m_x * np.asarray(w)
-                            / params.omega_x) ** (2.0 / params.alpha)
+    # gamma_bar (C m_x W / omega_x)^(2/alpha), in place on the fresh draw
+    g *= dc.c_alpha * params.m_x
+    g /= params.omega_x
+    g **= 2.0 / params.alpha
+    g *= params.gamma_bar
     return float(g[0]) if size is None else g
 
 
 def snr_samples(params: ChannelParams, cfg: SimulationConfig) -> np.ndarray:
-    """All cfg.trials SNR draws, concatenated in stream order."""
-    chunks = [sample_snr(params, stream_generator(cfg.seed, i), size=n)
-              for i, n in enumerate(_stream_sizes(cfg)) if n > 0]
-    return np.concatenate(chunks)
+    """All cfg.trials SNR draws in stream order, each stream filling its slice."""
+    out = np.empty(cfg.trials)
+
+    def draw(i, lo, n):
+        out[lo:lo + n] = sample_snr(params, stream_generator(cfg.seed, i), size=n)
+
+    _map_streams(params, cfg, draw)
+    return out
 
 
 def _mc_mean(params: ChannelParams, cfg: SimulationConfig, statistic):
     """Deterministic ordered reduction of per-stream (sum, sumsq, n) triples."""
-    stats = []
-    for i, n in enumerate(_stream_sizes(cfg)):
-        if n == 0:
-            continue
+    def stream_stats(i, lo, n):
         g = sample_snr(params, stream_generator(cfg.seed, i), size=n)
         vals = statistic(g)
-        stats.append((float(np.sum(vals)), float(np.sum(vals * vals)), n))
-    return reduce_stream_stats(stats)
+        return float(np.sum(vals)), float(np.sum(vals * vals)), n
+
+    return reduce_stream_stats(_map_streams(params, cfg, stream_stats))
 
 
 def reduce_stream_stats(stats) -> tuple:

@@ -302,18 +302,35 @@ def _kummer_transformed(a: float, b: float, x: float) -> float:
     return math.exp(x) * value
 
 
+# How close a - b must be to a nonzero integer for gauss_2f1 to take Pfaff's
+# map at z < 0: scipy's route loses about 1e-16 / distance there.
+_PFAFF_NEAR = 1e-6
+
+
 def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric 2F1(a, b; c; z) for real z < 1, c > 0, from scipy's ``hyp2f1``.
 
-    scipy's transformations reach every z < 1 with no term cap. Its value can
-    be inf or nan, and at z < -1 it is not always accurate: 2F1(1.2, -0.8;
-    1.5; z) is off by up to 2e-7 for z from -1.6e6 to -1.3e3 (a - b an
-    integer). The channel normaliser therefore calls it at z = bb in [0, 1).
+    scipy's transformations reach every z < 1 with no term cap; its value can
+    be inf or nan. At z < 0 with a - b at or near a nonzero integer, scipy's
+    own route loses digits: 2F1(1.2, -0.8; 1.5; z) is off by up to 1.5e-7
+    for z from -1.6e6 to -1.3e3, and a - b = 2 + 1e-13 can lose them all.
+    There (a - b within _PFAFF_NEAR of a nonzero integer) the value is taken
+    through Pfaff's map, as the channel normaliser does,
+
+        2F1(a, b; c; z) = (1-z)^-b 2F1(c-a, b; c; z/(z-1)),  b the smaller,
+
+    whose argument lies in [0, 1). Elsewhere the map is not taken: for other
+    a - b it loses up to 3e-7 as z/(z-1) rounds towards 1, and at a = b it
+    can lose every digit.
     """
     if not c > 0.0:
         raise ValueError(f"gauss_2f1 requires c > 0, got {c}")
     if z >= 1.0:
         raise ValueError(f"gauss_2f1 requires z < 1, got {z}")
+    m = float(np.rint(a - b))
+    if z < 0.0 and m != 0.0 and abs(a - b - m) < _PFAFF_NEAR:
+        a, b = max(a, b), min(a, b)
+        return (1.0 - z) ** -b * float(special.hyp2f1(c - a, b, c, z / (z - 1.0)))
     return float(special.hyp2f1(a, b, c, z))
 
 

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -184,6 +186,55 @@ class TestDeterminism:
         est, se = mc.mc_aber(pars, QAM16, cfg)
         assert est == pytest.approx(want, rel=1e-15)
         assert se == 0.0
+
+
+def serial_stream_sizes(trials, streams):
+    base, extra = divmod(trials, streams)
+    return [base + (1 if i < extra else 0) for i in range(streams)]
+
+
+class TestConcurrentStreams:
+    """The streams run on several threads; each result equals the serial draw."""
+
+    @pytest.mark.parametrize("trials, streams", [(30_001, 5), (3, 8), (1, 1)])
+    def test_equal_to_serial_bit_for_bit(self, trials, streams):
+        pars = fig1(2.5)
+        cfg = mc.SimulationConfig(seed=35, trials=trials, streams=streams)
+        draws = [mc.sample_snr(pars, mc.stream_generator(cfg.seed, i), size=n)
+                 for i, n in enumerate(serial_stream_sizes(trials, streams)) if n > 0]
+        got = mc.snr_samples(pars, cfg)
+        assert got.dtype == np.float64 and np.array_equal(got, np.concatenate(draws))
+
+        def triples(statistic):
+            return [(float(np.sum(v)), float(np.sum(v * v)), v.size)
+                    for v in map(statistic, draws)]
+
+        def aber(g):
+            return QAM16.delta1 * sum(0.5 * sp_special.erfc(np.sqrt(d * g))
+                                      for d in QAM16.delta2)
+
+        def capacity(g):
+            return np.log1p(g) / math.log(2.0)
+
+        assert mc.mc_aber(pars, QAM16, cfg) == mc.reduce_stream_stats(triples(aber))
+        assert mc.mc_capacity(pars, cfg) == mc.reduce_stream_stats(triples(capacity))
+
+    def test_threads_capped_by_cores(self, monkeypatch):
+        # 10,000 streams of two trials: the pool must not grow with them
+        pars = fig1()
+        cfg = mc.SimulationConfig(seed=36, trials=20_000, streams=10_000)
+        seen = []
+        draw = mc.sample_snr
+
+        def counting_draw(*args, **kwargs):
+            seen.append(threading.active_count())
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "sample_snr", counting_draw)
+        samples = mc.snr_samples(pars, cfg)
+        mc.mc_capacity(pars, cfg)
+        assert len(seen) == 20_000 and samples.size == 20_000
+        assert max(seen) <= len(os.sched_getaffinity(0))
 
 
 class TestEstimators:

@@ -2,6 +2,7 @@ import math
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 from scipy import integrate
@@ -202,6 +203,28 @@ class TestGauss2F1:
         with mpmath.workdps(30):
             want = float(mpmath.hyp2f1(a, b, c, z))
         assert sf.gauss_2f1(a, b, c, z) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    # Left of zero with a - b an integer, scipy's own route is off by up to
+    # 1.5e-7 (the first case); the last two keep scipy's route.
+    @pytest.mark.parametrize("a, b, c", [(1.2, -0.8, 1.5), (0.7, -1.3, 3.0),
+                                         (0.5, -2.5, 2.5), (1.5, 1.2, 2.2),
+                                         (2.0, -0.9, 1.0)])
+    def test_negative_argument_against_mpmath(self, a, b, c):
+        for z in -np.geomspace(1e-3, 2e6, 25):
+            with mpmath.workdps(30):
+                want = float(mpmath.hyp2f1(a, b, c, z))
+            assert sf.gauss_2f1(a, b, c, z) == pytest.approx(want, rel=1e-13, abs=0.0), z
+
+    @pytest.mark.parametrize("a, b, c, z", [
+        (-0.8, 1.2, 1.5, -3e4),  # b - a an integer: the map keeps the smaller
+        (1.2 + 1e-11, -0.8, 1.5, -30.0),  # near an integer (scipy: 5.4e-10)
+        (-0.321 + 1e-13, -2.321, 2.566, -30.0),  # (scipy: 3.2e8)
+        (-2.198, -2.198, 3.813, -593.0),  # a = b: the map would lose every digit
+    ])
+    def test_negative_argument_edge_cases(self, a, b, c, z):
+        with mpmath.workdps(30):
+            want = float(mpmath.hyp2f1(a, b, c, z))
+        assert sf.gauss_2f1(a, b, c, z) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestGauss2F1Derivative:
