@@ -24,17 +24,22 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import digamma, erfc, gammaln, hyp1f1
+from scipy.special import digamma, erfc, gammaln, hyp1f1, log_ndtr
 
 from . import specfun
 from .channel import ChannelParams, derived_constants
 from .specfun import ConvergenceError, MeijerGSpec
 
 # The k-series of the exact ABER/capacity forms stops once three consecutive
-# terms fall below _K_REL_TOL times the partial sum; past _K_MAX_TERMS terms
-# the metric falls back to the mixture expectation.
+# terms fall below _K_REL_TOL times the partial sum; past _K_MAX_TERMS terms,
+# or as soon as a lower bound on its terms shows it would get there, the
+# metric falls back to the mixture expectation. That gate counts a term as
+# unable to meet the rule only when its bound exceeds _K_GATE_TOL, 1e-6
+# relative above the rule, which no G term the contour accepts (to 1e-7 at
+# worst) could make up.
 _K_REL_TOL = 1e-7
 _K_MAX_TERMS = 64
+_K_GATE_TOL = _K_REL_TOL * (1.0 + 1e-6)
 
 # Above this denominator of alpha/2 the Meijer-G parameter count makes the
 # closed form worse than quadrature; switch to the mixture expectation.
@@ -277,44 +282,134 @@ def _mixture_expectation(params: ChannelParams, h):
     raise ConvergenceError("mixture trapezoid levels did not agree to 1e-12")
 
 
-def _k_series(params: ChannelParams, dc, g_term):
+def _k_series(params: ChannelParams, dc, g_term, e_floor):
     """(sum_k w_k g_term(k), terms) over the Meijer k-series.
 
     Stops as specfun's series do, at _K_REL_TOL (after one term without LoS).
+    Term k is a constant times NB_k E_k, with NB_k the negative-binomial
+    weight (1-bb)^m_y (m_y)_k bb^k / k! and E_k = E[h(gamma) | K = k]; the
+    metric's ``e_floor(k, g_term(k))`` gives the floors of
+    :func:`_ratio_floor` after term k (``k = -1`` before the first term).
+    Before the first term and after each one, when the bound leaves no three
+    consecutive terms before _K_MAX_TERMS that can meet the stopping rule,
+    the series raises ConvergenceError at once, as it would at the cap.
     """
+    if dc.beta_bar == 0.0:
+        return 1.0 / math.gamma(params.m_x) * g_term(0), 1
+    nb = _nb_ratios(params, dc)
+    cum = np.cumsum(nb).tolist()
+
+    def check(k: int, head: float, streak: int, g: float) -> None:
+        if not (_tail_can_stop(nb, cum, k, head)
+                or _series_can_stop(_ratio_floor(nb, k, head, e_floor(k, g)), streak)):
+            raise ConvergenceError("Meijer k-series cannot meet its stopping rule in max_terms")
+
+    check(-1, 0.0, 0, 0.0)
     total = 0.0
     streak = 0
     for k, w in _aber_series_weights(params, dc, _K_MAX_TERMS):
-        term = w * g_term(k)
+        g = g_term(k)
+        term = w * g
         total += term
-        if dc.beta_bar == 0.0:
-            return total, 1
         if abs(term) <= _K_REL_TOL * max(abs(total), 1e-300):
             streak += 1
             if streak >= specfun._STOP_STREAK:
                 return total, k + 1
         else:
             streak = 0
+        if term > 0.0 and total > 0.0:
+            check(k, nb[k] * total / term, streak, g)
     raise ConvergenceError("Meijer k-series exhausted max_terms")
 
 
-def _capacity_series_can_stop(params: ChannelParams, dc) -> bool:
-    """Whether the capacity k-series can meet its stopping rule within _K_MAX_TERMS.
+def _nb_ratios(params: ChannelParams, dc) -> np.ndarray:
+    """NB_k / max_j NB_j for k < _K_MAX_TERMS (bb > 0), from logs so nothing overflows."""
+    k = np.arange(_K_MAX_TERMS)
+    log_nb = gammaln(params.m_y + k) - gammaln(k + 1.0) + k * math.log(dc.beta_bar)
+    return np.exp(log_nb - log_nb.max())
 
-    Term k is NB_k E[log2(1 + gamma) | K = k], with NB_k the negative-binomial
-    weight (1-bb)^m_y (m_y)_k bb^k / k!. The conditional expectation does not
-    decrease in k, so term k over the partial sum is at least NB_k / F_k, F_k
-    the weights' partial sum; the series cannot stop before _STOP_STREAK
-    consecutive k with NB_k / F_k <= _K_REL_TOL.
+
+def _ratio_floor(nb: np.ndarray, k: int, head: float, floor: np.ndarray) -> np.ndarray:
+    """Lower bounds on term j over the partial sum, for k < j < _K_MAX_TERMS.
+
+    ``nb`` holds the NB weights up to a common factor, and ``head`` the
+    partial sum up to term k in units of term k / nb_k (0 before the first
+    term, k = -1). If E_ref >= E_k bounds every E_i (k < i < j) from above
+    and floor_j <= E_j / E_ref, term j over the partial sum is at least
+
+        nb_j floor_j / (head + nb_{k+1} + ... + nb_{j-1} + nb_j floor_j):
+
+    in units of nb E_ref the partial sum is at most head + nb_{k+1} + ... +
+    nb_{j-1} + nb_j E_j / E_ref, and the ratio only grows with E_j. Before
+    the first term, term 0 over itself is 1; its bound is 0/0, NaN, where
+    floor_0 underflows, and :func:`_series_can_stop` counts a NaN as a term
+    that can meet the rule.
     """
-    weight, mass, streak = 1.0, 0.0, 0  # NB_k / NB_0 and F_k / NB_0
-    for k in range(_K_MAX_TERMS):
-        mass += weight
-        streak = streak + 1 if weight <= _K_REL_TOL * mass else 0
-        if streak >= specfun._STOP_STREAK:
-            return True
-        weight *= (params.m_y + k) * dc.beta_bar / (k + 1.0)
-    return False
+    rest = nb[k + 1:]
+    part = rest * floor[k + 1:]
+    with np.errstate(invalid="ignore"):
+        return part / (head + np.cumsum(rest) - rest + part)
+
+
+def _series_can_stop(low: np.ndarray, streak: int) -> bool:
+    """Whether three consecutive terms can still meet the stopping rule.
+
+    ``low`` bounds the later terms' ratios (:func:`_ratio_floor`) and
+    ``streak`` counts the terms up to now that meet it. A term counts as
+    unable only when its bound exceeds _K_GATE_TOL.
+    """
+    free = np.concatenate(([streak >= 2, streak >= 1], ~(low > _K_GATE_TOL)))
+    return bool(np.any(free[:-2] & free[1:-1] & free[2:]))
+
+
+def _tail_can_stop(nb, cum: list, k: int, head: float) -> bool:
+    """Whether the last three terms can all meet the stopping rule, by
+    :func:`_ratio_floor`'s bound at floor 1, which no floor exceeds.
+
+    ``cum`` holds the running sums of ``nb``. A scalar shortcut: when it
+    holds, the series can stop at its last term and needs neither the floor
+    nor the vectorised bound; on the benchmark's `domain` laws it settles
+    four checks in five.
+    """
+    if k + 3 >= _K_MAX_TERMS:
+        return False
+    base = head - (cum[k] if k >= 0 else 0.0)
+    return all(nb[j] <= _K_GATE_TOL * (base + cum[j])
+               for j in range(_K_MAX_TERMS - 3, _K_MAX_TERMS))
+
+
+def _capacity_floor(k: int, g: float) -> np.ndarray:
+    """e_floor of the capacity k-series (see :func:`_k_series`).
+
+    E[log2(1 + gamma) | K = j] does not decrease in j, so with E_ref = E_j
+    every floor is 1; before the first term the bound of :func:`_ratio_floor`
+    is then NB_j / (NB_0 + ... + NB_j).
+    """
+    return np.ones(_K_MAX_TERMS)
+
+
+def _aber_floor(params: ChannelParams, dc, d2: float):
+    """e_floor of the ABER component Q(sqrt(2 d2 gamma)) (see :func:`_k_series`).
+
+    E_j = E[Q(sqrt(2 d2 gamma)) | K = j] does not increase in j, so E_ref =
+    E_k (1/2 before the first term). Q(sqrt(2 d2 gamma)) is convex in gamma,
+    so by Jensen E_j >= Q(sqrt(2 d2 mu_j)), with the conditional mean
+    mu_j = gamma_bar C^(2/alpha) Gamma(m_x+j+2/alpha) / Gamma(m_x+j). E_k is
+    the G term times sqrt(pi) q^(m_x+k-1/2) / ((2 pi)^((p+q)/2) Gamma(m_x+k)).
+    """
+    shape = params.m_x + np.arange(_K_MAX_TERMS)
+    two_over_alpha = 2.0 / params.alpha
+    mean_snr = np.exp(math.log(params.gamma_bar) + two_over_alpha * math.log(dc.c_alpha)
+                      + gammaln(shape + two_over_alpha) - gammaln(shape))
+    log_jensen = log_ndtr(-np.sqrt(2.0 * d2 * mean_snr))
+    log_scale = (0.5 * math.log(math.pi) + (params.m_x - 0.5) * math.log(dc.q)
+                 - 0.5 * (dc.p + dc.q) * math.log(2.0 * math.pi))
+
+    def floor(k: int, g: float) -> np.ndarray:
+        log_e_ref = (math.log(0.5) if k < 0 else log_scale + k * math.log(dc.q)
+                     - math.lgamma(shape[k]) + math.log(g))
+        return np.exp(np.minimum(0.0, log_jensen - log_e_ref))
+    return floor
 
 
 def _aber_meijer_term(params: ChannelParams, d2: float, k: int,
@@ -349,14 +444,23 @@ def aber_exact(params: ChannelParams, mod: ModulationScheme) -> AberResult:
     Sums, per Q-function component j, the k-series of G-function terms at
     argument (p/delta2_j)^p / (q C gamma_bar^(alpha/2))^q. Falls back to the
     expectation over the gamma mixture (path ``series-quadrature``) when
-    alpha/2 needs a large denominator or the G evaluation fails.
+    alpha/2 needs a large denominator, the G evaluation fails, or a k-series
+    would run to its cap; :func:`_k_series` stops such a series as soon as
+    Jensen's bound (see :func:`_aber_floor`) shows it, often before its
+    first term. Once a term's residue series is rejected, the later terms of
+    its k-series go straight to the contour (specfun's
+    ``_slater_until_rejected``).
     """
     dc = derived_constants(params)
     if dc.q is None or dc.q > _MAX_MEIJER_Q:
         return aber_mixture(params, mod)
+    sums = []
     try:
-        sums = [_k_series(params, dc, lambda k, d2=d2: _aber_meijer_term(params, d2, k, dc))
-                for d2 in mod.delta2]
+        for d2 in mod.delta2:
+            with specfun._slater_until_rejected():
+                sums.append(_k_series(params, dc,
+                                      lambda k, d2=d2: _aber_meijer_term(params, d2, k, dc),
+                                      _aber_floor(params, dc, d2)))
     except (ConvergenceError, OverflowError):
         return aber_mixture(params, mod)
     total = sum(partial for partial, _ in sums)
@@ -427,12 +531,13 @@ def capacity_exact(params: ChannelParams) -> CapacityResult:
     Gamma(m_x + k - q s) factor, and their pole ladders start at 0 and -1/p
     for every k, so one memo lets every term keep the first term's line and
     reuse the other factors' values. Falls back like :func:`aber_exact`; a
-    k-series that :func:`_capacity_series_can_stop` shows would run to its
-    cap is not started, and the fallback is returned at once.
+    k-series that would run to its cap is stopped as soon as the bound of
+    :func:`_k_series` (floor 1, see :func:`_capacity_floor`) shows it, before
+    its first term when the NB weights alone do, and the fallback is
+    returned.
     """
     dc = derived_constants(params)
-    if (dc.q is None or dc.q > _MAX_MEIJER_Q
-            or not _capacity_series_can_stop(params, dc)):
+    if dc.q is None or dc.q > _MAX_MEIJER_Q:
         return capacity_mixture(params)
     p, q = dc.p, dc.q
     prefactor = (q ** (params.m_x - 0.5) * dc.one_minus_beta_bar ** params.m_y
@@ -449,7 +554,7 @@ def capacity_exact(params: ChannelParams) -> CapacityResult:
         return specfun._meijer_contour(spec, z, memo)
 
     try:
-        total, terms_used = _k_series(params, dc, g_term)
+        total, terms_used = _k_series(params, dc, g_term, _capacity_floor)
     except (ConvergenceError, OverflowError):
         return capacity_mixture(params)
     return CapacityResult(value=prefactor * total, terms_used=terms_used, path="meijer-g")

@@ -35,6 +35,8 @@ ConvergenceError.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import warnings
 from dataclasses import dataclass
@@ -239,9 +241,9 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
     through the Kummer transformation 1F1(a;b;x) = e^x 1F1(b-a;b;-x), which
     replaces an exponentially cancelling alternating series with a stable one;
     when b - a < 0 that series is summed in double-double with b - a exact.
-    Below x = -709, where e^-x overflows, the large-|x| expansion of
-    :func:`_kummer_large_negative` takes over unless b - a is a nonpositive
-    integer (1F1 is then e^x times a polynomial, which the series sums).
+    Below x = -709, where e^-x overflows, :func:`_kummer_large_negative`
+    takes over unless b - a, taken exactly, is a nonpositive integer (1F1 is
+    then e^x times a polynomial, which the series sums).
     """
     if not b > 0.0:
         raise ValueError(f"kummer_1f1 requires b > 0, got {b}")
@@ -255,9 +257,9 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
             )
         value, _ = _hyp_series((a,), (b,), x, compensated=a < 0.0)
         return value
-    if x < -709.0 and not _is_nonpositive_integer(b - a, tol=0.0):
-        return _kummer_large_negative(a, b, x)
     c = _two_sum(b, -a)
+    if x < -709.0 and not (c[1] == 0.0 and _is_nonpositive_integer(c[0], tol=0.0)):
+        return _kummer_large_negative(a, b, x)
     if c[0] < 0.0:
         # b - a is kept exact: near a nonpositive integer the rounding of
         # b - a alone would move the value by about its ulp times e^-x.
@@ -268,25 +270,88 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
 
 
 def _kummer_large_negative(a: float, b: float, x: float) -> float:
-    """1F1(a; b; x) for x << 0 from its large-|x| expansion (DLMF 13.7.2),
+    """1F1(a; b; x) for x << 0, first from the large-|x| expansion (DLMF 13.7.2),
 
         Gamma(b)/Gamma(b-a) (-x)^-a sum_k (a)_k (1+a-b)_k / (k! (-x)^k),
 
-    dropping the expansion's other term, which carries e^x. The sum is
-    asymptotic: raises ConvergenceError when its terms grow before one falls
-    below the stopping tolerance.
+    dropping the expansion's other term, which carries e^x. 1/Gamma(b-a) is
+    taken from b - a as an exact (hi, lo) pair, by reflection when b - a <= 0,
+    so b - a rounding to a nonpositive integer costs no digits. The sum is
+    asymptotic; when its terms grow before one falls below the stopping
+    tolerance and b - a > 0, the Kummer-transformed series of
+    :func:`_kummer_scaled` is summed instead, and otherwise ConvergenceError
+    is raised.
     """
+    c = _two_sum(b, -a)
     lg_b, sign_b = _signed_loggamma(b)
-    lg_c, sign_c = _signed_loggamma(b - a)
+    lr_c, sign_c = _log_recip_gamma(c)
     total = term = 1.0
     for k in range(_MAX_TERMS):
         term, prev = term * (a + k) * (1.0 + a - b + k) / ((k + 1.0) * -x), term
         total += term
         if abs(term) <= _REL_TOL * abs(total):
-            return sign_b * sign_c * math.exp(lg_b - lg_c - a * math.log(-x)) * total
+            return sign_b * sign_c * math.exp(lg_b + lr_c - a * math.log(-x)) * total
         if abs(term) > abs(prev):
             break
+    if c[0] > 0.0:
+        return _kummer_scaled(c[0], b, x)
     raise ConvergenceError("large-|x| 1F1 expansion diverges before it converges")
+
+
+def _log_recip_gamma(c):
+    """(log |1/Gamma(c)|, sign) for c = (hi, lo) not a nonpositive integer.
+
+    For c <= 0, 1/Gamma(c) = sin(pi c) Gamma(1 - c) / pi, with sin(pi c) =
+    (-1)^n sin(pi r), n the integer nearest c and r = (hi - n) + lo exact to
+    the pair's precision.
+    """
+    hi, lo = c
+    if hi > 0.0:
+        return -math.lgamma(hi), 1.0
+    n = round(hi)
+    sine = math.sin(math.pi * ((hi - n) + lo)) * (-1.0 if n % 2 else 1.0)
+    return (math.lgamma(1.0 - hi) + math.log(abs(sine)) - math.log(math.pi),
+            math.copysign(1.0, sine))
+
+
+# ln 2 split as in fdlibm: _LN2_HI has 32 significant bits, so e * _LN2_HI is
+# exact for every integer |e| < 2^21.
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+
+
+def _kummer_scaled(c: float, b: float, x: float) -> float:
+    """e^x 1F1(c; b; -x) for x < 0 and c > 0, where every term is positive.
+
+    The partial sum is kept as a mantissa times 2^e, so neither it nor e^-x
+    overflows, and e^x 2^e is taken as exp(x + e ln 2) with e ln 2 split
+    into an exact product and a small rest. Follows the module's stopping
+    rule; raises ConvergenceError after _MAX_TERMS terms.
+    """
+    term = total = 1.0
+    exp2 = 0
+    streak = 0
+    for k in range(_MAX_TERMS):
+        ratio = (c + k) * -x / ((b + k) * (k + 1.0))
+        term *= ratio
+        total += term
+        if total > 1e300:
+            total, e = math.frexp(total)
+            term = math.ldexp(term, -e)
+            exp2 += e
+        if term <= _REL_TOL * total and ratio <= 1.0:
+            streak += 1
+            if streak >= _STOP_STREAK:
+                total, e = math.frexp(total)
+                exp2 += e
+                lead, rest = _two_sum(x, exp2 * _LN2_HI)
+                value = total * math.exp(lead) * math.exp(rest + exp2 * _LN2_LO)
+                if not math.isfinite(value):
+                    raise OverflowError("kummer_1f1 value overflows double precision")
+                return value
+        else:
+            streak = 0
+    raise ConvergenceError("hypergeometric series exhausted max_terms")
 
 
 def _kummer_transformed(a: float, b: float, x: float) -> float:
@@ -517,7 +582,8 @@ def meijer_g(spec: MeijerGSpec, z: float) -> float:
     contributing pole is simple and the sum is well conditioned; otherwise
     numerical Mellin-Barnes contour integration. Pole collisions (contributing
     lower parameters differing by an integer) force the contour and emit a
-    :class:`PrecisionWarning`.
+    :class:`PrecisionWarning`. Inside :func:`_slater_until_rejected` the
+    residue series is not tried again once it has been rejected.
     """
     if not (z > 0.0 and math.isfinite(z)):
         raise ValueError(f"meijer_g requires finite z > 0, got {z}")
@@ -542,10 +608,37 @@ def meijer_g(spec: MeijerGSpec, z: float) -> float:
             stacklevel=2,
         )
         return _meijer_contour(spec, z)
+    route = _SERIES_ROUTE.get()
+    if route is None or route["slater"]:
+        try:
+            return _meijer_slater(spec, z)
+        except _SlaterUnstable:
+            if route is not None:
+                route["slater"] = False
+    return _meijer_contour(spec, z)
+
+
+# The route state of the k-series open in this context, if any: see
+# _slater_until_rejected.
+_SERIES_ROUTE = contextvars.ContextVar("abxs_meijer_series_route", default=None)
+
+
+@contextlib.contextmanager
+def _slater_until_rejected():
+    """Within the block, :func:`meijer_g` stops trying the residue series once
+    it has rejected one, and sends every later G straight to the contour.
+
+    The metrics open one block per k-series, whose terms differ by one step
+    in a lower parameter: once a term's residue series was rejected, the
+    later terms' were too, all 761 of them on the benchmark's `domain` laws
+    and all 3,207 on the fig-2, fig-3, fig-4 and 72-point grids (QAM-16 and
+    BPSK). The flip and the pole-collision route are unchanged.
+    """
+    token = _SERIES_ROUTE.set({"slater": True})
     try:
-        return _meijer_slater(spec, z)
-    except _SlaterUnstable:
-        return _meijer_contour(spec, z)
+        yield
+    finally:
+        _SERIES_ROUTE.reset(token)
 
 
 def _has_pole_collision(spec: MeijerGSpec, tol: float = 1e-9) -> bool:

@@ -1,15 +1,17 @@
+import itertools
 import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from abxs import metrics as mt
 from abxs import specfun as sf
 from abxs.channel import ChannelParams, derived_constants
 from oracles import (nakagami_bpsk_aber, rayleigh_bpsk_aber, rayleigh_capacity)
-from paramsets import (FIG4_SETS, FIG4_SNR_DB, db, fig2_params, fig3_params, fig4_params,
-                       nakagami, rayleigh)
+from paramsets import (FIG2_ALPHAS, FIG2_SNR_DB, FIG4_SETS, FIG4_SNR_DB, db, fig2_params,
+                       fig3_params, fig4_params, nakagami, rayleigh)
 
 QAM16 = mt.modulation_coeffs("mqam", 16)
 BPSK = mt.modulation_coeffs("bpsk")
@@ -315,7 +317,9 @@ class TestCapacityExact:
         # At beta_bar ~ 0.95 no run of three k < 64 has NB_k / F_k <= 1e-7, so
         # the k-series cannot stop and is not started.
         pars = fig3_params(2.5, 0.5, 0.8, snr_db=60.0)
-        assert not mt._capacity_series_can_stop(pars, derived_constants(pars))
+        nb = mt._nb_ratios(pars, derived_constants(pars))
+        low = mt._ratio_floor(nb, -1, 0.0, mt._capacity_floor(-1, 0.0))
+        assert not mt._series_can_stop(low, 0)
 
         def forbidden(*args, **kwargs):
             pytest.fail("the gated capacity ran a Mellin-Barnes contour")
@@ -324,23 +328,20 @@ class TestCapacityExact:
         assert mt.capacity_exact(pars).path == "series-quadrature"
 
     def test_gate_changes_no_bit(self, monkeypatch):
-        # Every domain law the gate sends to the mixture: the ungated k-series
-        # runs to its cap and falls back to the same value and path.
-        laws = json.loads(DOMAIN_REFERENCE.read_text())["laws"]
-        gated = [ChannelParams(*law["law"]) for law in laws]
-        gated = [pars for pars in gated
-                 if (derived_constants(pars).q or 99) <= mt._MAX_MEIJER_Q
-                 and not mt._capacity_series_can_stop(pars, derived_constants(pars))]
-        assert gated
-        got = [mt.capacity_exact(pars) for pars in gated]
-        monkeypatch.setattr(mt, "_capacity_series_can_stop", lambda params, dc: True)
-        assert [mt.capacity_exact(pars) for pars in gated] == got
+        # On every domain law the gated capacity returns what the k-series
+        # run without the gate returns: the same sum, or, where the gate cuts
+        # it, the same fallback after the 64-term cap.
+        laws = [ChannelParams(*law["law"])
+                for law in json.loads(DOMAIN_REFERENCE.read_text())["laws"]]
+        got = [mt.capacity_exact(pars) for pars in laws]
+        monkeypatch.setattr(mt, "_series_can_stop", lambda low, streak: True)
+        assert [mt.capacity_exact(pars) for pars in laws] == got
 
     def test_gate_never_fires_on_fig4_grid(self):
+        # Every fig-4 k-series converges, so the gate lets each one run.
         for m_x, m_y, alpha in FIG4_SETS:
             for snr_db in FIG4_SNR_DB:
-                pars = fig4_params(m_x, m_y, alpha, snr_db)
-                assert mt._capacity_series_can_stop(pars, derived_constants(pars))
+                assert mt.capacity_exact(fig4_params(m_x, m_y, alpha, snr_db)).path == "meijer-g"
 
     def test_tiny_alpha_does_not_overflow(self):
         # The mho_alpha power overflows at alpha = 0.01, so derived_constants
@@ -349,6 +350,135 @@ class TestCapacityExact:
         got = mt.capacity_exact(ChannelParams(1.2, 1.2, 1.0, 0.0, 0.01, 10.0))
         assert got.path == "series-quadrature"
         assert got.value == pytest.approx(5.7393061e-32, rel=1e-6, abs=0.0)
+
+
+def _series_terms(monkeypatch, run):
+    """[(nb, terms, G terms, e_floor)] of every k-series ``run`` starts, all 64 terms evaluated."""
+    captured = []
+    real = mt._k_series
+
+    def spy(params, dc, g_term, e_floor):
+        captured.append((params, dc, g_term, e_floor))
+        return real(params, dc, g_term, e_floor)
+
+    monkeypatch.setattr(mt, "_k_series", spy)
+    run()
+    monkeypatch.undo()
+    series = []
+    for params, dc, g_term, e_floor in captured:
+        gs = [g_term(k) for k in range(mt._K_MAX_TERMS)]
+        terms = [w * g for (_, w), g in zip(mt._aber_series_weights(params, dc, len(gs)), gs)]
+        series.append((mt._nb_ratios(params, dc), terms, gs, e_floor))
+    return series
+
+
+DOMAIN_POWERS = (db(-3.0), db(3.0))
+
+
+class TestKSeriesGate:
+    """The bound that stops a Meijer k-series which cannot meet its stopping rule."""
+
+    # Series that run to the 64-term cap (the first two) and that converge.
+    @pytest.mark.parametrize("metric, pars", [
+        ("capacity", ChannelParams(0.5, 0.5, *DOMAIN_POWERS, 1.0, db(-10.0))),
+        ("aber", ChannelParams(1.2, 1.2, *DOMAIN_POWERS, 2.0, db(-10.0))),
+        ("capacity", fig4_params(2.5, 2.5, 3.0, 20.0)),
+        ("aber", fig2_params(2.0, 20.0)),
+        ("aber", ChannelParams(2.5, 2.5, *DOMAIN_POWERS, 0.8, db(30.0))),
+    ])
+    def test_bound_is_sound(self, monkeypatch, metric, pars):
+        # For every k < j < 64 the bound on term j over the partial sum S_j,
+        # known after term k (k = -1: before the first term), is at most the
+        # ratio the terms give.
+        run = ((lambda: mt.capacity_exact(pars)) if metric == "capacity"
+               else (lambda: mt.aber_exact(pars, QAM16)))
+        series = _series_terms(monkeypatch, run)
+        assert series
+        for nb, terms, gs, e_floor in series:
+            assert all(t > 0.0 for t in terms)
+            partial = list(itertools.accumulate(terms))
+            ratio = [t / total for t, total in zip(terms, partial)]
+            for k in range(-1, mt._K_MAX_TERMS - 1):
+                head = 0.0 if k < 0 else nb[k] * partial[k] / terms[k]
+                low = mt._ratio_floor(nb, k, head, e_floor(k, gs[k] if k >= 0 else 0.0))
+                assert len(low) == mt._K_MAX_TERMS - 1 - k
+                assert all(lo <= r * (1.0 + 1e-9) for lo, r in zip(low, ratio[k + 1:]))
+                # The scalar shortcut only ever says what the full bound says.
+                if mt._tail_can_stop(nb, np.cumsum(nb).tolist(), k, head):
+                    assert mt._series_can_stop(low, 0)
+
+    @pytest.mark.parametrize("alpha", [2.0, 2.5])
+    def test_aber_floor_is_jensen_over_the_conditional_expectation(self, alpha):
+        # floor_j = min(1, Q(sqrt(2 d2 mu_j)) / E_k), with E_k taken from the G
+        # term; here E_k = E[Q(sqrt(2 d2 gamma)) | K = k] comes from QUADPACK
+        # over the Gamma(m_x + k) law of u and mu_j from the gamma function.
+        from scipy import integrate
+        from scipy.special import erfc, gammaln
+
+        pars = ChannelParams(0.5, 0.5, *DOMAIN_POWERS, alpha, 10.0)
+        dc = derived_constants(pars)
+        d2 = QAM16.delta2[0]
+        s = 2.0 / alpha
+        snr_scale = pars.gamma_bar * dc.c_alpha ** s
+        j = pars.m_x + np.arange(mt._K_MAX_TERMS)
+        jensen = 0.5 * erfc(np.sqrt(d2 * snr_scale * np.exp(gammaln(j + s) - gammaln(j))))
+        floor = mt._aber_floor(pars, dc, d2)
+        for k in (0, 3, 10):
+            shape = pars.m_x + k
+
+            def integrand(t):
+                return (0.5 * math.erfc(math.sqrt(d2 * snr_scale * math.exp(s * t)))
+                        * math.exp(shape * t - math.exp(t) - math.lgamma(shape)))
+
+            e_k = integrate.quad(integrand, -60.0, 6.0, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+            got = floor(k, mt._aber_meijer_term(pars, d2, k, dc))
+            assert got == pytest.approx(np.minimum(1.0, jensen / e_k), rel=1e-9)
+        assert floor(-1, 0.0) == pytest.approx(2.0 * jensen, rel=1e-12)
+
+    def test_capacity_bound_before_the_first_term_is_the_weight_share(self):
+        # With nothing summed yet, term j over the partial sum is at least
+        # NB_j / (NB_0 + ... + NB_j).
+        pars = fig3_params(2.5, 0.5, 0.8, snr_db=60.0)
+        nb = mt._nb_ratios(pars, derived_constants(pars))
+        low = mt._ratio_floor(nb, -1, 0.0, mt._capacity_floor(-1, 0.0))
+        assert low == pytest.approx(nb / list(itertools.accumulate(nb)), rel=1e-14)
+
+    def test_running_streak_counts(self):
+        # Two terms already meet the rule and the next can: the series can stop.
+        blocked = np.full(10, 1.0)
+        free_next = np.concatenate(([0.0], blocked[1:]))
+        assert not mt._series_can_stop(blocked, 2)
+        assert not mt._series_can_stop(free_next, 1)
+        assert mt._series_can_stop(free_next, 2)
+        assert mt._series_can_stop(np.concatenate((blocked, np.zeros(3))), 0)
+        assert mt._series_can_stop(np.full(3, np.nan), 0)
+
+    def test_aber_gate_changes_no_bit(self, monkeypatch):
+        # aber_exact returns the same value, path and term count with the
+        # gate as with the gate patched to always let the series run, on the
+        # domain laws and the fig-2 grid.
+        laws = [ChannelParams(*law["law"])
+                for law in json.loads(DOMAIN_REFERENCE.read_text())["laws"]]
+        laws += [fig2_params(alpha, snr_db) for alpha in FIG2_ALPHAS for snr_db in FIG2_SNR_DB]
+        got = [mt.aber_exact(pars, QAM16) for pars in laws]
+        assert any(r.path == "series-quadrature" for r in got)
+        monkeypatch.setattr(mt, "_series_can_stop", lambda low, streak: True)
+        assert [mt.aber_exact(pars, QAM16) for pars in laws] == got
+
+    def test_gate_fires(self, monkeypatch):
+        # Series that would run to the 64-term cap evaluate few G terms.
+        calls = []
+        real_contour, real_g = sf._meijer_contour, sf.meijer_g
+        monkeypatch.setattr(sf, "_meijer_contour",
+                            lambda *a: calls.append("contour") or real_contour(*a))
+        monkeypatch.setattr(sf, "meijer_g", lambda *a: calls.append("g") or real_g(*a))
+        got = mt.capacity_exact(ChannelParams(0.5, 0.5, *DOMAIN_POWERS, 1.0, db(-10.0)))
+        assert got.path == "series-quadrature"
+        assert len(calls) <= 16
+        calls.clear()
+        got = mt.aber_exact(ChannelParams(1.2, 1.2, *DOMAIN_POWERS, 2.0, db(-10.0)), QAM16)
+        assert got.path == "series-quadrature"
+        assert len(calls) <= 16
 
 
 class TestCapacityAsymptotic:

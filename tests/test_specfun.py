@@ -145,6 +145,23 @@ class TestKummer1F1:
             assert series == pytest.approx(want, rel=1e-13, abs=0.0)
             assert expansion == pytest.approx(want, rel=1e-13, abs=0.0)
 
+    def test_large_negative_with_large_parameters(self):
+        # DLMF 13.7.2 diverges here and e^-x overflows; the Kummer-transformed
+        # series has positive terms and is summed with its scale in powers of 2.
+        with mpmath.workdps(40):
+            want = float(mpmath.hyp1f1(300, 600, -800))
+        assert want == pytest.approx(4.0835e-125, rel=1e-4)
+        assert sf.kummer_1f1(300.0, 600.0, -800.0) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_large_negative_b_minus_a_rounds_to_an_integer(self):
+        # 0.2 - 1.2 rounds to -1, where 1/Gamma(b - a) would vanish; the exact
+        # difference is -1 + 5.6e-17, and mpmath at the same doubles gives
+        # -6.4168e-20.
+        with mpmath.workdps(40):
+            want = float(mpmath.hyp1f1(mpmath.mpf(1.2), mpmath.mpf(0.2), -1000))
+        assert want == pytest.approx(-6.4168e-20, rel=1e-4)
+        assert sf.kummer_1f1(1.2, 0.2, -1000.0) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_large_negative_polynomial_case(self):
         # b - a = -2: 1F1 = e^x (1 - 2x + x^2/2), which underflows at -1000;
         # at -720 e^x is subnormal, with about 35 bits left.
@@ -360,6 +377,63 @@ def _mpmath_meijer_g(spec, z, **kwargs):
     with mpmath.workdps(30):
         return float(mpmath.meijerg([a[:spec.n], a[spec.n:]], [b[:spec.m], b[spec.m:]], z,
                                     **kwargs))
+
+
+class TestSlaterUntilRejected:
+    """Inside one k-series, meijer_g stops trying the residue series after a rejection."""
+
+    @staticmethod
+    def _slater_spy(monkeypatch):
+        outcomes = []  # (z, accepted) per residue-series attempt
+        real = sf._meijer_slater
+
+        def spy(spec, z):
+            try:
+                value = real(spec, z)
+            except sf._SlaterUnstable:
+                outcomes.append((z, False))
+                raise
+            outcomes.append((z, True))
+            return value
+
+        monkeypatch.setattr(sf, "_meijer_slater", spy)
+        return outcomes
+
+    def test_no_attempt_after_a_rejection(self, monkeypatch):
+        # Domain law 4: the QAM-16 component d2 = 0.1 passes the residue gates
+        # for 14 terms, then fails them.
+        params = ChannelParams(2.5, 2.5, 10 ** -0.3, 10 ** 0.3, 0.8, 1000.0)
+        outcomes = self._slater_spy(monkeypatch)
+        contours = []
+        real_contour = sf._meijer_contour
+        monkeypatch.setattr(sf, "_meijer_contour",
+                            lambda *a: contours.append(a[1]) or real_contour(*a))
+        values = []
+        with sf._slater_until_rejected():
+            for k in range(20):
+                values.append(sf.meijer_g(*_aber_term_spec(params, QAM16.delta2[0], k)))
+        assert [ok for _, ok in outcomes] == [True] * 14 + [False]
+        assert len(contours) == 6
+        # Out of the block the public route is unchanged: every term tries
+        # Slater, and the later terms match the contour route bit for bit.
+        outcomes.clear()
+        alone = [sf.meijer_g(*_aber_term_spec(params, QAM16.delta2[0], k)) for k in range(20)]
+        assert len(outcomes) == 20 and not any(ok for _, ok in outcomes[14:])
+        assert alone == values
+
+    def test_each_k_series_of_aber_exact(self, monkeypatch):
+        # Each Q component's k-series has its own block (its own argument z):
+        # no residue attempt follows a rejection in the same series.
+        outcomes = self._slater_spy(monkeypatch)
+        mt.aber_exact(ChannelParams(2.5, 2.5, 10 ** -0.3, 10 ** 0.3, 0.8, 1000.0), QAM16)
+        mt.aber_exact(ChannelParams(1.2, 1.2, 10 ** -0.3, 10 ** 0.3, 0.8, 10.0), QAM16)
+        rejected = set()
+        for z, ok in outcomes:
+            assert z not in rejected
+            if not ok:
+                rejected.add(z)
+        assert len(rejected) >= 2
+        assert sf._SERIES_ROUTE.get() is None
 
 
 class TestMeijerGDifferential:
