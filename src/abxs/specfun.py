@@ -25,12 +25,15 @@ precision when the contributing poles are simple and the sum is well
 conditioned, and falls back to numerical Mellin-Barnes contour integration
 otherwise, on the vertical line through the integrand's saddle point on the
 real axis. The contour evaluates its gamma factors with scipy's complex
-``loggamma``, one call per factor and block of points, after merging each run
+``loggamma``, one call per factor and trapezoid level, after merging each run
 of parameters spaced 1/N into a single factor by Gauss's multiplication
-formula; each trapezoid refinement evaluates only the new midpoints, and
-contours sharing a memo share its line and evaluate a common factor once. A
-contour whose finest two levels differ by more than 1e-7 raises
-ConvergenceError.
+formula. It finds where to cut the line on its first level's own nodes; each
+refinement evaluates only the new midpoints, and refinement stops once two
+levels agree to 1e-12 or the shrinking level differences show that the next
+would. Contours sharing a memo share its line and keep each common factor's
+values as one prefix that grows with the longest cut, so each value is
+evaluated once. A contour whose finest two levels differ by more than 1e-7
+raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -747,8 +750,11 @@ def _gauss_runs(values, tol: float = 1e-12):
     return runs + [(c, 1) for c in rest]
 
 
-# Points per block of nodes, which bounds each loggamma call.
-_CONTOUR_BLOCK = 2048
+# The contour's cut, as the log of the integrand below its peak, and its two
+# level stopping tolerances: see _meijer_contour.
+_CONTOUR_CUT = 46.0
+_LEVEL_TOL = 1e-12
+_NEXT_LEVEL_TOL = 1e-13
 
 
 def _meijer_contour(spec: MeijerGSpec, z: float, memo: dict | None = None) -> float:
@@ -763,9 +769,20 @@ def _meijer_contour(spec: MeijerGSpec, z: float, memo: dict | None = None) -> fl
     the saddle the integrand oscillates at magnitudes far above the value,
     which the trapezoid sum then loses to cancellation.
 
-    ``memo`` keeps the line under ``"sigma"``, the points and each gamma
-    factor's values on each block of nodes, so calls sharing it evaluate a
-    factor they have in common, on the same line and nodes, once. A call
+    The trapezoid rule on the line converges exponentially in the node
+    count (Trefethen and Weideman, SIAM Review 56(3), 2014). Level 0 has
+    step 1/4; its nodes t = j/4 are walked outward, doubling their count,
+    until the last one falls below e^-46 of the peak seen, and the sum is
+    cut after the last node above that. Each later level halves the step
+    and adds only the new midpoints below the cut. Refinement stops when two
+    levels differ by at most 1e-12 relative, or when the differences d_n
+    shrink fast enough that d_n^2 / d_(n-1), the next difference at a
+    constant ratio, is at most 1e-13.
+
+    ``memo`` keeps the line under ``"sigma"`` and, per step, offset and gamma
+    factor, the factor's values on the nodes t = h (j + offset) as one prefix
+    that grows on demand, so calls sharing it evaluate a factor they have in
+    common, on the same line and nodes, once, whatever their cuts. A call
     keeps the memo's line when it lies between its own ladders.
 
     Raises ConvergenceError when the last two of the 9 trapezoid levels still
@@ -806,18 +823,20 @@ def _meijer_contour(spec: MeijerGSpec, z: float, memo: dict | None = None) -> fl
         memo["sigma"] = float(grid[np.argmin(log_real)])
     sigma = memo["sigma"]
 
-    def log_integrand(block: tuple) -> np.ndarray:
-        """log of the integrand at s = sigma + i t on the block of nodes
-        t = h (j + offset), lo <= j < hi, named by block = (h, offset, lo, hi)."""
-        if (sigma, block) not in memo:
-            h, offset, lo, hi = block
-            memo[sigma, block] = sigma + 1j * (h * (np.arange(lo, hi) + offset))
-        s = memo[sigma, block]
+    def log_integrand(h: float, offset: float, count: int) -> np.ndarray:
+        """log of the integrand at s = sigma + i t on the nodes t = h (j + offset), j < count."""
+        s = sigma + 1j * (h * (np.arange(count) + offset))
+        rows = []
         for c, sl, pw in factors:
-            if (sigma, block, c, sl, pw) not in memo:
-                row = loggamma(c + sl * s)
-                memo[sigma, block, c, sl, pw] = row if pw > 0.0 else -row
-        rows = [memo[sigma, block, c, sl, pw] for c, sl, pw in factors]
+            key = (sigma, h, offset, c, sl, pw)
+            row = memo.get(key)
+            done = 0 if row is None else row.size
+            if done < count:
+                new = loggamma(c + sl * s[done:])
+                new = new if pw > 0.0 else -new
+                row = new if row is None else np.concatenate((row, new))
+                memo[key] = row
+            rows.append(row[:count])
         # Added row by row in factor order (denominators stored negated): a BLAS
         # product woke worker threads whose start-up slowed a process's first
         # seconds of contours by a third.
@@ -828,41 +847,35 @@ def _meijer_contour(spec: MeijerGSpec, z: float, memo: dict | None = None) -> fl
         out[np.isnan(out)] = -np.inf
         return out
 
-    def node_sum(h: float, offset: float, count: int) -> float:
-        """Sum of the scaled integrand's real part at t = h (j + offset), j < count."""
-        total = 0.0
-        for lo in range(0, count, _CONTOUR_BLOCK):
-            block = (h, offset, lo, min(lo + _CONTOUR_BLOCK, count))
-            total += np.exp(log_integrand(block) - peak).real.sum()
-        return total
-
-    # Truncation point: march outward, on a grid of 129 points from t = 0 to t_max,
-    # until the integrand is ~1e-20 of its peak.
-    t_max = max(8.0, (50.0 + abs(lnz)) / (math.pi * decay))
-    logf = log_integrand((t_max / 128, 0.0, 0, 129))
-    peak = logf.real.max()
-    while logf.real[-1] - peak > -46.0:
-        t_max *= 1.5
-        if t_max > 2e4:
-            raise ConvergenceError("Mellin-Barnes truncation point not found")
-        logf = log_integrand((t_max / 128, 0.0, 0, 129))
-        peak = max(peak, logf.real.max())
-
-    # Trapezoid rule on the nodes t = i h, i <= nodes (the integrand's real part is
-    # even in t). Each halving of h adds only the new midpoints to the sum.
+    # Level 0: walk the nodes t = j h outward until the last one is below
+    # e^-_CONTOUR_CUT of the peak; the integrand's real part is even in t.
     h = 0.25
-    nodes = math.ceil(t_max / h)
-    level_sum = 0.5 * node_sum(h, 0.0, 1) + node_sum(h, 1.0, nodes)
+    count = 32
+    while True:
+        logf = log_integrand(h, 0.0, count)
+        peak = logf.real.max()
+        if logf[-1].real - peak <= -_CONTOUR_CUT:
+            break
+        count *= 2
+        if h * count > 2e4:
+            raise ConvergenceError("Mellin-Barnes truncation point not found")
+    nodes = max(int(np.flatnonzero(logf.real > peak - _CONTOUR_CUT)[-1]), 1)
+    level_sum = (0.5 * np.exp(logf[0] - peak).real
+                 + np.exp(logf[1:nodes + 1] - peak).real.sum())
     value = h * level_sum
+    diff = math.inf
     for _ in range(8):
-        level_sum += node_sum(h, 0.5, nodes)
+        level_sum += np.exp(log_integrand(h, 0.5, nodes) - peak).real.sum()
         h *= 0.5
         nodes *= 2
-        prev, value = value, h * level_sum
-        if abs(value - prev) <= 1e-12 * max(abs(value), 1e-280):
+        prev, value, prev_diff = value, h * level_sum, diff
+        diff = abs(value - prev) / max(abs(value), 1e-280)
+        # The first difference has no predecessor to extrapolate from.
+        if diff <= _LEVEL_TOL or (diff < prev_diff < math.inf
+                                  and diff * diff <= _NEXT_LEVEL_TOL * prev_diff):
             break
     else:
-        if abs(value - prev) > 1e-7 * max(abs(value), 1e-280):
+        if diff > 1e-7:
             raise ConvergenceError("Mellin-Barnes trapezoid levels did not agree to 1e-7")
     if value == 0.0:
         return 0.0

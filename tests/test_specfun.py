@@ -372,6 +372,19 @@ def _capacity_term_spec(params, k):
     return sf.MeijerGSpec(m=q + p + 1, n=p, a_params=upper, b_params=lower), z
 
 
+# mpmath's first series with a larger term budget, which the fig-2 alpha-3
+# terms with more upper than lower parameters need.
+_MP_FIRST_SERIES = dict(series=1, maxterms=10 ** 6)
+
+
+def _loggamma_points(monkeypatch) -> list:
+    """The sizes of the arrays passed to specfun's loggamma from now on."""
+    points = []
+    real = sf.loggamma
+    monkeypatch.setattr(sf, "loggamma", lambda x: points.append(x.size) or real(x))
+    return points
+
+
 def _mpmath_meijer_g(spec, z, **kwargs):
     a, b = spec.a_params, spec.b_params
     with mpmath.workdps(30):
@@ -518,7 +531,7 @@ class TestMeijerGDifferential:
         spec, z = _aber_term_spec(params, QAM16.delta2[1], k)
         value, route = self._route(monkeypatch, spec, z)
         assert route.startswith("contour")
-        want = _mpmath_meijer_g(spec, z, series=1, maxterms=10 ** 6)
+        want = _mpmath_meijer_g(spec, z, **_MP_FIRST_SERIES)
         assert value == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_contour_at_a_denominator_gamma_pole(self):
@@ -529,6 +542,53 @@ class TestMeijerGDifferential:
         want = _mpmath_meijer_g(spec, 2.0)
         assert sf._meijer_contour(spec, 2.0, {"sigma": -0.5}) == pytest.approx(want, rel=1e-10)
         assert sf._meijer_contour(spec, 2.0) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("case", sorted(set(CASES) - {"plain-slater"}))
+    def test_cut_leaves_no_digit(self, monkeypatch, case):
+        # The level-0 walk cuts the sum after the last node above e^-46 of
+        # the peak; cutting at e^-92 instead about doubles the nodes and
+        # must not move the value beyond 1e-15 relative.
+        spec, z = self.CASES[case]()
+        value, _ = self._route(monkeypatch, spec, z)
+        monkeypatch.setattr(sf, "_CONTOUR_CUT", 2.0 * sf._CONTOUR_CUT)
+        wide, _ = self._route(monkeypatch, spec, z)
+        assert wide == pytest.approx(value, rel=1e-15, abs=0.0)
+
+    # G terms where the trapezoid levels stop refining on the extrapolated
+    # next difference, a level before two levels agree to 1e-12: fig-2
+    # QAM-16 at alpha 3 and 35 dB (Q component, k) and the first terms of
+    # fig-4 capacity series.
+    @pytest.mark.parametrize("spec_z, mp_kwargs", [
+        (lambda: _aber_term_spec(fig2_params(3.0, 35.0), QAM16.delta2[0], 0), _MP_FIRST_SERIES),
+        (lambda: _aber_term_spec(fig2_params(3.0, 35.0), QAM16.delta2[0], 4), _MP_FIRST_SERIES),
+        (lambda: _aber_term_spec(fig2_params(3.0, 35.0), QAM16.delta2[1], 1), _MP_FIRST_SERIES),
+        (lambda: _aber_term_spec(fig2_params(3.0, 35.0), QAM16.delta2[1], 3), _MP_FIRST_SERIES),
+        (lambda: _capacity_term_spec(fig4_params(0.5, 0.5, 3.0, 20.0), 0), {}),
+        (lambda: _capacity_term_spec(fig4_params(2.5, 2.5, 3.0, 20.0), 0), {}),
+    ])
+    def test_level_extrapolation_stops_early(self, monkeypatch, spec_z, mp_kwargs):
+        spec, z = spec_z()
+        points = _loggamma_points(monkeypatch)
+        value, route = self._route(monkeypatch, spec, z)
+        assert route.startswith("contour")
+        assert value == pytest.approx(_mpmath_meijer_g(spec, z, **mp_kwargs), rel=1e-12, abs=0.0)
+        early = sum(points)
+        points.clear()
+        monkeypatch.setattr(sf, "_NEXT_LEVEL_TOL", 0.0)
+        self._route(monkeypatch, spec, z)
+        assert early < sum(points)
+
+    @pytest.mark.parametrize("d2", QAM16.delta2)
+    def test_levels_stop_within_1e13_of_the_finest(self, monkeypatch, d2):
+        # Terms 0-19 of the fig-2 QAM-16 series at alpha 3 and 35 dB: the value
+        # where refinement stops is within 1e-13 of all nine levels' value.
+        # A stop at a level difference of 1e-6 misses by up to 6e-13 here.
+        specs = [_aber_term_spec(fig2_params(3.0, 35.0), d2, k) for k in range(20)]
+        values = [self._route(monkeypatch, spec, z)[0] for spec, z in specs]
+        monkeypatch.setattr(sf, "_LEVEL_TOL", 0.0)
+        monkeypatch.setattr(sf, "_NEXT_LEVEL_TOL", 0.0)
+        finest = [self._route(monkeypatch, spec, z)[0] for spec, z in specs]
+        assert values == pytest.approx(finest, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [1.0, 2.5, 3.0])
     def test_shared_memo_changes_no_bit(self, monkeypatch, alpha):
@@ -550,3 +610,19 @@ class TestMeijerGDifferential:
         assert shared_points < 0.5 * sum(points)
         for (spec, z), got in zip(specs, shared):
             assert got == pytest.approx(_mpmath_meijer_g(spec, z), rel=1e-12, abs=0.0)
+
+
+class TestContourBudget:
+    """The complex loggamma points the exact metrics spend on their contours."""
+
+    # Points at commit 51916b6, counted with this spy, before the contour
+    # found its cut on the level-0 nodes and stopped on the extrapolated
+    # level difference: 79,576 and 32,632.
+    @pytest.mark.parametrize("call, parent_points, share", [
+        (lambda: mt.aber_exact(fig2_params(3.0, 35.0), QAM16), 79_576, 0.7),
+        (lambda: mt.capacity_exact(fig4_params(0.5, 0.5, 3.0, 20.0)), 32_632, 0.4),
+    ])
+    def test_loggamma_points(self, monkeypatch, call, parent_points, share):
+        points = _loggamma_points(monkeypatch)
+        assert call().path == "meijer-g"
+        assert 0 < sum(points) <= share * parent_points
