@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammainc, gammaincc
 
 from . import specfun
@@ -191,24 +190,89 @@ def _log_los_2f1(m_x: float, m_y: float, bb: float, one_minus_bb: float, s: floa
     return log_hyp - s * math.log(one_minus_bb)
 
 
+# Tanh-sinh rule for Euler's integral: nodes at x = j h on |x| <= _TS_X_MAX, the
+# step halving from _TS_H0 up to _TS_LEVELS times; the log-space levels must agree
+# to _TS_TOL * max(s, 1). A window edge leaves out at most e^-_TS_TAIL of the integral.
+_TS_H0 = 0.125
+_TS_LEVELS = 7
+_TS_X_MAX = 43.0
+_TS_TOL = 1e-14
+_TS_TAIL = 40.0
+
+
+@lru_cache(maxsize=None)
+def _tanh_sinh_nodes(level: int) -> np.ndarray:
+    """Rows log t, log(1-t) and log w over the nodes x that ``level`` adds, in increasing x.
+
+    t = 1/(1 + e^(-2v)) with v = (pi/2) sinh x, so dt/dx = t (1-t) w with
+    w = pi cosh x. Level 0 holds every x = j _TS_H0; level k adds the odd
+    multiples of _TS_H0 / 2^k. Both logs are taken from 2v directly, so neither
+    end of (0, 1) rounds to 0 or 1. The weight w is kept apart from t (1-t):
+    adding (m_x - m_y - 1) log t to log dt/dx would leave m_x - m_y times log t
+    with an error of eps |log t|, which swamps it at the far nodes when
+    m_x - m_y is small.
+    """
+    h = _TS_H0 / 2 ** level
+    n = int(_TS_X_MAX / h)
+    x = (np.arange(-n, n + 1) if level == 0 else np.arange(1 - n, n, 2)) * h
+    two_v = math.pi * np.sinh(x)
+    rows = np.stack((-np.logaddexp(0.0, -two_v), -np.logaddexp(0.0, two_v),
+                     np.log(math.pi * np.cosh(x))))
+    rows.flags.writeable = False
+    return rows
+
+
 def _log_euler_2f1(m_x: float, m_y: float, one_minus_bb: float, s: float) -> float:
     """log 2F1(m_x - m_y, -s; m_x; bb) for m_x > m_y by Euler's integral.
 
-    2F1 = int_0^1 t^(m_x-m_y-1) (1-t)^(m_y-1) (1 - bb t)^s dt / B(m_x - m_y, m_y),
-    a positive integrand with 1 - bb t taken as (1 - t) + (1 - bb) t. QUADPACK's
-    algebraic weight carries only the endpoint powers below 0; larger ones stay
-    in the integrand, since the weight's moments lose digits at large exponents.
-    Shares no code with hyp2f1.
+    2F1 = int_0^1 t^(d-1) (1-t)^(m_y-1) (1 - bb t)^s dt / B(d, m_y), d = m_x - m_y,
+    a positive integrand with 1 - bb t taken as (1 - t) + (1 - bb) t. A tanh-sinh
+    (double-exponential) rule sums it in log space on the law-free nodes of
+    _tanh_sinh_nodes, which carry the endpoint powers t^d and (1-t)^m_y and
+    resolve the near-singularity of width 1 - bb at t -> 1 as the step halves.
+    The window |x| keeps the tails t < t_lo and 1 - t < r_hi under e^-_TS_TAIL of
+    the lower bound B(d, m_y + s) on the integral, by the tail bounds
+    2^max(0, 1-m_y) t_lo^d / d and 2^max(0, 1-d) r_hi^m_y / m_y; it grows as
+    asinh(1/(pi d)) and asinh(1/(pi m_y)). The step halves until two levels agree
+    to _TS_TOL * max(s, 1); ConvergenceError is raised if they never do, or if the
+    window passes the node table (d or m_y below about 1e-17). Shares no code
+    with hyp2f1.
     """
-    a, b = m_x - m_y - 1.0, m_y - 1.0
-    wa, wb = min(a, 0.0), min(b, 0.0)
-    val = integrate.quad(
-        lambda t: t ** (a - wa) * (1.0 - t) ** (b - wb) * ((1.0 - t) + one_minus_bb * t) ** s,
-        0.0, 1.0, weight="alg", wvar=(wa, wb), epsabs=0.0, epsrel=1e-12, limit=200,
-        full_output=1)[0]
-    if not val > 0.0:
-        return -math.inf
-    return math.log(val) + math.lgamma(m_x) - math.lgamma(m_x - m_y) - math.lgamma(m_y)
+    d = m_x - m_y
+    log_lower = math.lgamma(d) + math.lgamma(m_y + s) - math.lgamma(m_x + s)
+    log2 = math.log(2.0)
+    x_lo = math.asinh(max(_TS_TAIL - log_lower - math.log(d) + max(0.0, 1.0 - m_y) * log2, 0.0)
+                      / (math.pi * d))
+    x_hi = math.asinh(max(_TS_TAIL - log_lower - math.log(m_y) + max(0.0, 1.0 - d) * log2, 0.0)
+                      / (math.pi * m_y))
+    if max(x_lo, x_hi) > _TS_X_MAX:
+        raise specfun.ConvergenceError(
+            f"Euler's integral needs tanh-sinh nodes past |x| = {_TS_X_MAX:g} "
+            f"(m_x - m_y = {d:g}, m_y = {m_y:g})")
+    log_eps = math.log(one_minus_bb)
+    h = _TS_H0
+    total, shift, est = 0.0, 0.0, math.nan
+    for level in range(_TS_LEVELS + 1):
+        rows = _tanh_sinh_nodes(level)
+        # column n + j holds x = j h on level 0 and x = (2 j + 1) h after it
+        n = rows.shape[1] // 2
+        if level == 0:
+            lo, hi = n - math.floor(x_lo / h), n + math.floor(x_hi / h) + 1
+        else:
+            lo = n - math.floor((x_lo / h + 1.0) / 2.0)
+            hi = n + math.floor((x_hi / h - 1.0) / 2.0) + 1
+        log_t, log_1mt, log_w = rows[:, lo:hi]
+        log_f = d * log_t + m_y * log_1mt + log_w + s * np.logaddexp(log_1mt, log_eps + log_t)
+        if level == 0:
+            shift = log_f.max()
+        total += np.exp(log_f - shift).sum()
+        prev, est = est, shift + math.log(total * h)
+        if abs(est - prev) <= _TS_TOL * max(s, 1.0):
+            return est + math.lgamma(m_x) - math.lgamma(d) - math.lgamma(m_y)
+        h *= 0.5
+    raise specfun.ConvergenceError(
+        f"Euler's integral for 2F1({d:g}, {-s:g}; {m_x:g}; 1 - {one_minus_bb:g}): "
+        f"tanh-sinh levels still differ by {abs(est - prev):.3g} at step {2.0 * h:g}")
 
 
 @lru_cache(maxsize=256)

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import digamma, erfc, gammaln, hyp1f1, log_ndtr
 
 from . import specfun
@@ -156,8 +155,12 @@ def _snr_integral(params: ChannelParams, h, t_hi: float = math.inf) -> float:
     need no breaks, endpoint weight or tail scale. Its exponent is taken as
     -(1-bb) e^t plus log(e^-x 1F1) at x = bb e^t, so nothing cancels as bb -> 1.
     It shares no code with the pdf, the NB weights or Meijer G. ``h`` runs
-    only where the density has not underflowed.
+    only where the density has not underflowed. Only this function imports
+    scipy.integrate, which loads scipy.optimize, scipy.sparse and scipy.linalg,
+    so only the oracles pay for that import.
     """
+    from scipy import integrate
+
     dc = derived_constants(params)
     bb, m_x, m_y = dc.beta_bar, params.m_x, params.m_y
     one_minus_bb = dc.one_minus_beta_bar

@@ -110,11 +110,11 @@ def sample_bxs_power(params: ChannelParams, rng: np.random.Generator, size=None)
     """Draw envelope power W = R^2 (scalar for size=None, else ndarray)."""
     n = 1 if size is None else size
     if params.omega_y == 0.0:
-        counts = np.zeros(n)
+        w = rng.gamma(params.m_x, params.omega_x / params.m_x, n)
     else:
         los = rng.gamma(params.m_y, params.omega_y / params.m_y, n)
         counts = rng.poisson(params.m_x * los / params.omega_x)
-    w = rng.gamma(params.m_x + counts, params.omega_x / params.m_x)
+        w = rng.gamma(params.m_x + counts, params.omega_x / params.m_x)
     return float(w[0]) if size is None else w
 
 

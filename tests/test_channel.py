@@ -142,9 +142,15 @@ class TestNormaliserCheck:
         pars = ChannelParams(*law, 10.0)
         assert ch.c_alpha(pars) == pytest.approx(MpSnrLaw(pars).c_alpha(), rel=1e-12, abs=0.0)
 
+    # m_x - m_y down to 1e-6 (the t^(m_x-m_y-1) end), m_y down to 0.1 (the
+    # (1-t)^(m_y-1) end) and s = 2/alpha up to 200
     @pytest.mark.parametrize("m_x, m_y, alpha", [(2.5, 0.5, 3.7), (30.0, 2.0, 0.5),
                                                  (0.7, 0.2, 8.0), (5.0, 4.9, 1.0),
-                                                 (36.51, 10.64, 0.01022)])
+                                                 (36.51, 10.64, 0.01022),
+                                                 (0.21, 0.2, 1.0), (1.001, 1.0, 2.0),
+                                                 (1.0 + 1e-6, 1.0, 0.5), (50.0, 49.99, 0.01),
+                                                 (0.11, 0.1, 3.0), (0.11, 0.1, 0.01),
+                                                 (5.0, 0.1, 0.01)])
     @pytest.mark.parametrize("one_minus_bb", [0.5, 1e-3, 1e-8])
     def test_euler_integral_against_mpmath(self, m_x, m_y, alpha, one_minus_bb):
         s = 2.0 / alpha
@@ -152,6 +158,17 @@ class TestNormaliserCheck:
             want = mpmath.log(mpmath.hyp2f1(m_x - m_y, -s, m_x, 1 - mpmath.mpf(one_minus_bb)))
         assert ch._log_euler_2f1(m_x, m_y, one_minus_bb, s) == pytest.approx(
             float(want), rel=0.0, abs=1e-12 * max(s, 1.0))
+
+    @pytest.mark.parametrize("m_x, m_y, one_minus_bb, s", [
+        # 1 - bb far below a double's resolution of bb: the near-singularity at
+        # t -> 1 is narrower than the finest step resolves
+        (1.0, 1e-3, 1e-300, 1e-3),
+        # m_x - m_y of 1.7e-18: the window would pass the node table
+        (0.01, math.nextafter(0.01, 0.0), 0.5, 2.0),
+    ])
+    def test_euler_integral_raises_where_the_rule_cannot_hold(self, m_x, m_y, one_minus_bb, s):
+        with pytest.raises(specfun.ConvergenceError, match="Euler's integral"):
+            ch._log_euler_2f1(m_x, m_y, one_minus_bb, s)
 
 
 class TestEnvelopeMoment:

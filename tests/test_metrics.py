@@ -1,7 +1,11 @@
 import itertools
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -82,6 +86,48 @@ class TestAberQuadrature:
         # frozen oracle value, reference scenario at 20 dB
         assert mt.aber_quadrature(fig2_params(2.0, 20.0), QAM16).value == pytest.approx(
             0.013298337983603904, rel=1e-10)
+
+
+# Every route but the QUADPACK oracles, on an m_x > m_y law (so the normaliser
+# runs its Euler check), then one oracle. Run in a fresh interpreter: the test
+# process has imported scipy.integrate already.
+IMPORT_HYGIENE_SCRIPT = textwrap.dedent("""
+    import sys
+    import abxs
+    from abxs import montecarlo
+
+    def loaded():
+        return "scipy.integrate" in sys.modules
+
+    assert not loaded(), "import abxs"
+    p = abxs.ChannelParams(2.0, 1.0, 1.0, 0.5, 2.5, 100.0)
+    qam16 = abxs.modulation_coeffs("mqam", 16)
+    cfg = abxs.SimulationConfig(trials=2000, seed=3)
+    for name, call in [
+            ("snr_pdf", lambda: abxs.snr_pdf(p, 50.0)),
+            ("snr_cdf", lambda: abxs.snr_cdf(p, 50.0)),
+            ("aber_exact", lambda: abxs.aber_exact(p, qam16)),
+            ("capacity_exact", lambda: abxs.capacity_exact(p)),
+            ("aber_mixture", lambda: abxs.aber_mixture(p, qam16)),
+            ("capacity_mixture", lambda: abxs.capacity_mixture(p)),
+            ("aber_asymptotic", lambda: abxs.aber_asymptotic(p, qam16)),
+            ("capacity_asymptotic", lambda: abxs.capacity_asymptotic(p)),
+            ("mc_aber", lambda: abxs.mc_aber(p, qam16, cfg)),
+            ("ks_statistic", lambda: abxs.ks_statistic(abxs.snr_samples(p, cfg),
+                                                       montecarlo.snr_cdf_fn(p)))]:
+        call()
+        assert not loaded(), name
+    assert abxs.aber_quadrature(p, qam16).value > 0.0
+    assert loaded(), "aber_quadrature"
+""")
+
+
+def test_only_the_quadrature_oracles_import_scipy_integrate():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", IMPORT_HYGIENE_SCRIPT],
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestOracleAgainstMpmath:

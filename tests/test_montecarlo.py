@@ -88,6 +88,19 @@ class TestPowerSampler:
         d = mc.ks_statistic(w, lambda x: stats.gamma.cdf(x, a=1.0, scale=1.0))
         assert d < mc.ks_critical_1pct(w.size)
 
+    @pytest.mark.parametrize("seed", [12, 1701])
+    @pytest.mark.parametrize("size", [None, 1000])
+    def test_no_los_draw_matches_the_zero_count_form(self, seed, size):
+        # a scalar shape draws the same variates as the shape array m_x + zeros(n)
+        pars = ChannelParams(1.7, 1.0, 0.8, 0.0, 2.5, 10.0)
+        got = mc.sample_bxs_power(pars, mc.stream_generator(seed, 0), size=size)
+        n = 1 if size is None else size
+        want = mc.stream_generator(seed, 0).gamma(pars.m_x + np.zeros(n), pars.omega_x / pars.m_x)
+        if size is None:
+            assert got == float(want[0])
+        else:
+            assert np.array_equal(got, want)
+
     def test_ks_against_model_density(self):
         pars = fig1()
         w = mc.sample_bxs_power(pars, mc.stream_generator(13, 0), size=10 ** 6)
