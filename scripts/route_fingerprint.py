@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""Print the exact metrics' (value, path, terms) on the documented law sets.
+"""Print the exact metrics' (value, path, terms) and the densities on the documented law sets.
 
 One line per call: law set and index, metric, ``value.hex()``, ``path`` and
 ``terms_used`` (or the exception's name). The calls are ``aber_exact``
 (QAM-16 and BPSK) and ``capacity_exact`` on the benchmark's 67 ``domain``
 laws and on the fig-2, fig-3 (alpha 1:0.25:4), fig-4 and 72-point grid
-laws. The last lines give the Mellin-Barnes contours run and the complex
-``loggamma`` points they evaluated.
+laws. Then, on each ``domain`` law and on ``PINNED``, one line each for
+``c_alpha`` and for ``snr_pdf``, ``snr_cdf_phi2`` and ``bxs_envelope_pdf``
+at gamma/gamma_bar in ``RATIOS``: the value's hex or the exception's name.
+The envelope density is taken at r^2 = (gamma/gamma_bar)(omega_x + omega_y),
+the ratio times the baseline mean power. Together these reach every route
+into ``specfun``. The last lines give the Mellin-Barnes contours run and the
+complex ``loggamma`` points they evaluated.
 
 Comparing two versions of the code is one ``diff`` of this script's output
 run on each checkout:
@@ -14,6 +19,7 @@ run on each checkout:
     python3 scripts/route_fingerprint.py > after.txt
 """
 
+import math
 import pathlib
 import sys
 
@@ -21,12 +27,17 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 from abxs import metrics, specfun  # noqa: E402
-from abxs.channel import ChannelParams  # noqa: E402
+from abxs.channel import (ChannelParams, bxs_envelope_pdf, derived_constants,  # noqa: E402
+                          snr_cdf_phi2, snr_pdf)
 from paramsets import (FIG2_ALPHAS, FIG2_SNR_DB, FIG3_SETS, FIG4_SETS,  # noqa: E402
                        FIG4_SNR_DB, fig2_params, fig3_params, fig4_params, grid72)
 from workloads import domain_laws  # noqa: E402
 
 FIG3_ALPHAS = tuple(1.0 + 0.25 * i for i in range(13))
+# A law whose pdf needs the large-x 1F1 expansion below x = 650, where the
+# power series overflows (m_y = 41.3, beta_bar u from about 550).
+PINNED = ChannelParams(0.152354, 41.2887, 1, 4452.53, 3.56718, 1002.9)
+RATIOS = (0.01, 0.1, 1.0, 3.0, 10.0)
 
 
 def law_sets():
@@ -36,6 +47,26 @@ def law_sets():
     yield "fig4", [fig4_params(m_x, m_y, a, s) for m_x, m_y, a in FIG4_SETS
                    for s in FIG4_SNR_DB]
     yield "grid72", list(grid72())
+
+
+def outcome(call, fmt) -> str:
+    """``fmt`` of what ``call()`` returns, or the name of what it raises."""
+    try:
+        return fmt(call())
+    except Exception as err:  # noqa: BLE001 - the route is the output
+        return type(err).__name__
+
+
+def density_lines(name, i, params):
+    yield f"{name}[{i}] c_alpha {outcome(lambda: derived_constants(params).c_alpha, float.hex)}"
+    power = params.omega_x + params.omega_y
+    for ratio in RATIOS:
+        gamma = ratio * params.gamma_bar
+        r = math.sqrt(ratio * power)
+        for fname, call in (("snr_pdf", lambda: snr_pdf(params, gamma)),
+                            ("snr_cdf_phi2", lambda: snr_cdf_phi2(params, gamma)),
+                            ("bxs_envelope_pdf", lambda: bxs_envelope_pdf(params, r))):
+            yield f"{name}[{i}] {fname}@{ratio:g} {outcome(call, float.hex)}"
 
 
 def main() -> int:
@@ -59,12 +90,14 @@ def main() -> int:
     for name, laws in law_sets():
         for i, params in enumerate(laws):
             for metric, call in calls:
-                try:
-                    r = call(params)
-                    out = f"{r.value.hex()} {r.path} {r.terms_used}"
-                except Exception as err:  # noqa: BLE001 - the route is the output
-                    out = type(err).__name__
+                out = outcome(lambda: call(params),
+                              lambda r: f"{r.value.hex()} {r.path} {r.terms_used}")
                 print(f"{name}[{i}] {metric} {out}")
+    domain = [ChannelParams(*law) for law in domain_laws()]
+    for name, laws in (("domain", domain), ("pinned", [PINNED])):
+        for i, params in enumerate(laws):
+            for line in density_lines(name, i, params):
+                print(line)
     print(f"contours {counts['contours']}")
     print(f"loggamma_points {counts['loggamma']}")
     return 0

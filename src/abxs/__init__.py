@@ -50,12 +50,9 @@ from .specfun import (
     MeijerGSpec,
     PrecisionWarning,
     appell_phi2,
-    digamma,
     gauss_2f1,
-    gauss_2f1_da,
     kummer_1f1,
     meijer_g,
-    pochhammer,
 )
 
 __version__ = "0.1.0"

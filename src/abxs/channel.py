@@ -305,10 +305,17 @@ def envelope_moment(params: ChannelParams, k: float) -> float:
 
 
 def _log_scaled_1f1(a: float, b: float, x: float) -> float:
-    """log(e^-x 1F1(a; b; x)) for x >= 0; past x = 650 the asymptotic form never adds x."""
-    if x > 650.0:
-        return specfun._log_scaled_1f1_large_x(a, b, x)
-    return math.log(specfun.kummer_1f1(a, b, x)) - x
+    """log(e^-x 1F1(a; b; x)) for x >= 0, from the power series up to x = 650.
+
+    Past 650, or where the series overflows first (from x ~ 530 at a = 50),
+    the large-x asymptotic form takes over; it never adds x.
+    """
+    if x <= 650.0:
+        try:
+            return math.log(specfun.kummer_1f1(a, b, x)) - x
+        except OverflowError:
+            pass
+    return specfun._log_scaled_1f1_large_x(a, b, x)
 
 
 def _snr_density(params: ChannelParams, gamma: float, log_confluent) -> float:

@@ -154,7 +154,11 @@ def _snr_integral(params: ChannelParams, h, t_hi: float = math.inf) -> float:
     is smooth and decays at both ends, so three pieces split at log E[U] +- 5
     need no breaks, endpoint weight or tail scale. Its exponent is taken as
     -(1-bb) e^t plus log(e^-x 1F1) at x = bb e^t, so nothing cancels as bb -> 1.
-    It shares no code with the pdf, the NB weights or Meijer G. ``h`` runs
+    The 1F1 is scipy's ``hyp1f1``, not the pdf's series, but past x = 650,
+    and where its own series overflows, each takes
+    ``specfun._log_scaled_1f1_large_x``, so there the oracle and the pdf
+    share that expansion and its error. It shares no code with the NB
+    weights or Meijer G. ``h`` runs
     only where the density has not underflowed. Only this function imports
     scipy.integrate, which loads scipy.optimize, scipy.sparse and scipy.linalg,
     so only the oracles pay for that import.

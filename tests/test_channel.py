@@ -222,6 +222,41 @@ class TestSnrPdf:
         assert ch.snr_pdf(pars, 1e9) == 0.0
 
 
+class TestSeriesOverflowLaw:
+    """A law whose 1F1(m_y; m_x; bb u) power series overflows below x = 650.
+
+    At m_y = 41.3 the series overflows from x ~ 550, and x in [550, 650] holds
+    37% of the law's mass; the large-x expansion summed to 12 terms was off
+    by 9.8e-8 in the log at x = 600, and the quadrature oracle shares it.
+    """
+
+    PARAMS = ChannelParams(0.152354, 41.2887, 1, 4452.53, 3.56718, 1002.9)
+
+    def test_pdf_against_mpmath(self):
+        # The closed-form density in mpmath at 40 digits, from the library's
+        # own C and beta_bar, at u = 20, 40, ..., 1980.
+        pars = self.PARAMS
+        dc = ch.derived_constants(pars)
+        with mpmath.workdps(40):
+            alpha, m_x, m_y = (mpmath.mpf(v) for v in (pars.alpha, pars.m_x, pars.m_y))
+            c, bb, omb = (mpmath.mpf(v) for v in (dc.c_alpha, dc.beta_bar,
+                                                  dc.one_minus_beta_bar))
+            scale = alpha / 2 * omb ** m_y / (c ** m_x * mpmath.gamma(m_x) * pars.gamma_bar)
+            for u in range(20, 2000, 20):
+                g = pars.gamma_bar * (dc.c_alpha * u) ** (2.0 / pars.alpha)
+                ratio = mpmath.mpf(g) / pars.gamma_bar
+                v = ratio ** (alpha / 2) / c
+                want = (scale * ratio ** (alpha * m_x / 2 - 1) * mpmath.exp(-v)
+                        * mpmath.hyp1f1(m_y, m_x, bb * v))
+                assert ch.snr_pdf(pars, g) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+    def test_capacity_oracle_matches_mixture(self):
+        from abxs import metrics
+        want = metrics.capacity_mixture(self.PARAMS).value
+        assert metrics.capacity_quadrature(self.PARAMS) == pytest.approx(want, rel=1e-11,
+                                                                         abs=0.0)
+
+
 class TestSnrCdf:
     def test_zero(self):
         assert ch.snr_cdf(fig1_params(2.0), 0.0) == 0.0
