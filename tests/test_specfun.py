@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate
+from scipy.special import digamma
 
 from abxs import metrics as mt
 from abxs import specfun as sf
-from abxs.channel import ChannelParams, derived_constants, snr_ccdf, snr_cdf
+from abxs.channel import (ChannelParams, DerivedConstants, derived_constants, snr_ccdf,
+                          snr_cdf)
 from oracles import dec_1f1, dec_2f1, dec_phi2_double
 from paramsets import fig2_params, fig3_params, fig4_params
+
 
 class TestIncompleteGamma:
     """The regularized incomplete gammas, from scipy, through the SNR cdf.
@@ -161,6 +164,45 @@ class TestGauss2F1:
         with mpmath.workdps(30):
             want = float(mpmath.hyp2f1(a, b, c, z))
         assert sf.gauss_2f1(a, b, c, z) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def _d_da_2f1(a: float, b: float, c: float, z: float, h: float = 1e-5) -> float:
+    """d/da 2F1(a, b; c; z) by a central difference of gauss_2f1."""
+    return (sf.gauss_2f1(a + h, b, c, z) - sf.gauss_2f1(a - h, b, c, z)) / (2.0 * h)
+
+
+class TestGauss2F1Derivative:
+    """The a-derivative of 2F1 in the high-SNR capacity.
+
+    At a = c, 2F1(a, b; a; z) = (1 - z)^-b, and its a-derivative sums the
+    digamma increments over the NB(b, z) weights:
+    psi(a) + (1 - z)^b d/da 2F1(a, b; a; z) = sum_k w_k psi(a + k).
+    """
+
+    @given(st.floats(min_value=0.2, max_value=3.0),
+           st.floats(min_value=0.2, max_value=3.0),
+           st.floats(min_value=0.0, max_value=0.7))
+    def test_finite_difference(self, a, b, z):
+        dc = DerivedConstants(c_alpha=1.0, beta_bar=z, one_minus_beta_bar=1.0 - z,
+                              p=None, q=None, m_y=b)
+        mean_log = float(dc.nb_weights @ digamma(a + np.arange(dc.nb_weights.size)))
+        want = float(digamma(a)) + (1.0 - z) ** b * _d_da_2f1(a, b, a, z)
+        assert mean_log == pytest.approx(want, rel=1e-6, abs=1e-9)
+
+    def test_equal_first_and_third_parameter(self):
+        # capacity_asymptotic against its closed form, whose derivative is
+        # taken at a = c = m_x
+        pars = ChannelParams(m_x=1.6, m_y=1.5, omega_x=1.0, omega_y=0.8, alpha=2.5,
+                             gamma_bar=1e4)
+        dc = derived_constants(pars)
+        bb = dc.beta_bar
+        bracket = (math.log(dc.c_alpha) + 0.5 * pars.alpha * math.log(pars.gamma_bar)
+                   + float(digamma(pars.m_x))
+                   + (1.0 - bb) ** pars.m_y * _d_da_2f1(pars.m_x, pars.m_y, pars.m_x, bb))
+        want = 2.0 / (pars.alpha * math.log(2.0)) * bracket
+        assert 0.3 < bb < 0.7
+        assert mt.capacity_asymptotic(pars) == pytest.approx(want, rel=1e-10)
+
 
 class TestAppellPhi2:
     def test_trivial(self):
