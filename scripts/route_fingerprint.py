@@ -4,10 +4,11 @@
 One line per call: law set and index, metric, ``value.hex()``, ``path`` and
 ``terms_used`` (or the exception's name). The calls are ``aber_exact``
 (QAM-16 and BPSK) and ``capacity_exact`` on the benchmark's 67 ``domain``
-laws and on the fig-2, fig-3 (alpha 1:0.25:4), fig-4 and 72-point grid
-laws. Then, on each ``domain`` law and on ``PINNED``, one line each for
-``c_alpha`` and for ``snr_pdf``, ``snr_cdf_phi2`` and ``bxs_envelope_pdf``
-at gamma/gamma_bar in ``RATIOS``: the value's hex or the exception's name.
+laws, on the fig-2, fig-3 (alpha 1:0.25:4), fig-4 and 72-point grid laws and
+on the four small-alpha laws whose capacity the NB weight table leaves out.
+Then, on each ``domain`` law and on ``PINNED``, one line each for ``c_alpha``
+and for ``snr_pdf``, ``snr_cdf_phi2`` and ``bxs_envelope_pdf`` at
+gamma/gamma_bar in ``RATIOS``: the value's hex or the exception's name.
 The envelope density is taken at r^2 = (gamma/gamma_bar)(omega_x + omega_y),
 the ratio times the baseline mean power. Together these reach every route
 into ``specfun``. The last lines give the Mellin-Barnes contours run and the
@@ -30,7 +31,8 @@ from abxs import metrics, specfun  # noqa: E402
 from abxs.channel import (ChannelParams, bxs_envelope_pdf, derived_constants,  # noqa: E402
                           snr_cdf_phi2, snr_pdf)
 from paramsets import (FIG2_ALPHAS, FIG2_SNR_DB, FIG3_SETS, FIG4_SETS,  # noqa: E402
-                       FIG4_SNR_DB, fig2_params, fig3_params, fig4_params, grid72)
+                       FIG4_SNR_DB, SMALL_ALPHA_LAWS, fig2_params, fig3_params,
+                       fig4_params, grid72)
 from workloads import domain_laws  # noqa: E402
 
 FIG3_ALPHAS = tuple(1.0 + 0.25 * i for i in range(13))
@@ -47,6 +49,7 @@ def law_sets():
     yield "fig4", [fig4_params(m_x, m_y, a, s) for m_x, m_y, a in FIG4_SETS
                    for s in FIG4_SNR_DB]
     yield "grid72", list(grid72())
+    yield "smallalpha", [ChannelParams(*law) for law in SMALL_ALPHA_LAWS]
 
 
 def outcome(call, fmt) -> str:

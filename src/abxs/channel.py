@@ -55,6 +55,12 @@ def validate(params: ChannelParams) -> ChannelParams:
     return params
 
 
+# Largest denominator of alpha/2 that derived_constants rationalises: past it
+# the Meijer-G parameter count makes the closed form worse than quadrature, and
+# the metrics take the mixture expectation.
+_CLOSED_FORM_MAX_Q = 8
+
+
 def rationalize_alpha(alpha: float, tol: float = 1e-9, max_q: int = 32):
     """Smallest-denominator (p, q) with |p/q - alpha/2| <= tol and gcd(p,q)=1.
 
@@ -116,7 +122,8 @@ class DerivedConstants:
     """Per-parameter-set constants shared by the statistics and metrics.
 
     ``p``/``q`` are the reduced numerator/denominator of alpha/2, or None when
-    alpha/2 has no small rational approximation (quadrature-only regime).
+    alpha/2 has none with q <= _CLOSED_FORM_MAX_Q (8): the metrics then take
+    the mixture expectation instead of the Meijer-G closed form.
     ``m_y`` and ``beta_bar`` fix the mixing law of :attr:`nb_weights`.
     ``one_minus_beta_bar`` is 1 - beta_bar from its own quotient, so it keeps
     its digits as beta_bar -> 1.
@@ -134,13 +141,13 @@ class DerivedConstants:
         """NB(m_y, beta_bar) probabilities w_k = (1-bb)^m_y (m_y)_k bb^k / k!.
 
         U = (gamma/gamma_bar)^(alpha/2) / C is the mixture sum_k w_k Gamma(m_x+k, 1),
-        so these weights drive the cdf, the ccdf, the KS cdf and the metric
-        fallbacks. The list stops once, past the mode, the geometric bound
-        w_{k+1} / (1 - max(r_k, bb)) on the mass left out falls below 1e-14;
-        r_k = w_{k+1}/w_k, and max(r_k, bb) bounds every later ratio. Built on
-        first use: the pdf and the Meijer-G routes never need the weights, and
-        their count grows as 1/(1 - bb). Raises ConvergenceError once the list
-        would pass _NB_MAX_WEIGHTS entries.
+        so these weights drive the cdf, the ccdf, the KS cdf, the Meijer-G
+        k-series of the exact metrics and their mixture fallbacks. The list
+        stops once, past the mode, the geometric bound w_{k+1} / (1 - max(r_k,
+        bb)) on the mass left out falls below 1e-14; r_k = w_{k+1}/w_k, and
+        max(r_k, bb) bounds every later ratio. Built on first use: the pdf never
+        needs the weights, and their count grows as 1/(1 - bb). Raises
+        ConvergenceError once the list would pass _NB_MAX_WEIGHTS entries.
         """
         m_y, bb = self.m_y, self.beta_bar
         w = self.one_minus_beta_bar ** m_y
@@ -287,7 +294,7 @@ def derived_constants(params: ChannelParams) -> DerivedConstants:
              - _log_los_2f1(params.m_x, params.m_y, bb, one_minus_bb, two_over_alpha)
              ) / two_over_alpha
     try:
-        p, q = rationalize_alpha(params.alpha)
+        p, q = rationalize_alpha(params.alpha, max_q=_CLOSED_FORM_MAX_Q)
     except ValueError:
         p, q = None, None
     return DerivedConstants(c_alpha=math.exp(log_c), beta_bar=bb,

@@ -350,14 +350,15 @@ def cmd_simulate(args) -> int:
     snr_vals = parse_range(str(args.snr_db))
     if len(snr_vals) != 1:
         raise NumericalFailure("simulate", ValueError("simulate takes a single --snr-db"))
+    if args.bins < 1:
+        raise UsageError(f"--bins must be >= 1, got {args.bins}")
     pars = _make_params(args, {}, snr_db=snr_vals[0])
     cfg = montecarlo.SimulationConfig(seed=args.seed, trials=args.trials,
-                                      streams=args.streams,
-                                      histogram_bins=args.bins)
+                                      streams=args.streams)
     try:
         samples = montecarlo.snr_samples(pars, cfg)
         hi = float(np.quantile(samples, 0.999))
-        edges = np.linspace(0.0, hi, cfg.histogram_bins + 1)
+        edges = np.linspace(0.0, hi, args.bins + 1)
         counts, edges = np.histogram(samples, bins=edges)
         density = counts / (samples.size * np.diff(edges))
         ks = montecarlo.ks_statistic(samples, montecarlo.snr_cdf_fn(pars))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import digamma, erfc, gammaln, hyp1f1, log_ndtr
 
-from . import specfun
+from . import channel, specfun
 from .channel import ChannelParams, derived_constants
 from .specfun import ConvergenceError, MeijerGSpec
 
@@ -40,9 +40,9 @@ _K_REL_TOL = 1e-7
 _K_MAX_TERMS = 64
 _K_GATE_TOL = _K_REL_TOL * (1.0 + 1e-6)
 
-# Above this denominator of alpha/2 the Meijer-G parameter count makes the
-# closed form worse than quadrature; switch to the mixture expectation.
-_MAX_MEIJER_Q = 8
+# Largest share of the capacity that capacity_mixture lets the NB weight
+# table leave out.
+_TAIL_REL_TOL = 1e-10
 
 # QUADPACK settings of the quadrature oracle.
 _QUAD_EPSREL = 1e-11
@@ -289,60 +289,54 @@ def _mixture_expectation(params: ChannelParams, h):
     raise ConvergenceError("mixture trapezoid levels did not agree to 1e-12")
 
 
-def _k_series(params: ChannelParams, dc, g_term, e_floor):
-    """(sum_k w_k g_term(k), terms) over the Meijer k-series.
+def _k_series(weights: np.ndarray, e_term, e_floor):
+    """(sum_k NB_k E_k, terms) over the Meijer k-series.
 
-    Stops as specfun's series do, at _K_REL_TOL (after one term without LoS).
-    Term k is a constant times NB_k E_k, with NB_k the negative-binomial
-    weight (1-bb)^m_y (m_y)_k bb^k / k! and E_k = E[h(gamma) | K = k]; the
-    metric's ``e_floor(k, g_term(k))`` gives the floors of
-    :func:`_ratio_floor` after term k (``k = -1`` before the first term).
-    Before the first term and after each one, when the bound leaves no three
-    consecutive terms before _K_MAX_TERMS that can meet the stopping rule,
-    the series raises ConvergenceError at once, as it would at the cap.
+    ``weights`` is the law's ``DerivedConstants.nb_weights``, NB_k = (1-bb)^m_y
+    (m_y)_k bb^k / k!, and ``e_term(k)`` gives E_k = E[h(gamma) | K = k] from
+    the metric's G term k, so the sum is E[h(gamma)] over the NB gamma
+    mixture. Only the first _K_MAX_TERMS weights are read, and an entry past
+    the table's end counts as 0. A zero weight makes a zero term, with no G
+    evaluation, which counts towards the stopping streak; the sum ends with
+    the table (after one term without LoS, where the table is [1]) or, as
+    specfun's series do, at _K_REL_TOL. The metric's ``e_floor(k, E_k)``
+    gives the floors of :func:`_ratio_floor` after term k (``k = -1`` before
+    the first term). Before the first term and after each one, when the bound
+    leaves no three consecutive terms before _K_MAX_TERMS that can meet the
+    stopping rule, the series raises ConvergenceError at once, as it would at
+    the cap.
     """
-    if dc.beta_bar == 0.0:
-        return 1.0 / math.gamma(params.m_x) * g_term(0), 1
-    nb = _nb_ratios(params, dc)
+    nb = np.pad(weights[:_K_MAX_TERMS], (0, max(_K_MAX_TERMS - weights.size, 0)))
     cum = np.cumsum(nb).tolist()
 
-    def check(k: int, head: float, streak: int, g: float) -> None:
+    def check(k: int, head: float, streak: int, e: float) -> None:
         if not (_tail_can_stop(nb, cum, k, head)
-                or _series_can_stop(_ratio_floor(nb, k, head, e_floor(k, g)), streak)):
+                or _series_can_stop(_ratio_floor(nb, k, head, e_floor(k, e)), streak)):
             raise ConvergenceError("Meijer k-series cannot meet its stopping rule in max_terms")
 
     check(-1, 0.0, 0, 0.0)
-    total = 0.0
-    streak = 0
-    for k, w in _aber_series_weights(params, dc, _K_MAX_TERMS):
-        g = g_term(k)
-        term = w * g
+    total, streak = 0.0, 0
+    for k, w in enumerate(weights[:_K_MAX_TERMS].tolist()):
+        e = e_term(k) if w > 0.0 else 0.0
+        term = w * e
         total += term
-        if abs(term) <= _K_REL_TOL * max(abs(total), 1e-300):
-            streak += 1
-            if streak >= specfun._STOP_STREAK:
-                return total, k + 1
-        else:
-            streak = 0
+        streak = streak + 1 if abs(term) <= _K_REL_TOL * max(abs(total), 1e-300) else 0
+        if streak >= specfun._STOP_STREAK:
+            return total, k + 1
         if term > 0.0 and total > 0.0:
-            check(k, nb[k] * total / term, streak, g)
+            check(k, total / e, streak, e)
+    if weights.size <= _K_MAX_TERMS:
+        return total, weights.size
     raise ConvergenceError("Meijer k-series exhausted max_terms")
-
-
-def _nb_ratios(params: ChannelParams, dc) -> np.ndarray:
-    """NB_k / max_j NB_j for k < _K_MAX_TERMS (bb > 0), from logs so nothing overflows."""
-    k = np.arange(_K_MAX_TERMS)
-    log_nb = gammaln(params.m_y + k) - gammaln(k + 1.0) + k * math.log(dc.beta_bar)
-    return np.exp(log_nb - log_nb.max())
 
 
 def _ratio_floor(nb: np.ndarray, k: int, head: float, floor: np.ndarray) -> np.ndarray:
     """Lower bounds on term j over the partial sum, for k < j < _K_MAX_TERMS.
 
-    ``nb`` holds the NB weights up to a common factor, and ``head`` the
-    partial sum up to term k in units of term k / nb_k (0 before the first
-    term, k = -1). If E_ref >= E_k bounds every E_i (k < i < j) from above
-    and floor_j <= E_j / E_ref, term j over the partial sum is at least
+    ``nb`` holds the NB weights, and ``head`` the partial sum S_k up to
+    term k in units of E_k, S_k / E_k (0 before the first term, k = -1). If
+    E_ref >= E_k bounds every E_i (k < i < j) from above and floor_j <=
+    E_j / E_ref, term j over the partial sum is at least
 
         nb_j floor_j / (head + nb_{k+1} + ... + nb_{j-1} + nb_j floor_j):
 
@@ -385,7 +379,7 @@ def _tail_can_stop(nb, cum: list, k: int, head: float) -> bool:
                for j in range(_K_MAX_TERMS - 3, _K_MAX_TERMS))
 
 
-def _capacity_floor(k: int, g: float) -> np.ndarray:
+def _capacity_floor(k: int, e: float) -> np.ndarray:
     """e_floor of the capacity k-series (see :func:`_k_series`).
 
     E[log2(1 + gamma) | K = j] does not decrease in j, so with E_ref = E_j
@@ -395,54 +389,51 @@ def _capacity_floor(k: int, g: float) -> np.ndarray:
     return np.ones(_K_MAX_TERMS)
 
 
+def _log_mean_snr(params: ChannelParams, dc, count: int):
+    """(log mu_k, magnitude_k) for k < count, from logs so nothing overflows.
+
+    mu_k = E[gamma | K = k] = gamma_bar C^(2/alpha) Gamma(m_x+k+2/alpha) /
+    Gamma(m_x+k); magnitude_k sums the absolute values of the four logs that
+    make up log mu_k, which bounds its rounding.
+    """
+    shape = params.m_x + np.arange(count)
+    two_over_alpha = 2.0 / params.alpha
+    parts = (math.log(params.gamma_bar), two_over_alpha * math.log(dc.c_alpha),
+             gammaln(shape + two_over_alpha), -gammaln(shape))
+    return sum(parts), sum(np.abs(part) for part in parts)
+
+
 def _aber_floor(params: ChannelParams, dc, d2: float):
     """e_floor of the ABER component Q(sqrt(2 d2 gamma)) (see :func:`_k_series`).
 
     E_j = E[Q(sqrt(2 d2 gamma)) | K = j] does not increase in j, so E_ref =
     E_k (1/2 before the first term). Q(sqrt(2 d2 gamma)) is convex in gamma,
-    so by Jensen E_j >= Q(sqrt(2 d2 mu_j)), with the conditional mean
-    mu_j = gamma_bar C^(2/alpha) Gamma(m_x+j+2/alpha) / Gamma(m_x+j). E_k is
-    the G term times sqrt(pi) q^(m_x+k-1/2) / ((2 pi)^((p+q)/2) Gamma(m_x+k)).
+    so by Jensen E_j >= Q(sqrt(2 d2 mu_j)), with mu_j the conditional mean of
+    :func:`_log_mean_snr`.
     """
-    shape = params.m_x + np.arange(_K_MAX_TERMS)
-    two_over_alpha = 2.0 / params.alpha
-    mean_snr = np.exp(math.log(params.gamma_bar) + two_over_alpha * math.log(dc.c_alpha)
-                      + gammaln(shape + two_over_alpha) - gammaln(shape))
-    log_jensen = log_ndtr(-np.sqrt(2.0 * d2 * mean_snr))
-    log_scale = (0.5 * math.log(math.pi) + (params.m_x - 0.5) * math.log(dc.q)
-                 - 0.5 * (dc.p + dc.q) * math.log(2.0 * math.pi))
-
-    def floor(k: int, g: float) -> np.ndarray:
-        log_e_ref = (math.log(0.5) if k < 0 else log_scale + k * math.log(dc.q)
-                     - math.lgamma(shape[k]) + math.log(g))
-        return np.exp(np.minimum(0.0, log_jensen - log_e_ref))
-    return floor
+    log_jensen = log_ndtr(-np.sqrt(2.0 * d2 * np.exp(_log_mean_snr(params, dc, _K_MAX_TERMS)[0])))
+    return lambda k, e: np.exp(np.minimum(0.0, log_jensen - math.log(0.5 if k < 0 else e)))
 
 
-def _aber_meijer_term(params: ChannelParams, d2: float, k: int,
-                      dc) -> float:
+def _e_term(params: ChannelParams, q: int, scale: float, g_term):
+    """k -> E_k = scale G_k q^(m_x+k-1/2) / Gamma(m_x+k), G_k = ``g_term(k)``."""
+    return lambda k: scale * g_term(k) * q ** (params.m_x + k - 0.5) / math.gamma(params.m_x + k)
+
+
+def _aber_e_term(params: ChannelParams, dc, d2: float):
+    """E_k = E[Q(sqrt(2 d2 gamma)) | K = k] of the ABER component d2 (see :func:`_k_series`).
+
+    E_k is the G term at (p/d2)^p / (q C gamma_bar^(alpha/2))^q times
+    sqrt(pi) q^(m_x+k-1/2) / ((2 pi)^((p+q)/2) Gamma(m_x+k)).
+    """
     p, q = dc.p, dc.q
-    z = ((p / d2) ** p
-         / (q * dc.c_alpha * params.gamma_bar ** (params.alpha / 2.0)) ** q)
+    z = (p / d2) ** p / (q * dc.c_alpha * params.gamma_bar ** (params.alpha / 2.0)) ** q
     upper = tuple((0.5 + i) / p for i in range(p)) + (1.0,)
-    lower = tuple((params.m_x + k + i) / q for i in range(q)) + (0.0,)
-    spec = MeijerGSpec(m=q, n=p + 1, a_params=upper, b_params=lower)
-    return specfun.meijer_g(spec, z)
 
-
-def _aber_series_weights(params: ChannelParams, dc, terms: int):
-    """Yields (k, (m_y)_k (q bb)^k / (k! Gamma(m_x + k))) for k < terms."""
-    w = 1.0 / math.gamma(params.m_x)
-    for k in range(terms):
-        yield k, w
-        w *= (params.m_y + k) * (dc.q * dc.beta_bar) / ((k + 1.0) * (params.m_x + k))
-
-
-def _aber_prefactor(params: ChannelParams, mod: ModulationScheme, dc) -> float:
-    return (mod.delta1 * math.sqrt(math.pi)
-            * dc.one_minus_beta_bar ** params.m_y
-            * dc.q ** (params.m_x - 0.5)
-            / (2.0 * math.pi) ** ((dc.p + dc.q) / 2.0))
+    def g_term(k: int) -> float:
+        lower = tuple((params.m_x + k + i) / q for i in range(q)) + (0.0,)
+        return specfun.meijer_g(MeijerGSpec(m=q, n=p + 1, a_params=upper, b_params=lower), z)
+    return _e_term(params, q, math.sqrt(math.pi) / (2.0 * math.pi) ** ((p + q) / 2.0), g_term)
 
 
 def aber_exact(params: ChannelParams, mod: ModulationScheme) -> AberResult:
@@ -459,38 +450,34 @@ def aber_exact(params: ChannelParams, mod: ModulationScheme) -> AberResult:
     ``_slater_until_rejected``).
     """
     dc = derived_constants(params)
-    if dc.q is None or dc.q > _MAX_MEIJER_Q:
+    if dc.q is None:
         return aber_mixture(params, mod)
     sums = []
     try:
         for d2 in mod.delta2:
             with specfun._slater_until_rejected():
-                sums.append(_k_series(params, dc,
-                                      lambda k, d2=d2: _aber_meijer_term(params, d2, k, dc),
+                sums.append(_k_series(dc.nb_weights, _aber_e_term(params, dc, d2),
                                       _aber_floor(params, dc, d2)))
     except (ConvergenceError, OverflowError):
         return aber_mixture(params, mod)
-    total = sum(partial for partial, _ in sums)
-    terms_used = max(terms for _, terms in sums)
-    return _make_aber(_aber_prefactor(params, mod, dc) * total, terms_used, "meijer-g", mod)
+    return _make_aber(mod.delta1 * sum(total for total, _ in sums),
+                      max(terms for _, terms in sums), "meijer-g", mod)
 
 
-def aber_exact_truncation_profile(params: ChannelParams, mod: ModulationScheme,
-                                  k_max: int = 16):
+def aber_exact_truncation_profile(params: ChannelParams, mod: ModulationScheme, k_max: int = 16):
     """ABER partial sums truncating the inner k-series after 1..k_max terms.
 
     Supports the truncation-length measurements; entry i holds the ABER with
-    k <= i terms kept in every component.
+    k <= i terms kept in every component: delta1 times the NB_k E_k terms of
+    :func:`_k_series`.
     """
     dc = derived_constants(params)
-    if dc.q is None or dc.q > _MAX_MEIJER_Q:
+    if dc.q is None:
         raise ValueError("truncation profile needs the Meijer-G route")
-    prefactor = _aber_prefactor(params, mod, dc)
-    per_k = [0.0] * k_max
-    for d2 in mod.delta2:
-        for k, w in _aber_series_weights(params, dc, k_max):
-            per_k[k] += w * _aber_meijer_term(params, d2, k, dc)
-    return [prefactor * acc for acc in itertools.accumulate(per_k)]
+    e_terms = [_aber_e_term(params, dc, d2) for d2 in mod.delta2]
+    per_k = [w * sum(e(k) for e in e_terms) for k, w in enumerate(dc.nb_weights[:k_max].tolist())]
+    per_k += [0.0] * (k_max - len(per_k))
+    return [mod.delta1 * acc for acc in itertools.accumulate(per_k)]
 
 
 def aber_mixture(params: ChannelParams, mod: ModulationScheme) -> AberResult:
@@ -544,33 +531,72 @@ def capacity_exact(params: ChannelParams) -> CapacityResult:
     returned.
     """
     dc = derived_constants(params)
-    if dc.q is None or dc.q > _MAX_MEIJER_Q:
+    if dc.q is None:
         return capacity_mixture(params)
     p, q = dc.p, dc.q
-    prefactor = (q ** (params.m_x - 0.5) * dc.one_minus_beta_bar ** params.m_y
-                 / ((2.0 * math.pi) ** ((q - 3.0) / 2.0 + p) * math.log(2.0)))
     z = (1.0 / (q * dc.c_alpha * params.gamma_bar ** (params.alpha / 2.0))) ** q
-    upper = tuple(i / p for i in range(p)) + (1.0,)
+    ladder = tuple(i / p for i in range(p))
     memo = {}
 
     def g_term(k: int) -> float:
-        lower = (tuple(i / p for i in range(p))
-                 + tuple((params.m_x + k + i) / q for i in range(q))
-                 + (0.0,))
-        spec = MeijerGSpec(m=q + p + 1, n=p, a_params=upper, b_params=lower)
+        lower = ladder + tuple((params.m_x + k + i) / q for i in range(q)) + (0.0,)
+        spec = MeijerGSpec(m=q + p + 1, n=p, a_params=ladder + (1.0,), b_params=lower)
         return specfun._meijer_contour(spec, z, memo)
 
+    scale = 1.0 / ((2.0 * math.pi) ** ((q - 3.0) / 2.0 + p) * math.log(2.0))
     try:
-        total, terms_used = _k_series(params, dc, g_term, _capacity_floor)
+        total, terms_used = _k_series(dc.nb_weights, _e_term(params, q, scale, g_term),
+                                      _capacity_floor)
     except (ConvergenceError, OverflowError):
         return capacity_mixture(params)
-    return CapacityResult(value=prefactor * total, terms_used=terms_used, path="meijer-g")
+    return CapacityResult(value=total, terms_used=terms_used, path="meijer-g")
 
 
 def capacity_mixture(params: ChannelParams) -> CapacityResult:
-    """Capacity as the mixture expectation of log2(1 + gamma); see :func:`aber_mixture`."""
+    """Capacity as the mixture expectation of log2(1 + gamma); see :func:`aber_mixture`.
+
+    Raises ConvergenceError when the capacity the NB weight table leaves out
+    may exceed _TAIL_REL_TOL of the value (:func:`_capacity_tail_bound`), as
+    it does at small alpha with LoS.
+    """
     value, terms = _mixture_expectation(params, _capacity_h)
+    bound = _capacity_tail_bound(params, derived_constants(params))
+    if bound > _TAIL_REL_TOL * value:
+        raise ConvergenceError(f"NB weights left out may hold {bound:.3g} of capacity {value:.3g}")
     return CapacityResult(value=value, terms_used=terms, path="series-quadrature")
+
+
+def _capacity_tail_bound(params: ChannelParams, dc) -> float:
+    """Upper bound on the capacity in the NB mass that ``nb_weights`` leaves out.
+
+    That mass P is below channel._NB_TAIL (0 without LoS). log2(1 + gamma)
+    is concave, so by Jensen the left-out components hold at most
+    P log2(1 + M/P) of capacity, with M their share of E[gamma] = gamma_bar,
+    gamma_bar - sum_k w_k mu_k over the table (mu_k of
+    :func:`_log_mean_snr`); the bound grows with P and M. At small alpha
+    mu_k grows as k^(2/alpha), and the left-out tail can hold all but a
+    vanishing part of the capacity.
+
+    M carries a first-order rounding slack: term t_k = exp(log w_k + log mu_k)
+    and its share of the sum are off by at most u (6k + 6 (L_k + 1) + n +
+    2 m_y + 2/alpha + 2) relative, u = 2^-53, n the table size. Weight k
+    has taken k recurrence steps of 4 roundings, and k powers of beta_bar
+    and m_y of 1 - beta_bar, each quotient 2u off. L_k sums the magnitudes
+    of the exponent's five logs: each log is off by u of its magnitude and
+    each gammaln by 2u, and each of the four additions and the exp by u of
+    a value no larger than L_k. C^(2/alpha) loses 2/alpha u in its exp/log
+    trip, and the sum u a term. C is taken as computed: its error moves
+    E[gamma] and every route alike.
+    """
+    if dc.beta_bar == 0.0:
+        return 0.0
+    log_w = np.log(dc.nb_weights)
+    log_mu, magnitude = _log_mean_snr(params, dc, log_w.size)
+    terms = np.exp(log_w + log_mu)
+    rounding = (6.0 * np.arange(terms.size) + 6.0 * (np.abs(log_w) + magnitude)
+                + terms.size + 2.0 * params.m_y + 2.0 / params.alpha + 8.0)
+    left = max(params.gamma_bar - terms.sum(), 0.0) + 2.0 ** -53 * (terms @ rounding)
+    return channel._NB_TAIL * math.log2(1.0 + left / channel._NB_TAIL)
 
 
 def capacity_asymptotic(params: ChannelParams) -> float:

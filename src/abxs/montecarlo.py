@@ -46,15 +46,12 @@ class SimulationConfig:
     seed: int = 1
     trials: int = 1_000_000
     streams: int = 8
-    histogram_bins: int = 100
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.streams < 1:
             raise ValueError(f"streams must be >= 1, got {self.streams}")
-        if self.histogram_bins < 1:
-            raise ValueError(f"histogram_bins must be >= 1, got {self.histogram_bins}")
 
 
 def stream_generator(seed: int, stream: int) -> np.random.Generator:

@@ -69,6 +69,13 @@ class TestDerivedConstants:
                              alpha=2.0, gamma_bar=1.0)
         assert ch.beta_bar(pars) == pytest.approx(1.6 / 3.1, rel=1e-14)
 
+    def test_closed_form_route_stops_at_q_8(self):
+        # alpha/2 = 11/10 rationalises, but past q = 8 the metrics take the
+        # mixture, so derived_constants leaves p and q unset.
+        dc = ch.derived_constants(ChannelParams(1.2, 1.2, 1.0, 1.0, 2.2, 10.0))
+        assert dc.p is None and dc.q is None
+        assert ch.derived_constants(ChannelParams(1.2, 1.2, 1.0, 1.0, 2.5, 10.0)).q == 4
+
     def test_c_alpha_nakagami(self):
         # alpha=2, no LoS: the constant collapses to 1/m_x
         assert ch.c_alpha(nakagami(m=1.7)) == pytest.approx(1.0 / 1.7, rel=1e-13)

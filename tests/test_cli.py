@@ -325,6 +325,9 @@ class TestSimulateCommand:
         assert any("ks_PASS_at_1pct" in l for l in summary)
         assert any("sample_mean" in l for l in summary)
 
+    def test_zero_bins_is_usage_error(self, capsys):
+        assert exit_code(capsys, "simulate", "--bins", "0") == 2
+
     def test_seeded_runs_identical(self, capsys):
         args = ("simulate", "--trials", "20000", "--seed", "8", "--snr-db", "5")
         _, a, _ = run_cli(capsys, *args)

@@ -14,8 +14,8 @@ from abxs import metrics as mt
 from abxs import specfun as sf
 from abxs.channel import ChannelParams, derived_constants
 from oracles import (nakagami_bpsk_aber, rayleigh_bpsk_aber, rayleigh_capacity)
-from paramsets import (FIG2_ALPHAS, FIG2_SNR_DB, FIG4_SETS, FIG4_SNR_DB, db, fig2_params,
-                       fig3_params, fig4_params, nakagami, rayleigh)
+from paramsets import (FIG2_ALPHAS, FIG2_SNR_DB, FIG4_SETS, FIG4_SNR_DB, SMALL_ALPHA_LAWS, db,
+                       fig2_params, fig3_params, fig4_params, nakagami, rayleigh)
 
 QAM16 = mt.modulation_coeffs("mqam", 16)
 BPSK = mt.modulation_coeffs("bpsk")
@@ -363,7 +363,7 @@ class TestCapacityExact:
         # At beta_bar ~ 0.95 no run of three k < 64 has NB_k / F_k <= 1e-7, so
         # the k-series cannot stop and is not started.
         pars = fig3_params(2.5, 0.5, 0.8, snr_db=60.0)
-        nb = mt._nb_ratios(pars, derived_constants(pars))
+        nb = _nb_head(derived_constants(pars).nb_weights)
         low = mt._ratio_floor(nb, -1, 0.0, mt._capacity_floor(-1, 0.0))
         assert not mt._series_can_stop(low, 0)
 
@@ -398,23 +398,56 @@ class TestCapacityExact:
         assert got.value == pytest.approx(5.7393061e-32, rel=1e-6, abs=0.0)
 
 
+# The capacity of each SMALL_ALPHA_LAWS law from its SNR density by 40-digit
+# mpmath (tanh-sinh in t = log u over 40 pieces around the integrand's peak).
+SMALL_ALPHA_CAPACITY = list(zip(SMALL_ALPHA_LAWS, (
+    9.8041996501745456852e-23, 1.4990560376870930108e-14,
+    2.7535958546700682353e-11, 1.3370189797528404934e-8)))
+
+
+class TestSmallAlphaCapacity:
+    """The mixture raises where its weight table leaves out the capacity."""
+
+    @pytest.mark.parametrize("law, want", SMALL_ALPHA_CAPACITY)
+    def test_mixture_and_exact_raise(self, law, want):
+        pars = ChannelParams(*law)
+        with pytest.raises(sf.ConvergenceError):
+            mt.capacity_mixture(pars)
+        with pytest.raises(sf.ConvergenceError):
+            mt.capacity_exact(pars)
+
+    @pytest.mark.parametrize("law, want", SMALL_ALPHA_CAPACITY)
+    def test_quadrature_matches_mpmath(self, law, want):
+        assert mt.capacity_quadrature(ChannelParams(*law)) == pytest.approx(want, rel=1e-10)
+
+
+def _nb_head(weights):
+    """The NB weights a k-series reads: the table's first 64, 0 past its end."""
+    head = weights[:mt._K_MAX_TERMS]
+    return np.concatenate((head, np.zeros(mt._K_MAX_TERMS - head.size)))
+
+
 def _series_terms(monkeypatch, run):
-    """[(nb, terms, G terms, e_floor)] of every k-series ``run`` starts, all 64 terms evaluated."""
+    """[(nb, terms, E terms, e_floor)] of every k-series ``run`` starts.
+
+    Every term up to the 64th or the table's end is evaluated; past that end
+    the terms are zero.
+    """
     captured = []
     real = mt._k_series
 
-    def spy(params, dc, g_term, e_floor):
-        captured.append((params, dc, g_term, e_floor))
-        return real(params, dc, g_term, e_floor)
+    def spy(weights, e_term, e_floor):
+        captured.append((weights, e_term, e_floor))
+        return real(weights, e_term, e_floor)
 
     monkeypatch.setattr(mt, "_k_series", spy)
     run()
     monkeypatch.undo()
     series = []
-    for params, dc, g_term, e_floor in captured:
-        gs = [g_term(k) for k in range(mt._K_MAX_TERMS)]
-        terms = [w * g for (_, w), g in zip(mt._aber_series_weights(params, dc, len(gs)), gs)]
-        series.append((mt._nb_ratios(params, dc), terms, gs, e_floor))
+    for weights, e_term, e_floor in captured:
+        nb = _nb_head(weights)
+        es = [e_term(k) for k in range(min(weights.size, mt._K_MAX_TERMS))]
+        series.append((nb, [w * e for w, e in zip(nb, es)], es, e_floor))
     return series
 
 
@@ -435,18 +468,18 @@ class TestKSeriesGate:
     def test_bound_is_sound(self, monkeypatch, metric, pars):
         # For every k < j < 64 the bound on term j over the partial sum S_j,
         # known after term k (k = -1: before the first term), is at most the
-        # ratio the terms give.
+        # ratio the terms give (trivially, 0, past the table's end).
         run = ((lambda: mt.capacity_exact(pars)) if metric == "capacity"
                else (lambda: mt.aber_exact(pars, QAM16)))
         series = _series_terms(monkeypatch, run)
         assert series
-        for nb, terms, gs, e_floor in series:
+        for nb, terms, es, e_floor in series:
             assert all(t > 0.0 for t in terms)
             partial = list(itertools.accumulate(terms))
             ratio = [t / total for t, total in zip(terms, partial)]
-            for k in range(-1, mt._K_MAX_TERMS - 1):
-                head = 0.0 if k < 0 else nb[k] * partial[k] / terms[k]
-                low = mt._ratio_floor(nb, k, head, e_floor(k, gs[k] if k >= 0 else 0.0))
+            for k in range(-1, len(terms) - 1):
+                head = 0.0 if k < 0 else partial[k] / es[k]
+                low = mt._ratio_floor(nb, k, head, e_floor(k, es[k] if k >= 0 else 0.0))
                 assert len(low) == mt._K_MAX_TERMS - 1 - k
                 assert all(lo <= r * (1.0 + 1e-9) for lo, r in zip(low, ratio[k + 1:]))
                 # The scalar shortcut only ever says what the full bound says.
@@ -456,7 +489,7 @@ class TestKSeriesGate:
     @pytest.mark.parametrize("alpha", [2.0, 2.5])
     def test_aber_floor_is_jensen_over_the_conditional_expectation(self, alpha):
         # floor_j = min(1, Q(sqrt(2 d2 mu_j)) / E_k), with E_k taken from the G
-        # term; here E_k = E[Q(sqrt(2 d2 gamma)) | K = k] comes from QUADPACK
+        # term by _aber_e_term; here E_k = E[Q(sqrt(2 d2 gamma)) | K = k] comes from QUADPACK
         # over the Gamma(m_x + k) law of u and mu_j from the gamma function.
         from scipy import integrate
         from scipy.special import erfc, gammaln
@@ -477,7 +510,7 @@ class TestKSeriesGate:
                         * math.exp(shape * t - math.exp(t) - math.lgamma(shape)))
 
             e_k = integrate.quad(integrand, -60.0, 6.0, epsabs=0.0, epsrel=1e-12, limit=200)[0]
-            got = floor(k, mt._aber_meijer_term(pars, d2, k, dc))
+            got = floor(k, mt._aber_e_term(pars, dc, d2)(k))
             assert got == pytest.approx(np.minimum(1.0, jensen / e_k), rel=1e-9)
         assert floor(-1, 0.0) == pytest.approx(2.0 * jensen, rel=1e-12)
 
@@ -485,7 +518,7 @@ class TestKSeriesGate:
         # With nothing summed yet, term j over the partial sum is at least
         # NB_j / (NB_0 + ... + NB_j).
         pars = fig3_params(2.5, 0.5, 0.8, snr_db=60.0)
-        nb = mt._nb_ratios(pars, derived_constants(pars))
+        nb = _nb_head(derived_constants(pars).nb_weights)
         low = mt._ratio_floor(nb, -1, 0.0, mt._capacity_floor(-1, 0.0))
         assert low == pytest.approx(nb / list(itertools.accumulate(nb)), rel=1e-14)
 

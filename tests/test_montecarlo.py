@@ -68,8 +68,7 @@ class TestConfig:
         cfg = mc.SimulationConfig(seed=3)
         assert cfg.trials == 1_000_000 and cfg.streams == 8
 
-    @pytest.mark.parametrize("bad", [dict(trials=0), dict(streams=0),
-                                     dict(histogram_bins=0)])
+    @pytest.mark.parametrize("bad", [dict(trials=0), dict(streams=0)])
     def test_invalid(self, bad):
         with pytest.raises(ValueError):
             mc.SimulationConfig(seed=1, **bad)
