@@ -4,15 +4,16 @@
 One line per call: law set and index, metric, ``value.hex()``, ``path`` and
 ``terms_used`` (or the exception's name). The calls are ``aber_exact``
 (QAM-16 and BPSK) and ``capacity_exact`` on the benchmark's 67 ``domain``
-laws, on the fig-2, fig-3 (alpha 1:0.25:4), fig-4 and 72-point grid laws and
-on the four small-alpha laws whose capacity the NB weight table leaves out.
-Then, on each ``domain`` law and on ``PINNED``, one line each for ``c_alpha``
-and for ``snr_pdf``, ``snr_cdf_phi2`` and ``bxs_envelope_pdf`` at
-gamma/gamma_bar in ``RATIOS``: the value's hex or the exception's name.
+laws, on the fig-2, fig-3 (alpha 1:0.25:4), fig-4 and 72-point grid laws,
+on the four small-alpha laws whose capacity the NB weight table leaves out
+and on ``LOW_SNR``. Then, on each ``domain`` law and on ``PINNED``, one line
+each for ``c_alpha`` and for ``snr_pdf``, ``snr_cdf_phi2`` and
+``bxs_envelope_pdf`` at gamma/gamma_bar in ``RATIOS``: the value's hex or
+the exception's name.
 The envelope density is taken at r^2 = (gamma/gamma_bar)(omega_x + omega_y),
-the ratio times the baseline mean power. Together these reach every route
-into ``specfun``. The last lines give the Mellin-Barnes contours run and the
-complex ``loggamma`` points they evaluated.
+the ratio times the baseline mean power. The exact metrics are the mixture
+expectations, so these calls reach no Meijer G term; only the truncation
+profiles do, and the tests cover them.
 
 Comparing two versions of the code is one ``diff`` of this script's output
 run on each checkout:
@@ -27,7 +28,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
-from abxs import metrics, specfun  # noqa: E402
+from abxs import metrics  # noqa: E402
 from abxs.channel import (ChannelParams, bxs_envelope_pdf, derived_constants,  # noqa: E402
                           snr_cdf_phi2, snr_pdf)
 from paramsets import (FIG2_ALPHAS, FIG2_SNR_DB, FIG3_SETS, FIG4_SETS,  # noqa: E402
@@ -40,6 +41,8 @@ FIG3_ALPHAS = tuple(1.0 + 0.25 * i for i in range(13))
 # power series overflows (m_y = 41.3, beta_bar u from about 550).
 PINNED = ChannelParams(0.152354, 41.2887, 1, 4452.53, 3.56718, 1002.9)
 RATIOS = (0.01, 0.1, 1.0, 3.0, 10.0)
+# A law at -50 dB whose NB weights centre past k = 10^4 (37,600 of them).
+LOW_SNR = ChannelParams(1, 20, 1, 9980, 2, 1e-5)
 
 
 def law_sets():
@@ -50,6 +53,7 @@ def law_sets():
                    for s in FIG4_SNR_DB]
     yield "grid72", list(grid72())
     yield "smallalpha", [ChannelParams(*law) for law in SMALL_ALPHA_LAWS]
+    yield "lowsnr", [LOW_SNR]
 
 
 def outcome(call, fmt) -> str:
@@ -73,18 +77,6 @@ def density_lines(name, i, params):
 
 
 def main() -> int:
-    counts = {"contours": 0, "loggamma": 0}
-    real_contour, real_loggamma = specfun._meijer_contour, specfun.loggamma
-
-    def contour(*args):
-        counts["contours"] += 1
-        return real_contour(*args)
-
-    def loggamma(x):
-        counts["loggamma"] += x.size
-        return real_loggamma(x)
-
-    specfun._meijer_contour, specfun.loggamma = contour, loggamma
     qam16 = metrics.modulation_coeffs("mqam", 16)
     bpsk = metrics.modulation_coeffs("bpsk")
     calls = (("aber_exact:qam16", lambda p: metrics.aber_exact(p, qam16)),
@@ -101,8 +93,6 @@ def main() -> int:
         for i, params in enumerate(laws):
             for line in density_lines(name, i, params):
                 print(line)
-    print(f"contours {counts['contours']}")
-    print(f"loggamma_points {counts['loggamma']}")
     return 0
 
 

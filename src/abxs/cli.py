@@ -228,7 +228,7 @@ def _eval_row(metric: str, params: ChannelParams, mod, gamma, want_oracle, mc_cf
     """(exact, asymptotic, oracle?, mc?, mc_se?) for one grid point.
 
     The aber and capacity ``exact`` cells are the gamma-mixture expectation,
-    which is faster than the Meijer-G closed form and closer to mpmath.
+    the value ``aber_exact`` / ``capacity_exact`` return.
     """
     out = []
     try:

@@ -4,12 +4,13 @@ Each metric comes in three flavours:
 
 * a quadrature oracle integrating the SNR density directly (the reference
   every closed form is judged against),
-* the exact value, two ways: the paper's closed form (a truncated series of
-  Meijer G terms, ``aber_exact`` / ``capacity_exact``) and the expectation
-  over the negative-binomial gamma mixture (``aber_mixture`` /
-  ``capacity_mixture``), which the closed form falls back to when alpha/2
-  has no small rational form or the series fails, and which ``abxs eval``
-  prints as its ``exact`` column, and
+* the exact value, ``aber_exact`` / ``capacity_exact``: the expectation over
+  the negative-binomial gamma mixture (``aber_mixture`` /
+  ``capacity_mixture``, path ``series-quadrature``), at every alpha, which
+  ``abxs eval`` prints as its ``exact`` column. The paper's closed form, a
+  truncated series of Meijer G terms over the same weights, is kept as its
+  partial sums (``aber_exact_truncation_profile`` /
+  ``capacity_exact_truncation_profile``), and
 * the high-SNR asymptote, which also yields diversity order and coding gain.
 
 The Q-function is taken from erfc, never a polynomial fit, so the oracle is
@@ -23,22 +24,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, erfc, gammaln, hyp1f1, log_ndtr
+from scipy.special import digamma, erfc, gammaln, hyp1f1
 
 from . import channel, specfun
 from .channel import ChannelParams, derived_constants
 from .specfun import ConvergenceError, MeijerGSpec
-
-# The k-series of the exact ABER/capacity forms stops once three consecutive
-# terms fall below _K_REL_TOL times the partial sum; past _K_MAX_TERMS terms,
-# or as soon as a lower bound on its terms shows it would get there, the
-# metric falls back to the mixture expectation. That gate counts a term as
-# unable to meet the rule only when its bound exceeds _K_GATE_TOL, 1e-6
-# relative above the rule, which no G term the contour accepts (to 1e-7 at
-# worst) could make up.
-_K_REL_TOL = 1e-7
-_K_MAX_TERMS = 64
-_K_GATE_TOL = _K_REL_TOL * (1.0 + 1e-6)
 
 # Largest share of the capacity that capacity_mixture lets the NB weight
 # table leave out.
@@ -77,7 +67,7 @@ class AberResult:
 
     value: float
     terms_used: int
-    path: str  # meijer-g | series-quadrature | oracle | asymptotic
+    path: str  # series-quadrature | oracle | asymptotic
 
     def __post_init__(self) -> None:
         if self.value < -1e-12:
@@ -155,10 +145,10 @@ def _snr_integral(params: ChannelParams, h, t_hi: float = math.inf) -> float:
     need no breaks, endpoint weight or tail scale. Its exponent is taken as
     -(1-bb) e^t plus log(e^-x 1F1) at x = bb e^t, so nothing cancels as bb -> 1.
     The 1F1 is scipy's ``hyp1f1``, not the pdf's series, but past x = 650,
-    and where its own series overflows, each takes
-    ``specfun._log_scaled_1f1_large_x``, so there the oracle and the pdf
-    share that expansion and its error. It shares no code with the NB
-    weights or Meijer G. ``h`` runs
+    and where hyp1f1 overflows, it takes ``specfun._log_scaled_1f1_large_x``,
+    which the pdf takes from x = 200 on (at x >= 6 m_x), so there the oracle
+    and the pdf share that expansion and its error. It shares no code with
+    the NB weights or Meijer G. ``h`` runs
     only where the density has not underflowed. Only this function imports
     scipy.integrate, which loads scipy.optimize, scipy.sparse and scipy.linalg,
     so only the oracles pay for that import.
@@ -289,130 +279,30 @@ def _mixture_expectation(params: ChannelParams, h):
     raise ConvergenceError("mixture trapezoid levels did not agree to 1e-12")
 
 
-def _k_series(weights: np.ndarray, e_term, e_floor):
-    """(sum_k NB_k E_k, terms) over the Meijer k-series.
-
-    ``weights`` is the law's ``DerivedConstants.nb_weights``, NB_k = (1-bb)^m_y
-    (m_y)_k bb^k / k!, and ``e_term(k)`` gives E_k = E[h(gamma) | K = k] from
-    the metric's G term k, so the sum is E[h(gamma)] over the NB gamma
-    mixture. Only the first _K_MAX_TERMS weights are read, and an entry past
-    the table's end counts as 0. A zero weight makes a zero term, with no G
-    evaluation, which counts towards the stopping streak; the sum ends with
-    the table (after one term without LoS, where the table is [1]) or, as
-    specfun's series do, at _K_REL_TOL. The metric's ``e_floor(k, E_k)``
-    gives the floors of :func:`_ratio_floor` after term k (``k = -1`` before
-    the first term). Before the first term and after each one, when the bound
-    leaves no three consecutive terms before _K_MAX_TERMS that can meet the
-    stopping rule, the series raises ConvergenceError at once, as it would at
-    the cap.
-    """
-    nb = np.pad(weights[:_K_MAX_TERMS], (0, max(_K_MAX_TERMS - weights.size, 0)))
-    cum = np.cumsum(nb).tolist()
-
-    def check(k: int, head: float, streak: int, e: float) -> None:
-        if not (_tail_can_stop(nb, cum, k, head)
-                or _series_can_stop(_ratio_floor(nb, k, head, e_floor(k, e)), streak)):
-            raise ConvergenceError("Meijer k-series cannot meet its stopping rule in max_terms")
-
-    check(-1, 0.0, 0, 0.0)
-    total, streak = 0.0, 0
-    for k, w in enumerate(weights[:_K_MAX_TERMS].tolist()):
-        e = e_term(k) if w > 0.0 else 0.0
-        term = w * e
-        total += term
-        streak = streak + 1 if abs(term) <= _K_REL_TOL * max(abs(total), 1e-300) else 0
-        if streak >= specfun._STOP_STREAK:
-            return total, k + 1
-        if term > 0.0 and total > 0.0:
-            check(k, total / e, streak, e)
-    if weights.size <= _K_MAX_TERMS:
-        return total, weights.size
-    raise ConvergenceError("Meijer k-series exhausted max_terms")
-
-
-def _ratio_floor(nb: np.ndarray, k: int, head: float, floor: np.ndarray) -> np.ndarray:
-    """Lower bounds on term j over the partial sum, for k < j < _K_MAX_TERMS.
-
-    ``nb`` holds the NB weights, and ``head`` the partial sum S_k up to
-    term k in units of E_k, S_k / E_k (0 before the first term, k = -1). If
-    E_ref >= E_k bounds every E_i (k < i < j) from above and floor_j <=
-    E_j / E_ref, term j over the partial sum is at least
-
-        nb_j floor_j / (head + nb_{k+1} + ... + nb_{j-1} + nb_j floor_j):
-
-    in units of nb E_ref the partial sum is at most head + nb_{k+1} + ... +
-    nb_{j-1} + nb_j E_j / E_ref, and the ratio only grows with E_j. Before
-    the first term, term 0 over itself is 1; its bound is 0/0, NaN, where
-    floor_0 underflows, and :func:`_series_can_stop` counts a NaN as a term
-    that can meet the rule.
-    """
-    rest = nb[k + 1:]
-    part = rest * floor[k + 1:]
-    with np.errstate(invalid="ignore"):
-        return part / (head + np.cumsum(rest) - rest + part)
-
-
-def _series_can_stop(low: np.ndarray, streak: int) -> bool:
-    """Whether three consecutive terms can still meet the stopping rule.
-
-    ``low`` bounds the later terms' ratios (:func:`_ratio_floor`) and
-    ``streak`` counts the terms up to now that meet it. A term counts as
-    unable only when its bound exceeds _K_GATE_TOL.
-    """
-    free = np.concatenate(([streak >= 2, streak >= 1], ~(low > _K_GATE_TOL)))
-    return bool(np.any(free[:-2] & free[1:-1] & free[2:]))
-
-
-def _tail_can_stop(nb, cum: list, k: int, head: float) -> bool:
-    """Whether the last three terms can all meet the stopping rule, by
-    :func:`_ratio_floor`'s bound at floor 1, which no floor exceeds.
-
-    ``cum`` holds the running sums of ``nb``. A scalar shortcut: when it
-    holds, the series can stop at its last term and needs neither the floor
-    nor the vectorised bound; on the benchmark's `domain` laws it settles
-    four checks in five.
-    """
-    if k + 3 >= _K_MAX_TERMS:
-        return False
-    base = head - (cum[k] if k >= 0 else 0.0)
-    return all(nb[j] <= _K_GATE_TOL * (base + cum[j])
-               for j in range(_K_MAX_TERMS - 3, _K_MAX_TERMS))
-
-
-def _capacity_floor(k: int, e: float) -> np.ndarray:
-    """e_floor of the capacity k-series (see :func:`_k_series`).
-
-    E[log2(1 + gamma) | K = j] does not decrease in j, so with E_ref = E_j
-    every floor is 1; before the first term the bound of :func:`_ratio_floor`
-    is then NB_j / (NB_0 + ... + NB_j).
-    """
-    return np.ones(_K_MAX_TERMS)
-
-
 def _log_mean_snr(params: ChannelParams, dc, count: int):
     """(log mu_k, magnitude_k) for k < count, from logs so nothing overflows.
 
-    mu_k = E[gamma | K = k] = gamma_bar C^(2/alpha) Gamma(m_x+k+2/alpha) /
-    Gamma(m_x+k); magnitude_k sums the absolute values of the four logs that
-    make up log mu_k, which bounds its rounding.
+    mu_k = E[gamma | K = k] = gamma_bar C^(2/alpha) Gamma(x+s) / Gamma(x),
+    with x = m_x + k and s = 2/alpha. Past x = 100 the log-Pochhammer is taken
+    from Stirling's series as (x - 1/2) log1p(s/x) + s (log(x+s) - 1) plus
+    the difference of the two Stirling corrections (to 1e-17), so no two
+    logs of size x log x cancel as in gammaln(x+s) - gammaln(x); below 100
+    it is that difference, of logs no larger than about gammaln(100 + s).
+    magnitude_k sums the absolute values of the five parts that make up
+    log mu_k, which bounds its rounding (see :func:`_capacity_tail_bound`).
     """
-    shape = params.m_x + np.arange(count)
-    two_over_alpha = 2.0 / params.alpha
-    parts = (math.log(params.gamma_bar), two_over_alpha * math.log(dc.c_alpha),
-             gammaln(shape + two_over_alpha), -gammaln(shape))
-    return sum(parts), sum(np.abs(part) for part in parts)
+    x = params.m_x + np.arange(count)
+    s = 2.0 / params.alpha
+    stirling = x >= 100.0
 
+    def correction(y):
+        return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * y * y)) / (y * y)) / y
 
-def _aber_floor(params: ChannelParams, dc, d2: float):
-    """e_floor of the ABER component Q(sqrt(2 d2 gamma)) (see :func:`_k_series`).
-
-    E_j = E[Q(sqrt(2 d2 gamma)) | K = j] does not increase in j, so E_ref =
-    E_k (1/2 before the first term). Q(sqrt(2 d2 gamma)) is convex in gamma,
-    so by Jensen E_j >= Q(sqrt(2 d2 mu_j)), with mu_j the conditional mean of
-    :func:`_log_mean_snr`.
-    """
-    log_jensen = log_ndtr(-np.sqrt(2.0 * d2 * np.exp(_log_mean_snr(params, dc, _K_MAX_TERMS)[0])))
-    return lambda k, e: np.exp(np.minimum(0.0, log_jensen - math.log(0.5 if k < 0 else e)))
+    parts = (math.log(params.gamma_bar), s * math.log(dc.c_alpha),
+             np.where(stirling, (x - 0.5) * np.log1p(s / x), gammaln(x + s)),
+             np.where(stirling, s * (np.log(x + s) - 1.0), -gammaln(x)),
+             np.where(stirling, correction(x + s) - correction(x), 0.0))
+    return sum(parts), sum(abs(part) for part in parts)
 
 
 def _e_term(params: ChannelParams, q: int, scale: float, g_term):
@@ -421,7 +311,7 @@ def _e_term(params: ChannelParams, q: int, scale: float, g_term):
 
 
 def _aber_e_term(params: ChannelParams, dc, d2: float):
-    """E_k = E[Q(sqrt(2 d2 gamma)) | K = k] of the ABER component d2 (see :func:`_k_series`).
+    """E_k = E[Q(sqrt(2 d2 gamma)) | K = k] of the ABER component d2, from its G term k.
 
     E_k is the G term at (p/d2)^p / (q C gamma_bar^(alpha/2))^q times
     sqrt(pi) q^(m_x+k-1/2) / ((2 pi)^((p+q)/2) Gamma(m_x+k)).
@@ -437,55 +327,46 @@ def _aber_e_term(params: ChannelParams, dc, d2: float):
 
 
 def aber_exact(params: ChannelParams, mod: ModulationScheme) -> AberResult:
-    """Exact ABER via the Meijer-G series.
+    """Exact ABER: the mixture expectation of :func:`aber_mixture`, at every alpha.
 
-    Sums, per Q-function component j, the k-series of G-function terms at
-    argument (p/delta2_j)^p / (q C gamma_bar^(alpha/2))^q. Falls back to the
-    expectation over the gamma mixture (path ``series-quadrature``) when
-    alpha/2 needs a large denominator, the G evaluation fails, or a k-series
-    would run to its cap; :func:`_k_series` stops such a series as soon as
-    Jensen's bound (see :func:`_aber_floor`) shows it, often before its
-    first term. Once a term's residue series is rejected, the later terms of
-    its k-series go straight to the contour (specfun's
-    ``_slater_until_rejected``).
+    The paper's closed form, a k-series of Meijer G terms, is the same
+    expectation summed over the same NB weights, one G term per weight;
+    the G terms are in :func:`aber_exact_truncation_profile`. The
+    mixture sums it to 1e-12 at every alpha and beta_bar, where a k-series
+    stopped at 1e-7 was off by up to 1.7e-7, in under a third of the time
+    on the benchmark's domain laws.
     """
-    dc = derived_constants(params)
-    if dc.q is None:
-        return aber_mixture(params, mod)
-    sums = []
-    try:
-        for d2 in mod.delta2:
-            with specfun._slater_until_rejected():
-                sums.append(_k_series(dc.nb_weights, _aber_e_term(params, dc, d2),
-                                      _aber_floor(params, dc, d2)))
-    except (ConvergenceError, OverflowError):
-        return aber_mixture(params, mod)
-    return _make_aber(mod.delta1 * sum(total for total, _ in sums),
-                      max(terms for _, terms in sums), "meijer-g", mod)
+    return aber_mixture(params, mod)
 
 
 def aber_exact_truncation_profile(params: ChannelParams, mod: ModulationScheme, k_max: int = 16):
-    """ABER partial sums truncating the inner k-series after 1..k_max terms.
+    """ABER partial sums of the paper's Meijer-G k-series after 1..k_max terms.
 
     Supports the truncation-length measurements; entry i holds the ABER with
-    k <= i terms kept in every component: delta1 times the NB_k E_k terms of
-    :func:`_k_series`.
+    k <= i terms kept in every component: delta1 times the terms NB_k E_k,
+    with E_k from the G term k (:func:`_aber_e_term`). Raises ValueError
+    when alpha/2 has no p/q with q <= 8.
     """
     dc = derived_constants(params)
     if dc.q is None:
         raise ValueError("truncation profile needs the Meijer-G route")
     e_terms = [_aber_e_term(params, dc, d2) for d2 in mod.delta2]
-    per_k = [w * sum(e(k) for e in e_terms) for k, w in enumerate(dc.nb_weights[:k_max].tolist())]
-    per_k += [0.0] * (k_max - len(per_k))
-    return [mod.delta1 * acc for acc in itertools.accumulate(per_k)]
+    partial = _partial_sums(dc.nb_weights, k_max, lambda k: sum(e(k) for e in e_terms))
+    return [mod.delta1 * acc for acc in partial]
+
+
+def _partial_sums(weights: np.ndarray, k_max: int, e_term) -> list:
+    """Partial sums of NB_k E_k over k < k_max, E_k = ``e_term(k)``; 0 past the table."""
+    per_k = [w * e_term(k) for k, w in enumerate(weights[:k_max].tolist())]
+    return list(itertools.accumulate(per_k + [0.0] * (k_max - len(per_k))))
 
 
 def aber_mixture(params: ChannelParams, mod: ModulationScheme) -> AberResult:
     """ABER as the mixture expectation of delta1 sum_j Q(sqrt(2 delta2_j gamma)).
 
     Refined until two trapezoid levels agree to 1e-12 (path
-    ``series-quadrature``). The Meijer-G route of :func:`aber_exact` stops
-    its k-series at 1e-7, so the two can differ by about that much.
+    ``series-quadrature``); ``terms_used`` is the NB weight count.
+    :func:`aber_exact` returns this value.
     """
     value, terms = _mixture_expectation(params, _aber_h(mod))
     return _make_aber(value, terms, "series-quadrature", mod)
@@ -517,22 +398,29 @@ def coding_gain(params: ChannelParams, mod: ModulationScheme) -> float:
 
 
 def capacity_exact(params: ChannelParams) -> CapacityResult:
-    """Exact ergodic capacity via the Meijer-G series.
+    """Exact ergodic capacity: :func:`capacity_mixture`, at every alpha.
 
-    The G terms here always carry an integer pole collision (a doubled zero
-    parameter), so they go straight to the Mellin-Barnes contour, which is
-    where meijer_g would send them. The terms differ only in their
-    Gamma(m_x + k - q s) factor, and their pole ladders start at 0 and -1/p
-    for every k, so one memo lets every term keep the first term's line and
-    reuse the other factors' values. Falls back like :func:`aber_exact`; a
-    k-series that would run to its cap is stopped as soon as the bound of
-    :func:`_k_series` (floor 1, see :func:`_capacity_floor`) shows it, before
-    its first term when the NB weights alone do, and the fallback is
-    returned.
+    As for :func:`aber_exact`, the paper's Meijer-G k-series is the same
+    expectation; its G terms are in :func:`capacity_exact_truncation_profile`.
+    """
+    return capacity_mixture(params)
+
+
+def capacity_exact_truncation_profile(params: ChannelParams, k_max: int = 16):
+    """Capacity partial sums of the paper's Meijer-G k-series after 1..k_max terms.
+
+    Entry i holds the sum of the terms NB_k E_k for k <= i, with E_k =
+    E[log2(1 + gamma) | K = k] from the G term k. These G terms always carry
+    an integer pole collision (a doubled zero parameter), so they go straight
+    to the Mellin-Barnes contour, which is where meijer_g would send them.
+    The terms differ only in their Gamma(m_x + k - q s) factor, and their pole
+    ladders start at 0 and -1/p for every k, so one memo lets every term keep
+    the first term's line and reuse the other factors' values. Raises
+    ValueError when alpha/2 has no p/q with q <= 8.
     """
     dc = derived_constants(params)
     if dc.q is None:
-        return capacity_mixture(params)
+        raise ValueError("truncation profile needs the Meijer-G route")
     p, q = dc.p, dc.q
     z = (1.0 / (q * dc.c_alpha * params.gamma_bar ** (params.alpha / 2.0))) ** q
     ladder = tuple(i / p for i in range(p))
@@ -544,12 +432,7 @@ def capacity_exact(params: ChannelParams) -> CapacityResult:
         return specfun._meijer_contour(spec, z, memo)
 
     scale = 1.0 / ((2.0 * math.pi) ** ((q - 3.0) / 2.0 + p) * math.log(2.0))
-    try:
-        total, terms_used = _k_series(dc.nb_weights, _e_term(params, q, scale, g_term),
-                                      _capacity_floor)
-    except (ConvergenceError, OverflowError):
-        return capacity_mixture(params)
-    return CapacityResult(value=total, terms_used=terms_used, path="meijer-g")
+    return _partial_sums(dc.nb_weights, k_max, _e_term(params, q, scale, g_term))
 
 
 def capacity_mixture(params: ChannelParams) -> CapacityResult:
@@ -578,23 +461,28 @@ def _capacity_tail_bound(params: ChannelParams, dc) -> float:
     vanishing part of the capacity.
 
     M carries a first-order rounding slack: term t_k = exp(log w_k + log mu_k)
-    and its share of the sum are off by at most u (6k + 6 (L_k + 1) + n +
-    2 m_y + 2/alpha + 2) relative, u = 2^-53, n the table size. Weight k
-    has taken k recurrence steps of 4 roundings, and k powers of beta_bar
-    and m_y of 1 - beta_bar, each quotient 2u off. L_k sums the magnitudes
-    of the exponent's five logs: each log is off by u of its magnitude and
-    each gammaln by 2u, and each of the four additions and the exp by u of
-    a value no larger than L_k. C^(2/alpha) loses 2/alpha u in its exp/log
-    trip, and the sum u a term. C is taken as computed: its error moves
-    E[gamma] and every route alike.
+    is off by at most u (6k + 11 L_k + 2 m_y + 2/alpha + 7) relative, u =
+    2^-53, and its share of the sum by n u more, n the table size. Weight k
+    has taken k recurrence steps of 4 roundings, k powers of beta_bar and
+    m_y of 1 - beta_bar, each quotient 2u off, and one pow. L_k sums the
+    magnitudes of the exponent's six parts, log w_k and the five of
+    :func:`_log_mean_snr`. Each part is off by at most 6u of its magnitude
+    plus u: each log, log1p, gammaln and product rounds by u or 2u of its
+    value, and the rounded x + s and s/x move the logs by at most 4u of
+    theirs at x >= 100 (and gammaln by u (4 |gammaln| + 1)); Stirling's
+    correction is below 1e-3. Each of the five additions and the exp round
+    by u of a value no larger than L_k. C^(2/alpha) loses 2/alpha u in its
+    exp/log trip. C is taken as computed: its error moves E[gamma] and every
+    route alike. Where the NB weights centre past k = 10^4 (mean SNR below
+    about -50 dB), the weights' 6k leads the slack.
     """
     if dc.beta_bar == 0.0:
         return 0.0
     log_w = np.log(dc.nb_weights)
     log_mu, magnitude = _log_mean_snr(params, dc, log_w.size)
     terms = np.exp(log_w + log_mu)
-    rounding = (6.0 * np.arange(terms.size) + 6.0 * (np.abs(log_w) + magnitude)
-                + terms.size + 2.0 * params.m_y + 2.0 / params.alpha + 8.0)
+    rounding = (6.0 * np.arange(terms.size) + 11.0 * (np.abs(log_w) + magnitude)
+                + terms.size + 2.0 * params.m_y + 2.0 / params.alpha + 7.0)
     left = max(params.gamma_bar - terms.sum(), 0.0) + 2.0 ** -53 * (terms @ rounding)
     return channel._NB_TAIL * math.log2(1.0 + left / channel._NB_TAIL)
 

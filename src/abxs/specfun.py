@@ -38,8 +38,6 @@ raises ConvergenceError.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 import warnings
 from dataclasses import dataclass
@@ -280,8 +278,7 @@ def meijer_g(spec: MeijerGSpec, z: float) -> float:
     contributing pole is simple and the sum is well conditioned; otherwise
     numerical Mellin-Barnes contour integration. Pole collisions (contributing
     lower parameters differing by an integer) force the contour and emit a
-    :class:`PrecisionWarning`. Inside :func:`_slater_until_rejected` the
-    residue series is not tried again once it has been rejected.
+    :class:`PrecisionWarning`.
     """
     if not (z > 0.0 and math.isfinite(z)):
         raise ValueError(f"meijer_g requires finite z > 0, got {z}")
@@ -306,37 +303,10 @@ def meijer_g(spec: MeijerGSpec, z: float) -> float:
             stacklevel=2,
         )
         return _meijer_contour(spec, z)
-    route = _SERIES_ROUTE.get()
-    if route is None or route["slater"]:
-        try:
-            return _meijer_slater(spec, z)
-        except _SlaterUnstable:
-            if route is not None:
-                route["slater"] = False
-    return _meijer_contour(spec, z)
-
-
-# The route state of the k-series open in this context, if any: see
-# _slater_until_rejected.
-_SERIES_ROUTE = contextvars.ContextVar("abxs_meijer_series_route", default=None)
-
-
-@contextlib.contextmanager
-def _slater_until_rejected():
-    """Within the block, :func:`meijer_g` stops trying the residue series once
-    it has rejected one, and sends every later G straight to the contour.
-
-    The metrics open one block per k-series, whose terms differ by one step
-    in a lower parameter: once a term's residue series was rejected, the
-    later terms' were too, all 761 of them on the benchmark's `domain` laws
-    and all 3,207 on the fig-2, fig-3, fig-4 and 72-point grids (QAM-16 and
-    BPSK). The flip and the pole-collision route are unchanged.
-    """
-    token = _SERIES_ROUTE.set({"slater": True})
     try:
-        yield
-    finally:
-        _SERIES_ROUTE.reset(token)
+        return _meijer_slater(spec, z)
+    except _SlaterUnstable:
+        return _meijer_contour(spec, z)
 
 
 def _has_pole_collision(spec: MeijerGSpec, tol: float = 1e-9) -> bool:
@@ -481,7 +451,7 @@ def _meijer_contour(spec: MeijerGSpec, z: float, memo: dict | None = None) -> fl
     keeps the memo's line when it lies between its own ladders.
 
     Raises ConvergenceError when the last two of the 9 trapezoid levels still
-    differ by more than 1e-7 relative, the tolerance of the metrics' k-series.
+    differ by more than 1e-7 relative.
     """
     a, b = spec.a_params, spec.b_params
     m, n = spec.m, spec.n

@@ -264,6 +264,33 @@ class TestSeriesOverflowLaw:
                                                                          abs=0.0)
 
 
+class TestLogScaled1F1:
+    """The density's log(e^-x 1F1(a; b; x)): the large-x expansion where
+    x >= max(200, 6b), the power series below."""
+
+    @pytest.mark.parametrize("x", [200.0, 300.0, 400.0, 500.0, 600.0])
+    def test_against_mpmath(self, x):
+        with mpmath.workdps(40):
+            for a in (0.1, 0.7, 3.0, 10.0, 25.0, 50.0):
+                for b in (0.15, 1.5, 8.0, 20.0, 50.0):
+                    want = float(mpmath.log(mpmath.hyp1f1(a, b, x)) - x)
+                    got = ch._log_scaled_1f1(a, b, x)
+                    assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (a, b)
+
+    def test_switch_rule(self, monkeypatch):
+        # The pinned law's a = m_y, b = m_x: no series term from x = 200 on.
+        calls = []
+        real = specfun.kummer_1f1
+        monkeypatch.setattr(specfun, "kummer_1f1", lambda *args: calls.append(args) or real(*args))
+        a, b = TestSeriesOverflowLaw.PARAMS.m_y, TestSeriesOverflowLaw.PARAMS.m_x
+        for x in (200.0, 400.0, 640.0):
+            ch._log_scaled_1f1(a, b, x)
+        assert not calls
+        ch._log_scaled_1f1(a, b, 199.0)
+        ch._log_scaled_1f1(a, 50.0, 299.0)
+        assert len(calls) == 2
+
+
 class TestSnrCdf:
     def test_zero(self):
         assert ch.snr_cdf(fig1_params(2.0), 0.0) == 0.0

@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import os
@@ -7,15 +6,15 @@ import subprocess
 import sys
 import textwrap
 
-import numpy as np
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 from abxs import metrics as mt
 from abxs import specfun as sf
 from abxs.channel import ChannelParams, derived_constants
 from oracles import (nakagami_bpsk_aber, rayleigh_bpsk_aber, rayleigh_capacity)
-from paramsets import (FIG2_ALPHAS, FIG2_SNR_DB, FIG4_SETS, FIG4_SNR_DB, SMALL_ALPHA_LAWS, db,
-                       fig2_params, fig3_params, fig4_params, nakagami, rayleigh)
+from paramsets import (SMALL_ALPHA_LAWS, db, fig2_params, fig3_params, fig4_params, nakagami,
+                       rayleigh)
 
 QAM16 = mt.modulation_coeffs("mqam", 16)
 BPSK = mt.modulation_coeffs("bpsk")
@@ -167,7 +166,7 @@ class TestAberExact:
     def test_rayleigh(self):
         pars = rayleigh(gamma_bar=10.0)
         got = mt.aber_exact(pars, BPSK)
-        assert got.path == "meijer-g"
+        assert got.path == "series-quadrature"
         assert got.value == pytest.approx(rayleigh_bpsk_aber(10.0), rel=1e-8)
 
     def test_nakagami(self):
@@ -182,7 +181,7 @@ class TestAberExact:
         pars = fig2_params(alpha, snr_db)
         want = mt.aber_quadrature(pars, QAM16).value
         got = mt.aber_exact(pars, QAM16)
-        assert got.path == "meijer-g"
+        assert got.path == "series-quadrature"
         assert got.value == pytest.approx(want, rel=1e-5)
 
     def test_hybrid_path_when_denominator_large(self):
@@ -216,11 +215,13 @@ class TestAberExact:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_overflowing_residue_falls_back_to_contour(self):
-        # a residue of one G term overflows to +-inf; the Slater sum used to
-        # leak "ValueError: -inf + inf in fsum" here. mpmath reference value.
-        got = mt.aber_exact(fig3_params(0.5, 0.5, 1.0, snr_db=-10.0), QAM16)
-        assert got.path == "meijer-g"
-        assert got.value == pytest.approx(0.6602567351595884, rel=1e-6)
+        # a residue of one G term of the paper's k-series overflows to +-inf;
+        # the Slater sum used to leak "ValueError: -inf + inf in fsum" here.
+        # mpmath reference value.
+        pars = fig3_params(0.5, 0.5, 1.0, snr_db=-10.0)
+        prof = mt.aber_exact_truncation_profile(pars, QAM16, k_max=64)
+        assert prof[-1] == pytest.approx(0.6602567351595884, rel=1e-6)
+        assert mt.aber_exact(pars, QAM16).value == pytest.approx(0.6602567351595884, rel=1e-12)
 
     # Fig-3 rows (20 dB, powers -3 / +3 dB), mpmath references at 40 digits.
     # At alpha 2.5 and 3.75 most G terms fail the Slater series' cancellation
@@ -235,7 +236,7 @@ class TestAberExact:
     ])
     def test_fig3_rows(self, m_x, m_y, alpha, want):
         got = mt.aber_exact(fig3_params(m_x, m_y, alpha), QAM16)
-        assert got.path == "meijer-g"
+        assert got.path == "series-quadrature"
         assert got.value == pytest.approx(want, rel=1e-6)
 
     def test_los_dominated_mixture_fallback(self):
@@ -250,7 +251,7 @@ class TestAberExact:
         # between the pole ladders, where it missed the value by 1.1e-7.
         # mpmath reference at 40 digits.
         got = mt.aber_exact(ChannelParams(2.5, 0.5, 10 ** -0.3, 10 ** 0.3, 4.0, 1e6), QAM16)
-        assert got.path == "meijer-g"
+        assert got.path == "series-quadrature"
         assert got.value == pytest.approx(2.015024060343589e-23, rel=1e-12, abs=0.0)
 
     def test_truncation_profile_converges(self):
@@ -259,6 +260,44 @@ class TestAberExact:
         full = mt.aber_exact(pars, QAM16).value
         assert prof[-1] == pytest.approx(full, rel=1e-6)
         assert abs(prof[6] - full) / full < 1e-5  # 5-digit accuracy within 7 terms
+
+    def test_domain_grid(self):
+        # The 67 benchmark laws: QAM-16 ABER within 1e-12 of 40-digit mpmath.
+        laws = json.loads(DOMAIN_REFERENCE.read_text())["laws"]
+        got = [mt.aber_exact(ChannelParams(*law["law"]), QAM16) for law in laws]
+        assert all(r.path == "series-quadrature" for r in got)
+        assert [r.value for r in got] == pytest.approx([law["aber"] for law in laws],
+                                                       rel=1e-12, abs=0.0)
+
+    def test_truncation_profile_needs_the_closed_form(self):
+        with pytest.raises(ValueError):
+            mt.aber_exact_truncation_profile(fig2_params(2.2, 10.0), QAM16)
+
+    @pytest.mark.parametrize("alpha", [2.0, 2.5])
+    def test_g_terms_are_conditional_expectations(self, alpha):
+        # The profile's E_k from the paper's G term k is E[Q(sqrt(2 d2 gamma)) | K = k],
+        # here by QUADPACK over the Gamma(m_x + k) law of u. Q(sqrt(2 d2 gamma))
+        # is convex in gamma, so by Jensen E_k >= Q(sqrt(2 d2 mu_k)), with the
+        # conditional mean mu_k of _log_mean_snr.
+        from scipy import integrate
+        from scipy.special import erfc
+
+        pars = ChannelParams(0.5, 0.5, db(-3.0), db(3.0), alpha, 10.0)
+        dc = derived_constants(pars)
+        d2 = QAM16.delta2[0]
+        s = 2.0 / alpha
+        snr_scale = pars.gamma_bar * dc.c_alpha ** s
+        log_mu = mt._log_mean_snr(pars, dc, 11)[0]
+        for k in (0, 3, 10):
+            shape = pars.m_x + k
+
+            def integrand(t):
+                return (0.5 * math.erfc(math.sqrt(d2 * snr_scale * math.exp(s * t)))
+                        * math.exp(shape * t - math.exp(t) - math.lgamma(shape)))
+
+            e_k = integrate.quad(integrand, -60.0, 6.0, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+            assert mt._aber_e_term(pars, dc, d2)(k) == pytest.approx(e_k, rel=1e-11)
+            assert e_k >= 0.5 * erfc(math.sqrt(d2 * math.exp(log_mu[k])))
 
 
 class TestAberAsymptotic:
@@ -330,7 +369,7 @@ class TestCapacityExact:
     def test_rayleigh(self):
         pars = rayleigh(gamma_bar=10.0)
         got = mt.capacity_exact(pars)
-        assert got.path == "meijer-g"
+        assert got.path == "series-quadrature"
         assert got.value == pytest.approx(rayleigh_capacity(10.0), rel=1e-8)
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
@@ -338,8 +377,31 @@ class TestCapacityExact:
     def test_matches_oracle(self, alpha, snr_db):
         pars = fig2_params(alpha, snr_db)
         got = mt.capacity_exact(pars)
-        assert got.path == "meijer-g"
+        assert got.path == "series-quadrature"
         assert got.value == pytest.approx(mt.capacity_quadrature(pars), rel=1e-5)
+
+    def test_domain_grid(self):
+        # The 67 benchmark laws: capacity within 1e-12 of 40-digit mpmath.
+        laws = json.loads(DOMAIN_REFERENCE.read_text())["laws"]
+        got = [mt.capacity_exact(ChannelParams(*law["law"])) for law in laws]
+        assert all(r.path == "series-quadrature" for r in got)
+        assert [r.value for r in got] == pytest.approx([law["capacity"] for law in laws],
+                                                       rel=1e-12, abs=0.0)
+
+    def test_truncation_profile_converges(self):
+        # The paper's capacity k-series on the fig-4 grid, its G terms on the
+        # Mellin-Barnes contour: 24 terms reach the 1e-7 of a k-series, and
+        # the full table its sum.
+        pars = fig4_params(0.5, 0.5, 3.0, 20.0)
+        prof = mt.capacity_exact_truncation_profile(pars, k_max=44)
+        full = mt.capacity_exact(pars).value
+        assert prof[23] == pytest.approx(full, rel=1e-7)
+        assert prof[-1] == pytest.approx(full, rel=1e-10)
+        assert prof[:16] == mt.capacity_exact_truncation_profile(pars)
+
+    def test_truncation_profile_needs_the_closed_form(self):
+        with pytest.raises(ValueError):
+            mt.capacity_exact_truncation_profile(fig2_params(2.2, 10.0))
 
     def test_monotone_in_mean_snr(self):
         vals = [mt.capacity_exact(fig2_params(2.0, s)).value
@@ -353,41 +415,50 @@ class TestCapacityExact:
         assert got.value == pytest.approx(mt.capacity_quadrature(pars), rel=1e-6)
 
     def test_los_dominated_k_series_falls_back(self):
-        # At beta_bar ~ 0.95 the Meijer k-series outgrows its 64 terms and the
-        # mixture takes over. mpmath reference.
+        # At beta_bar ~ 0.95 the paper's k-series would need more than 64
+        # terms; the mixture needs no cap. mpmath reference.
         got = mt.capacity_exact(fig3_params(2.5, 0.5, 0.8, snr_db=60.0))
         assert got.path == "series-quadrature"
         assert got.value == pytest.approx(15.643722826061696, rel=1e-6)
 
     def test_gated_law_runs_no_contour(self, monkeypatch):
-        # At beta_bar ~ 0.95 no run of three k < 64 has NB_k / F_k <= 1e-7, so
-        # the k-series cannot stop and is not started.
+        # A LoS-dominated law (beta_bar ~ 0.95) whose k-series needs more than
+        # 64 terms: the exact metrics evaluate no Meijer G term, here or on
+        # any law.
         pars = fig3_params(2.5, 0.5, 0.8, snr_db=60.0)
-        nb = _nb_head(derived_constants(pars).nb_weights)
-        low = mt._ratio_floor(nb, -1, 0.0, mt._capacity_floor(-1, 0.0))
-        assert not mt._series_can_stop(low, 0)
 
         def forbidden(*args, **kwargs):
-            pytest.fail("the gated capacity ran a Mellin-Barnes contour")
+            pytest.fail("an exact metric evaluated a Meijer G term")
 
         monkeypatch.setattr(sf, "_meijer_contour", forbidden)
+        monkeypatch.setattr(sf, "meijer_g", forbidden)
         assert mt.capacity_exact(pars).path == "series-quadrature"
+        assert mt.aber_exact(pars, QAM16).path == "series-quadrature"
 
-    def test_gate_changes_no_bit(self, monkeypatch):
-        # On every domain law the gated capacity returns what the k-series
-        # run without the gate returns: the same sum, or, where the gate cuts
-        # it, the same fallback after the 64-term cap.
-        laws = [ChannelParams(*law["law"])
-                for law in json.loads(DOMAIN_REFERENCE.read_text())["laws"]]
-        got = [mt.capacity_exact(pars) for pars in laws]
-        monkeypatch.setattr(mt, "_series_can_stop", lambda low, streak: True)
-        assert [mt.capacity_exact(pars) for pars in laws] == got
+    def test_low_snr_law_returns(self):
+        # At -50 dB the NB weights centre past k = 10^4 (37,600 of them). The
+        # tail bound's rounding slack took gammaln(m_x + k + 2/alpha) -
+        # gammaln(m_x + k) at magnitudes near 8e4 and raised on a value right
+        # to 4.4e-12: bound/value was 1.19e-10.
+        pars = ChannelParams(1, 20, 1, 9980, 2, 1e-5)
+        got = mt.capacity_exact(pars)
+        assert got.path == "series-quadrature"
+        assert got.value == pytest.approx(mt.capacity_quadrature(pars), rel=1e-10, abs=0.0)
 
-    def test_gate_never_fires_on_fig4_grid(self):
-        # Every fig-4 k-series converges, so the gate lets each one run.
-        for m_x, m_y, alpha in FIG4_SETS:
-            for snr_db in FIG4_SNR_DB:
-                assert mt.capacity_exact(fig4_params(m_x, m_y, alpha, snr_db)).path == "meijer-g"
+    def test_log_mean_snr_against_mpmath(self):
+        # log mu_k on both sides of the switch to Stirling's series at
+        # m_x + k = 100, and far past it, against 40-digit mpmath: within
+        # 3 u of (magnitude + 1), inside the 6 u per part the slack assumes.
+        pars = ChannelParams(1, 20, 1, 9980, 2.5, 1e-5)
+        dc = derived_constants(pars)
+        log_mu, magnitude = mt._log_mean_snr(pars, dc, 30_000)
+        s = mpmath.mpf(2) / pars.alpha
+        with mpmath.workdps(40):
+            for k in (0, 5, 98, 99, 100, 1_000, 29_999):
+                x = mpmath.mpf(pars.m_x) + k
+                want = (mpmath.log(pars.gamma_bar) + s * mpmath.log(dc.c_alpha)
+                        + mpmath.loggamma(x + s) - mpmath.loggamma(x))
+                assert abs(log_mu[k] - float(want)) <= 3.0 * 2.0 ** -53 * (magnitude[k] + 1.0)
 
     def test_tiny_alpha_does_not_overflow(self):
         # The mho_alpha power overflows at alpha = 0.01, so derived_constants
@@ -419,145 +490,6 @@ class TestSmallAlphaCapacity:
     @pytest.mark.parametrize("law, want", SMALL_ALPHA_CAPACITY)
     def test_quadrature_matches_mpmath(self, law, want):
         assert mt.capacity_quadrature(ChannelParams(*law)) == pytest.approx(want, rel=1e-10)
-
-
-def _nb_head(weights):
-    """The NB weights a k-series reads: the table's first 64, 0 past its end."""
-    head = weights[:mt._K_MAX_TERMS]
-    return np.concatenate((head, np.zeros(mt._K_MAX_TERMS - head.size)))
-
-
-def _series_terms(monkeypatch, run):
-    """[(nb, terms, E terms, e_floor)] of every k-series ``run`` starts.
-
-    Every term up to the 64th or the table's end is evaluated; past that end
-    the terms are zero.
-    """
-    captured = []
-    real = mt._k_series
-
-    def spy(weights, e_term, e_floor):
-        captured.append((weights, e_term, e_floor))
-        return real(weights, e_term, e_floor)
-
-    monkeypatch.setattr(mt, "_k_series", spy)
-    run()
-    monkeypatch.undo()
-    series = []
-    for weights, e_term, e_floor in captured:
-        nb = _nb_head(weights)
-        es = [e_term(k) for k in range(min(weights.size, mt._K_MAX_TERMS))]
-        series.append((nb, [w * e for w, e in zip(nb, es)], es, e_floor))
-    return series
-
-
-DOMAIN_POWERS = (db(-3.0), db(3.0))
-
-
-class TestKSeriesGate:
-    """The bound that stops a Meijer k-series which cannot meet its stopping rule."""
-
-    # Series that run to the 64-term cap (the first two) and that converge.
-    @pytest.mark.parametrize("metric, pars", [
-        ("capacity", ChannelParams(0.5, 0.5, *DOMAIN_POWERS, 1.0, db(-10.0))),
-        ("aber", ChannelParams(1.2, 1.2, *DOMAIN_POWERS, 2.0, db(-10.0))),
-        ("capacity", fig4_params(2.5, 2.5, 3.0, 20.0)),
-        ("aber", fig2_params(2.0, 20.0)),
-        ("aber", ChannelParams(2.5, 2.5, *DOMAIN_POWERS, 0.8, db(30.0))),
-    ])
-    def test_bound_is_sound(self, monkeypatch, metric, pars):
-        # For every k < j < 64 the bound on term j over the partial sum S_j,
-        # known after term k (k = -1: before the first term), is at most the
-        # ratio the terms give (trivially, 0, past the table's end).
-        run = ((lambda: mt.capacity_exact(pars)) if metric == "capacity"
-               else (lambda: mt.aber_exact(pars, QAM16)))
-        series = _series_terms(monkeypatch, run)
-        assert series
-        for nb, terms, es, e_floor in series:
-            assert all(t > 0.0 for t in terms)
-            partial = list(itertools.accumulate(terms))
-            ratio = [t / total for t, total in zip(terms, partial)]
-            for k in range(-1, len(terms) - 1):
-                head = 0.0 if k < 0 else partial[k] / es[k]
-                low = mt._ratio_floor(nb, k, head, e_floor(k, es[k] if k >= 0 else 0.0))
-                assert len(low) == mt._K_MAX_TERMS - 1 - k
-                assert all(lo <= r * (1.0 + 1e-9) for lo, r in zip(low, ratio[k + 1:]))
-                # The scalar shortcut only ever says what the full bound says.
-                if mt._tail_can_stop(nb, np.cumsum(nb).tolist(), k, head):
-                    assert mt._series_can_stop(low, 0)
-
-    @pytest.mark.parametrize("alpha", [2.0, 2.5])
-    def test_aber_floor_is_jensen_over_the_conditional_expectation(self, alpha):
-        # floor_j = min(1, Q(sqrt(2 d2 mu_j)) / E_k), with E_k taken from the G
-        # term by _aber_e_term; here E_k = E[Q(sqrt(2 d2 gamma)) | K = k] comes from QUADPACK
-        # over the Gamma(m_x + k) law of u and mu_j from the gamma function.
-        from scipy import integrate
-        from scipy.special import erfc, gammaln
-
-        pars = ChannelParams(0.5, 0.5, *DOMAIN_POWERS, alpha, 10.0)
-        dc = derived_constants(pars)
-        d2 = QAM16.delta2[0]
-        s = 2.0 / alpha
-        snr_scale = pars.gamma_bar * dc.c_alpha ** s
-        j = pars.m_x + np.arange(mt._K_MAX_TERMS)
-        jensen = 0.5 * erfc(np.sqrt(d2 * snr_scale * np.exp(gammaln(j + s) - gammaln(j))))
-        floor = mt._aber_floor(pars, dc, d2)
-        for k in (0, 3, 10):
-            shape = pars.m_x + k
-
-            def integrand(t):
-                return (0.5 * math.erfc(math.sqrt(d2 * snr_scale * math.exp(s * t)))
-                        * math.exp(shape * t - math.exp(t) - math.lgamma(shape)))
-
-            e_k = integrate.quad(integrand, -60.0, 6.0, epsabs=0.0, epsrel=1e-12, limit=200)[0]
-            got = floor(k, mt._aber_e_term(pars, dc, d2)(k))
-            assert got == pytest.approx(np.minimum(1.0, jensen / e_k), rel=1e-9)
-        assert floor(-1, 0.0) == pytest.approx(2.0 * jensen, rel=1e-12)
-
-    def test_capacity_bound_before_the_first_term_is_the_weight_share(self):
-        # With nothing summed yet, term j over the partial sum is at least
-        # NB_j / (NB_0 + ... + NB_j).
-        pars = fig3_params(2.5, 0.5, 0.8, snr_db=60.0)
-        nb = _nb_head(derived_constants(pars).nb_weights)
-        low = mt._ratio_floor(nb, -1, 0.0, mt._capacity_floor(-1, 0.0))
-        assert low == pytest.approx(nb / list(itertools.accumulate(nb)), rel=1e-14)
-
-    def test_running_streak_counts(self):
-        # Two terms already meet the rule and the next can: the series can stop.
-        blocked = np.full(10, 1.0)
-        free_next = np.concatenate(([0.0], blocked[1:]))
-        assert not mt._series_can_stop(blocked, 2)
-        assert not mt._series_can_stop(free_next, 1)
-        assert mt._series_can_stop(free_next, 2)
-        assert mt._series_can_stop(np.concatenate((blocked, np.zeros(3))), 0)
-        assert mt._series_can_stop(np.full(3, np.nan), 0)
-
-    def test_aber_gate_changes_no_bit(self, monkeypatch):
-        # aber_exact returns the same value, path and term count with the
-        # gate as with the gate patched to always let the series run, on the
-        # domain laws and the fig-2 grid.
-        laws = [ChannelParams(*law["law"])
-                for law in json.loads(DOMAIN_REFERENCE.read_text())["laws"]]
-        laws += [fig2_params(alpha, snr_db) for alpha in FIG2_ALPHAS for snr_db in FIG2_SNR_DB]
-        got = [mt.aber_exact(pars, QAM16) for pars in laws]
-        assert any(r.path == "series-quadrature" for r in got)
-        monkeypatch.setattr(mt, "_series_can_stop", lambda low, streak: True)
-        assert [mt.aber_exact(pars, QAM16) for pars in laws] == got
-
-    def test_gate_fires(self, monkeypatch):
-        # Series that would run to the 64-term cap evaluate few G terms.
-        calls = []
-        real_contour, real_g = sf._meijer_contour, sf.meijer_g
-        monkeypatch.setattr(sf, "_meijer_contour",
-                            lambda *a: calls.append("contour") or real_contour(*a))
-        monkeypatch.setattr(sf, "meijer_g", lambda *a: calls.append("g") or real_g(*a))
-        got = mt.capacity_exact(ChannelParams(0.5, 0.5, *DOMAIN_POWERS, 1.0, db(-10.0)))
-        assert got.path == "series-quadrature"
-        assert len(calls) <= 16
-        calls.clear()
-        got = mt.aber_exact(ChannelParams(1.2, 1.2, *DOMAIN_POWERS, 2.0, db(-10.0)), QAM16)
-        assert got.path == "series-quadrature"
-        assert len(calls) <= 16
 
 
 class TestCapacityAsymptotic:

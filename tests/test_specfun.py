@@ -338,63 +338,6 @@ def _mpmath_meijer_g(spec, z, **kwargs):
                                     **kwargs))
 
 
-class TestSlaterUntilRejected:
-    """Inside one k-series, meijer_g stops trying the residue series after a rejection."""
-
-    @staticmethod
-    def _slater_spy(monkeypatch):
-        outcomes = []  # (z, accepted) per residue-series attempt
-        real = sf._meijer_slater
-
-        def spy(spec, z):
-            try:
-                value = real(spec, z)
-            except sf._SlaterUnstable:
-                outcomes.append((z, False))
-                raise
-            outcomes.append((z, True))
-            return value
-
-        monkeypatch.setattr(sf, "_meijer_slater", spy)
-        return outcomes
-
-    def test_no_attempt_after_a_rejection(self, monkeypatch):
-        # Domain law 4: the QAM-16 component d2 = 0.1 passes the residue gates
-        # for 14 terms, then fails them.
-        params = ChannelParams(2.5, 2.5, 10 ** -0.3, 10 ** 0.3, 0.8, 1000.0)
-        outcomes = self._slater_spy(monkeypatch)
-        contours = []
-        real_contour = sf._meijer_contour
-        monkeypatch.setattr(sf, "_meijer_contour",
-                            lambda *a: contours.append(a[1]) or real_contour(*a))
-        values = []
-        with sf._slater_until_rejected():
-            for k in range(20):
-                values.append(sf.meijer_g(*_aber_term_spec(params, QAM16.delta2[0], k)))
-        assert [ok for _, ok in outcomes] == [True] * 14 + [False]
-        assert len(contours) == 6
-        # Out of the block the public route is unchanged: every term tries
-        # Slater, and the later terms match the contour route bit for bit.
-        outcomes.clear()
-        alone = [sf.meijer_g(*_aber_term_spec(params, QAM16.delta2[0], k)) for k in range(20)]
-        assert len(outcomes) == 20 and not any(ok for _, ok in outcomes[14:])
-        assert alone == values
-
-    def test_each_k_series_of_aber_exact(self, monkeypatch):
-        # Each Q component's k-series has its own block (its own argument z):
-        # no residue attempt follows a rejection in the same series.
-        outcomes = self._slater_spy(monkeypatch)
-        mt.aber_exact(ChannelParams(2.5, 2.5, 10 ** -0.3, 10 ** 0.3, 0.8, 1000.0), QAM16)
-        mt.aber_exact(ChannelParams(1.2, 1.2, 10 ** -0.3, 10 ** 0.3, 0.8, 10.0), QAM16)
-        rejected = set()
-        for z, ok in outcomes:
-            assert z not in rejected
-            if not ok:
-                rejected.add(z)
-        assert len(rejected) >= 2
-        assert sf._SERIES_ROUTE.get() is None
-
-
 class TestMeijerGDifferential:
     """meijer_g against mpmath at 30 digits, on every evaluation route."""
 
@@ -530,9 +473,9 @@ class TestMeijerGDifferential:
 
     @pytest.mark.parametrize("alpha", [1.0, 2.5, 3.0])
     def test_shared_memo_changes_no_bit(self, monkeypatch, alpha):
-        # capacity_exact shares one memo over its k-series, where only the
-        # (m_x + k) factor changes and the pole ladders stay put, so every term
-        # keeps the first term's line. Each term must equal the contour
+        # capacity_exact_truncation_profile shares one memo over its k-series,
+        # where only the (m_x + k) factor changes and the pole ladders stay
+        # put, so every term keeps the first term's line. Each term must equal the contour
         # evaluated alone on that line to the last bit, from under half the
         # loggamma points, and match mpmath.
         points = []
@@ -555,12 +498,16 @@ class TestContourBudget:
 
     # Points at commit 51916b6, counted with this spy, before the contour
     # found its cut on the level-0 nodes and stopped on the extrapolated
-    # level difference: 79,576 and 32,632.
+    # level difference: 79,576 and 32,632, for the 6 and 24 terms that the
+    # exact ABER and capacity k-series then summed here, now the paper's
+    # k-series in the truncation profiles.
     @pytest.mark.parametrize("call, parent_points, share", [
-        (lambda: mt.aber_exact(fig2_params(3.0, 35.0), QAM16), 79_576, 0.7),
-        (lambda: mt.capacity_exact(fig4_params(0.5, 0.5, 3.0, 20.0)), 32_632, 0.4),
+        (lambda: mt.aber_exact_truncation_profile(fig2_params(3.0, 35.0), QAM16, k_max=6),
+         79_576, 0.7),
+        (lambda: mt.capacity_exact_truncation_profile(fig4_params(0.5, 0.5, 3.0, 20.0), k_max=24),
+         32_632, 0.4),
     ])
     def test_loggamma_points(self, monkeypatch, call, parent_points, share):
         points = _loggamma_points(monkeypatch)
-        assert call().path == "meijer-g"
+        assert call()[-1] > 0.0
         assert 0 < sum(points) <= share * parent_points
