@@ -13,8 +13,8 @@ from abxs import metrics as mt
 from abxs import specfun as sf
 from abxs.channel import ChannelParams, derived_constants
 from oracles import (nakagami_bpsk_aber, rayleigh_bpsk_aber, rayleigh_capacity)
-from paramsets import (SMALL_ALPHA_LAWS, db, fig2_params, fig3_params, fig4_params, nakagami,
-                       rayleigh)
+from paramsets import (FIG4_SETS, FIG4_SNR_DB, SMALL_ALPHA_LAWS, db, fig2_params, fig3_params,
+                       fig4_params, nakagami, rayleigh)
 
 QAM16 = mt.modulation_coeffs("mqam", 16)
 BPSK = mt.modulation_coeffs("bpsk")
@@ -273,32 +273,6 @@ class TestAberExact:
         with pytest.raises(ValueError):
             mt.aber_exact_truncation_profile(fig2_params(2.2, 10.0), QAM16)
 
-    @pytest.mark.parametrize("alpha", [2.0, 2.5])
-    def test_g_terms_are_conditional_expectations(self, alpha):
-        # The profile's E_k from the paper's G term k is E[Q(sqrt(2 d2 gamma)) | K = k],
-        # here by QUADPACK over the Gamma(m_x + k) law of u. Q(sqrt(2 d2 gamma))
-        # is convex in gamma, so by Jensen E_k >= Q(sqrt(2 d2 mu_k)), with the
-        # conditional mean mu_k of _log_mean_snr.
-        from scipy import integrate
-        from scipy.special import erfc
-
-        pars = ChannelParams(0.5, 0.5, db(-3.0), db(3.0), alpha, 10.0)
-        dc = derived_constants(pars)
-        d2 = QAM16.delta2[0]
-        s = 2.0 / alpha
-        snr_scale = pars.gamma_bar * dc.c_alpha ** s
-        log_mu = mt._log_mean_snr(pars, dc, 11)[0]
-        for k in (0, 3, 10):
-            shape = pars.m_x + k
-
-            def integrand(t):
-                return (0.5 * math.erfc(math.sqrt(d2 * snr_scale * math.exp(s * t)))
-                        * math.exp(shape * t - math.exp(t) - math.lgamma(shape)))
-
-            e_k = integrate.quad(integrand, -60.0, 6.0, epsabs=0.0, epsrel=1e-12, limit=200)[0]
-            assert mt._aber_e_term(pars, dc, d2)(k) == pytest.approx(e_k, rel=1e-11)
-            assert e_k >= 0.5 * erfc(math.sqrt(d2 * math.exp(log_mu[k])))
-
 
 class TestAberAsymptotic:
     def test_identity_with_coding_gain(self):
@@ -445,6 +419,27 @@ class TestCapacityExact:
         assert got.path == "series-quadrature"
         assert got.value == pytest.approx(mt.capacity_quadrature(pars), rel=1e-10, abs=0.0)
 
+    def test_gate_changes_no_bit(self, monkeypatch):
+        # The tail-bound gate only ever raises: on every domain law it passes,
+        # and capacity_exact returns what it returns with the bound patched
+        # to 0.
+        laws = [ChannelParams(*law["law"])
+                for law in json.loads(DOMAIN_REFERENCE.read_text())["laws"]]
+        got = [mt.capacity_exact(pars) for pars in laws]
+        monkeypatch.setattr(mt, "_capacity_tail_bound", lambda params, dc: 0.0)
+        assert [mt.capacity_exact(pars) for pars in laws] == got
+
+    def test_gate_never_fires_on_fig4_grid(self):
+        # On every fig-4 law the NB table leaves out at most _TAIL_REL_TOL of
+        # the capacity by the tail bound, so capacity_exact returns its value.
+        for m_x, m_y, alpha in FIG4_SETS:
+            for snr_db in FIG4_SNR_DB:
+                pars = fig4_params(m_x, m_y, alpha, snr_db)
+                got = mt.capacity_exact(pars)
+                assert got.path == "series-quadrature"
+                bound = mt._capacity_tail_bound(pars, derived_constants(pars))
+                assert bound <= mt._TAIL_REL_TOL * got.value
+
     def test_log_mean_snr_against_mpmath(self):
         # log mu_k on both sides of the switch to Stirling's series at
         # m_x + k = 100, and far past it, against 40-digit mpmath: within
@@ -490,6 +485,97 @@ class TestSmallAlphaCapacity:
     @pytest.mark.parametrize("law, want", SMALL_ALPHA_CAPACITY)
     def test_quadrature_matches_mpmath(self, law, want):
         assert mt.capacity_quadrature(ChannelParams(*law)) == pytest.approx(want, rel=1e-10)
+
+
+DOMAIN_POWERS = (db(-3.0), db(3.0))
+
+
+class TestKSeriesGate:
+    """Bounds on the NB k-series sum_k NB_k E_k from the conditional means mu_k.
+
+    The capacity tail bound gates capacity_mixture; Jensen's floor
+    Q(sqrt(2 d2 mu_k)) lies under each ABER term E_k.
+    """
+
+    # Laws whose weight tables pass 64 entries (the first two) and end sooner.
+    @pytest.mark.parametrize("metric, pars", [
+        ("capacity", ChannelParams(0.5, 0.5, *DOMAIN_POWERS, 1.0, db(-10.0))),
+        ("aber", ChannelParams(1.2, 1.2, *DOMAIN_POWERS, 2.0, db(-10.0))),
+        ("capacity", fig4_params(2.5, 2.5, 3.0, 20.0)),
+        ("aber", fig2_params(2.0, 20.0)),
+        ("aber", ChannelParams(2.5, 2.5, *DOMAIN_POWERS, 0.8, db(30.0))),
+    ])
+    def test_bound_is_sound(self, metric, pars):
+        dc = derived_constants(pars)
+        n = dc.nb_weights.size
+        if metric == "capacity":
+            # The left-out components hold at most P log2(1 + M/P) of capacity
+            # (Jensen), with P their mass and M their share of E[gamma], here
+            # summed past the table at 40 digits from bb and C as computed.
+            with mpmath.workdps(40):
+                bb = mpmath.mpf(dc.beta_bar)
+                s = mpmath.mpf(2) / pars.alpha
+                scale = mpmath.mpf(pars.gamma_bar) * mpmath.mpf(dc.c_alpha) ** s
+                w = (mpmath.mpf(dc.one_minus_beta_bar) ** pars.m_y
+                     * mpmath.rf(pars.m_y, n) / mpmath.factorial(n) * bb ** n)
+                mu = scale * mpmath.exp(mpmath.loggamma(pars.m_x + n + s)
+                                        - mpmath.loggamma(pars.m_x + n))
+                mass = mean = mpmath.mpf(0)
+                k = n
+                while w * mu >= mpmath.mpf(10) ** -35 * mean or w >= mpmath.mpf(10) ** -35 * mass:
+                    mass += w
+                    mean += w * mu
+                    mu *= (pars.m_x + k + s) / (pars.m_x + k)
+                    w *= (pars.m_y + k) * bb / (k + 1)
+                    k += 1
+                left_out = float(mass * mpmath.log(1 + mean / mass, 2))
+            assert 0.0 < left_out <= mt._capacity_tail_bound(pars, dc)
+        else:
+            # Every term of the paper's series, from its G terms, is at least
+            # Jensen's floor over the conditional mean mu_k.
+            k_max = min(n, 64)
+            log_mu = mt._log_mean_snr(pars, dc, k_max)[0]
+            for d2 in QAM16.delta2:
+                e_term = mt._aber_e_term(pars, dc, d2)
+                for k in range(k_max):
+                    floor = 0.5 * math.erfc(math.sqrt(d2 * math.exp(log_mu[k])))
+                    assert floor <= e_term(k) * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("alpha", [2.0, 2.5])
+    def test_aber_floor_is_jensen_over_the_conditional_expectation(self, alpha):
+        # The profile's E_k from the paper's G term k is E[Q(sqrt(2 d2 gamma)) | K = k],
+        # here by QUADPACK over the Gamma(m_x + k) law of u. Q(sqrt(2 d2 gamma))
+        # is convex in gamma, so by Jensen E_k >= Q(sqrt(2 d2 mu_k)), with the
+        # conditional mean mu_k of _log_mean_snr.
+        from scipy import integrate
+
+        pars = ChannelParams(0.5, 0.5, *DOMAIN_POWERS, alpha, 10.0)
+        dc = derived_constants(pars)
+        d2 = QAM16.delta2[0]
+        s = 2.0 / alpha
+        snr_scale = pars.gamma_bar * dc.c_alpha ** s
+        log_mu = mt._log_mean_snr(pars, dc, 11)[0]
+        for k in (0, 3, 10):
+            shape = pars.m_x + k
+
+            def integrand(t):
+                return (0.5 * math.erfc(math.sqrt(d2 * snr_scale * math.exp(s * t)))
+                        * math.exp(shape * t - math.exp(t) - math.lgamma(shape)))
+
+            e_k = integrate.quad(integrand, -60.0, 6.0, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+            assert mt._aber_e_term(pars, dc, d2)(k) == pytest.approx(e_k, rel=1e-11)
+            assert e_k >= 0.5 * math.erfc(math.sqrt(d2 * math.exp(log_mu[k])))
+
+    def test_gate_fires(self, monkeypatch):
+        # Where the tail bound raises, the mixture without it misses the
+        # 40-digit capacity by more than _TAIL_REL_TOL (by 2.7e-5 to all of
+        # it), and by no more than the bound.
+        laws = [ChannelParams(*law) for law, _ in SMALL_ALPHA_CAPACITY]
+        bounds = [mt._capacity_tail_bound(pars, derived_constants(pars)) for pars in laws]
+        monkeypatch.setattr(mt, "_capacity_tail_bound", lambda params, dc: 0.0)
+        for pars, (_, want), bound in zip(laws, SMALL_ALPHA_CAPACITY, bounds):
+            miss = want - mt.capacity_mixture(pars).value
+            assert mt._TAIL_REL_TOL * want < miss <= bound
 
 
 class TestCapacityAsymptotic:
