@@ -5,11 +5,13 @@ One line per call: law set and index, metric, ``value.hex()``, ``path`` and
 ``terms_used`` (or the exception's name). The calls are ``aber_exact``
 (QAM-16 and BPSK) and ``capacity_exact`` on the benchmark's 67 ``domain``
 laws, on the fig-2, fig-3 (alpha 1:0.25:4), fig-4 and 72-point grid laws,
-on the four small-alpha laws whose capacity the NB weight table leaves out
-and on ``LOW_SNR``. Then, on each ``domain`` law and on ``PINNED``, one line
-each for ``c_alpha`` and for ``snr_pdf``, ``snr_cdf_phi2`` and
-``bxs_envelope_pdf`` at gamma/gamma_bar in ``RATIOS``: the value's hex or
-the exception's name.
+on the four small-alpha laws whose capacity the NB weight table leaves out,
+on ``LOW_SNR`` and on the ``LONG_TABLES`` laws, whose tables give the
+mixture density its widest windows. Then, on each ``domain`` law, on
+``PINNED`` and on ``LARGE_B``, one line each for ``c_alpha`` and for
+``snr_pdf``, ``snr_cdf_phi2`` and ``bxs_envelope_pdf`` at gamma/gamma_bar
+in ``RATIOS``: the value's hex or the exception's name. ``LARGE_B`` adds
+``snr_pdf`` at ``LARGE_B_RATIOS``.
 The envelope density is taken at r^2 = (gamma/gamma_bar)(omega_x + omega_y),
 the ratio times the baseline mean power. The exact metrics are the mixture
 expectations, so these calls reach no Meijer G term; only the truncation
@@ -43,6 +45,12 @@ PINNED = ChannelParams(0.152354, 41.2887, 1, 4452.53, 3.56718, 1002.9)
 RATIOS = (0.01, 0.1, 1.0, 3.0, 10.0)
 # A law at -50 dB whose NB weights centre past k = 10^4 (37,600 of them).
 LOW_SNR = ChannelParams(1, 20, 1, 9980, 2, 1e-5)
+# beta_bar = 0.995 and 0.998: 6,432 and 16,102 NB weights.
+LONG_TABLES = (ChannelParams(1, 1, 1, 199, 2.2, 10), ChannelParams(1, 1, 1, 499, 2.2, 10))
+# A law whose pdf needs 1F1(70; 300; x) past x = 650 with x < 6b, where the
+# large-x expansion is refused: beta_bar u = 729 and 972 at LARGE_B_RATIOS.
+LARGE_B = ChannelParams(300, 70, 1, 1, 2, 10)
+LARGE_B_RATIOS = (1.5, 2.0)
 
 
 def law_sets():
@@ -54,6 +62,7 @@ def law_sets():
     yield "grid72", list(grid72())
     yield "smallalpha", [ChannelParams(*law) for law in SMALL_ALPHA_LAWS]
     yield "lowsnr", [LOW_SNR]
+    yield "longtables", list(LONG_TABLES)
 
 
 def outcome(call, fmt) -> str:
@@ -89,10 +98,13 @@ def main() -> int:
                               lambda r: f"{r.value.hex()} {r.path} {r.terms_used}")
                 print(f"{name}[{i}] {metric} {out}")
     domain = [ChannelParams(*law) for law in domain_laws()]
-    for name, laws in (("domain", domain), ("pinned", [PINNED])):
+    for name, laws in (("domain", domain), ("pinned", [PINNED]), ("largeb", [LARGE_B])):
         for i, params in enumerate(laws):
             for line in density_lines(name, i, params):
                 print(line)
+    for ratio in LARGE_B_RATIOS:
+        pdf = outcome(lambda: snr_pdf(LARGE_B, ratio * LARGE_B.gamma_bar), float.hex)
+        print(f"largeb[0] snr_pdf@{ratio:g} {pdf}")
     return 0
 
 

@@ -146,26 +146,33 @@ class DerivedConstants:
         stops once, past the mode, the geometric bound w_{k+1} / (1 - max(r_k,
         bb)) on the mass left out falls below 1e-14; r_k = w_{k+1}/w_k, and
         max(r_k, bb) bounds every later ratio. Built on first use: the pdf never
-        needs the weights, and their count grows as 1/(1 - bb). Raises
-        ConvergenceError once the list would pass _NB_MAX_WEIGHTS entries.
+        needs the weights, and their count grows as 1/(1 - bb). The ratios
+        are taken in chunks that double in length, and
+        ``np.multiply.accumulate`` multiplies them in the same order as the
+        scalar recurrence w_{k+1} = w_k r_k, so every weight is that
+        recurrence's to the bit. Raises ConvergenceError once the list would
+        pass _NB_MAX_WEIGHTS entries.
         """
         m_y, bb = self.m_y, self.beta_bar
-        w = self.one_minus_beta_bar ** m_y
-        out = [w]
-        k = 0
+        chunks = [np.array([self.one_minus_beta_bar ** m_y])]
+        k0, size = 0, 64
         while bb > 0.0:
-            r = (m_y + k) * bb / (k + 1.0)
-            w *= r
-            rho = max(r, bb)
-            if rho < 1.0 and w < _NB_TAIL * (1.0 - rho):
-                break
-            if len(out) == _NB_MAX_WEIGHTS:
+            if k0 == _NB_MAX_WEIGHTS:
                 raise specfun.ConvergenceError(
                     f"NB weight table would pass {_NB_MAX_WEIGHTS} entries "
                     f"(1 - beta_bar = {self.one_minus_beta_bar:.3g})")
-            out.append(w)
-            k += 1
-        weights = np.array(out)
+            k = np.arange(k0, min(k0 + size, _NB_MAX_WEIGHTS), dtype=float)
+            r = (m_y + k) * bb / (k + 1.0)
+            w = np.multiply.accumulate(np.concatenate((chunks[-1][-1:], r)))[1:]
+            rho = np.maximum(r, bb)
+            stop = np.flatnonzero((rho < 1.0) & (w < _NB_TAIL * (1.0 - rho)))
+            if stop.size:
+                chunks.append(w[:stop[0]])
+                break
+            chunks.append(w)
+            k0 += k.size
+            size *= 2
+        weights = np.concatenate(chunks)
         weights.flags.writeable = False
         return weights
 
@@ -321,22 +328,22 @@ def _log_scaled_1f1(a: float, b: float, x: float) -> float:
     [0.1, 200] at x from 200 to 650 and x >= 5b, it was within 6e-15 of
     max(1, |value|); at x = 4b it missed by up to 7e-12, and below x = 2b
     by up to 0.37. Where the expansion diverges first it raises
-    ConvergenceError and the series is summed instead. The series also
-    gives way to the expansion past x = 650, or where it overflows first
-    (from x ~ 530 at a = 50).
+    ConvergenceError and the series is summed instead. The series is
+    ``specfun.kummer_1f1`` up to x = 650; past it, or where that overflows
+    first (from x ~ 530 at a = 50), it is summed with its terms scaled by
+    powers of two (``specfun._log_scaled_1f1_series``), so no term overflows.
     """
     if x >= 200.0 and x >= 6.0 * b:
         try:
             return specfun._log_scaled_1f1_large_x(a, b, x)
         except specfun.ConvergenceError:
-            if x > 650.0:
-                raise
+            pass
     if x <= 650.0:
         try:
             return math.log(specfun.kummer_1f1(a, b, x)) - x
         except OverflowError:
             pass
-    return specfun._log_scaled_1f1_large_x(a, b, x)
+    return specfun._log_scaled_1f1_series(a, b, x)
 
 
 def _snr_density(params: ChannelParams, gamma: float, log_confluent) -> float:

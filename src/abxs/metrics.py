@@ -38,7 +38,9 @@ _TAIL_REL_TOL = 1e-10
 _QUAD_EPSREL = 1e-11
 _QUAD_LIMIT = 200
 
-# Nodes per mixture-density evaluation, which bounds the (weights x nodes) array.
+# Nodes per mixture-density evaluation. Each block evaluates only the weights
+# that reach e^-(_CONTOUR_CUT + log K) of the largest term at one of its nodes
+# (see _mixture_density), which bounds the (weights x nodes) array.
 _MIXTURE_BLOCK = 64
 
 
@@ -130,7 +132,11 @@ def _make_aber(value: float, terms_used: int, path: str,
 
 
 def _log_scaled_1f1(a: float, b: float, x: float) -> float:
-    """log(e^-x 1F1(a; b; x)) for x >= 0 from scipy's hyp1f1, asymptotic past its range."""
+    """log(e^-x 1F1(a; b; x)) for x >= 0 from scipy's hyp1f1, asymptotic past its range.
+
+    Past x = 650, or where hyp1f1 overflows, the large-x expansion raises
+    ConvergenceError at x < 6b, where it can converge to a wrong value.
+    """
     value = hyp1f1(a, b, x) if x <= 650.0 else math.inf
     if math.isfinite(value):
         return math.log(value) - x
@@ -147,7 +153,9 @@ def _snr_integral(params: ChannelParams, h, t_hi: float = math.inf) -> float:
     The 1F1 is scipy's ``hyp1f1``, not the pdf's series, but past x = 650,
     and where hyp1f1 overflows, it takes ``specfun._log_scaled_1f1_large_x``,
     which the pdf takes from x = 200 on (at x >= 6 m_x), so there the oracle
-    and the pdf share that expansion and its error. It shares no code with
+    and the pdf share that expansion and its error. Where that expansion
+    would be needed at x < 6 m_x it raises ConvergenceError, so the oracle
+    never returns its wrong value. It shares no code with
     the NB weights or Meijer G. ``h`` runs
     only where the density has not underflowed. Only this function imports
     scipy.integrate, which loads scipy.optimize, scipy.sparse and scipy.linalg,
@@ -220,28 +228,72 @@ def cdf_quadrature(params: ChannelParams, gamma: float) -> float:
     return _snr_integral(params, lambda log_g: 1.0, t_hi)
 
 
+def _mixture_window(a: np.ndarray, t_first: float, t_last: float, margin: float):
+    """(lo, hi): the rows k of a block of nodes t_first..t_last that reach its density.
+
+    Term k of the density at t is e^(a_k + k t) times a factor common to all
+    k. lo is the first k with a_k + k t_first >= M(t_first) - margin, and hi
+    is one past the last k with a_k + k t_last >= M(t_last) - margin, where
+    M(t) = max_j (a_j + j t). The row j that attains M(t_first) has j >= lo,
+    and for t >= t_first, M(t) >= a_j + j t rises with slope j, faster than
+    any row k < lo; so such a row stays below M(t) - margin at every
+    t >= t_first. In the same way a row k >= hi stays below M(t) - margin at
+    every t <= t_last.
+    """
+    rows = a + np.multiply.outer((t_first, t_last), np.arange(a.size))
+    keep = rows >= rows.max(axis=1, keepdims=True) - margin
+    return int(keep[0].argmax()), a.size - int(keep[1, ::-1].argmax())
+
+
+def _mixture_density(params: ChannelParams, dc):
+    """The t-density of log u, t -> sum_k w_k e^((m_x+k) t - e^t) / Gamma(m_x + k).
+
+    It takes an increasing ndarray of nodes and sums it in blocks of
+    _MIXTURE_BLOCK nodes. A block sums only the rows [lo, hi) of
+    :func:`_mixture_window`, with a_k = log w_k - lgamma(m_x + k) and margin
+    = _CONTOUR_CUT + log K for K weights: every row left out is below
+    e^-margin of the largest term at every node of the block, so the K or
+    fewer rows left out hold less than e^-_CONTOUR_CUT (e^-46) of the
+    density at each node. That costs 2K operations per block, where the
+    full block takes 64 K exponentials, of which only a few percent come
+    within e^-46 of their node's largest term.
+    """
+    w = dc.nb_weights
+    shapes = (params.m_x + np.arange(w.size))[:, None]
+    log_c = np.log(w)[:, None] - gammaln(shapes)
+    a = log_c[:, 0]
+    margin = specfun._CONTOUR_CUT + math.log(w.size)
+
+    def density(t: np.ndarray) -> np.ndarray:
+        dens = np.empty_like(t)
+        for i in range(0, t.size, _MIXTURE_BLOCK):
+            tb = t[i:i + _MIXTURE_BLOCK]
+            lo, hi = _mixture_window(a, tb[0], tb[-1], margin)
+            dens[i:i + _MIXTURE_BLOCK] = np.exp(
+                log_c[lo:hi] + shapes[lo:hi] * tb - np.exp(tb)).sum(axis=0)
+        return dens
+    return density
+
+
 def _mixture_expectation(params: ChannelParams, h):
     """(E[h(gamma)], weights used) over the negative-binomial gamma mixture.
 
     gamma = gamma_bar (C u)^(2/alpha) with u ~ sum_k w_k Gamma(m_x + k, 1), so
-    E[h] is the integral over t = log u of h(gamma) sum_k w_k e^((m_x+k) t - e^t)
-    / Gamma(m_x + k). The integrand is analytic and decays at both ends, so the
+    E[h] is the integral over t = log u of h(gamma) times the density of
+    :func:`_mixture_density`, which leaves out less than e^-46 of its value
+    at each node. The integrand is analytic and decays at both ends, so the
     trapezoid rule in t converges exponentially (Trefethen and Weideman, SIAM
     Review 56(3), 2014). ``h`` maps an ndarray of log SNRs to an ndarray; it
     is evaluated only where the density has not underflowed.
     """
     dc = derived_constants(params)
     w = dc.nb_weights
-    shapes = (params.m_x + np.arange(w.size))[:, None]
-    log_c = np.log(w)[:, None] - gammaln(shapes)
+    density = _mixture_density(params, dc)
     two_over_alpha = 2.0 / params.alpha
     log_scale = math.log(params.gamma_bar) + two_over_alpha * math.log(dc.c_alpha)
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        dens = np.empty_like(t)
-        for i in range(0, t.size, _MIXTURE_BLOCK):
-            tb = t[i:i + _MIXTURE_BLOCK]
-            dens[i:i + _MIXTURE_BLOCK] = np.exp(log_c + shapes * tb - np.exp(tb)).sum(axis=0)
+        dens = density(t)
         live = dens > 0.0
         dens[live] *= h(log_scale + two_over_alpha * t[live])
         return dens
@@ -251,7 +303,8 @@ def _mixture_expectation(params: ChannelParams, h):
     # move the peak far into that tail, as log2(1 + gamma) does at small
     # alpha); then the negligible nodes at both ends are dropped.
     step = 0.5
-    start = math.log(shapes[-1, 0] + 10.0 * math.sqrt(shapes[-1, 0]) + 50.0)
+    last_shape = params.m_x + (w.size - 1)
+    start = math.log(last_shape + 10.0 * math.sqrt(last_shape) + 50.0)
     lo, hi = -_MIXTURE_BLOCK, _MIXTURE_BLOCK
     while True:
         values = integrand(start + step * np.arange(lo, hi))

@@ -8,7 +8,8 @@ thin wrapper around ``scipy.special.hyp2f1``; log-gamma and the regularized
 incomplete gammas come from ``math`` and scipy.special. Kummer's 1F1 is
 summed here so that the pdf stays independent of the quadrature oracle's
 scipy ``hyp1f1``; the two share only the large-x expansion, which both take
-where their series overflow. Phi2 and Meijer G have no scipy counterpart.
+at x >= 6b, the pdf from x = 200 on and the oracle past x = 650 or where
+hyp1f1 overflows. Phi2 and Meijer G have no scipy counterpart.
 
 All series share one stopping rule with fixed tolerances: stop once three
 consecutive terms fall below 1e-14 times the magnitude of the partial sum
@@ -204,7 +205,12 @@ def _log_scaled_1f1_large_x(a: float, b: float, x: float) -> float:
     one has shrunk means the expansion diverges before it converges, and
     ConvergenceError is raised. Serves callers whose power series overflows;
     the e^x is left out, so a caller's -x does not cancel against it.
+    Below x = 6b it can converge to a wrong value (0.86 off in the log at
+    (70, 300, 800), against 40-digit mpmath), so there it raises
+    ConvergenceError without summing.
     """
+    if x < 6.0 * b:
+        raise ConvergenceError(f"large-x 1F1 expansion refused at x = {x:g} < 6b = {6.0 * b:g}")
     s = term = 1.0
     shrunk = False
     k = 0
@@ -219,6 +225,44 @@ def _log_scaled_1f1_large_x(a: float, b: float, x: float) -> float:
         shrunk = shrunk or abs(term) < prev
         k += 1
     return math.lgamma(b) - math.lgamma(a) + (a - b) * math.log(x) + math.log(s)
+
+
+# Power of two by which _log_scaled_1f1_series scales a term that passes it.
+_SCALE_BITS = 512
+
+
+def _log_scaled_1f1_series(a: float, b: float, x: float) -> float:
+    """log(e^-x 1F1(a; b; x)) for a >= 0, b > 0 and x >= 0 from the power series.
+
+    The terms are those of :func:`kummer_1f1`, in the same order, with the
+    shared stopping rule; whenever a term passes 2^_SCALE_BITS, the term and
+    the partial sum are multiplied by 2^-_SCALE_BITS, which is exact, so no
+    term overflows and the log adds the scale back. Every term is
+    nonnegative, so nothing cancels. Serves the arguments where the large-x
+    expansion is refused (x < 6b) and the plain series overflows.
+    """
+    term = total = 1.0
+    scale = 0
+    streak = 0
+    for k in range(_MAX_TERMS):
+        fk = float(k)
+        prev = term
+        term *= a + fk
+        term *= x
+        term /= b + fk
+        term /= fk + 1.0
+        total += term
+        if term > 2.0 ** _SCALE_BITS:
+            term, prev = math.ldexp(term, -_SCALE_BITS), math.ldexp(prev, -_SCALE_BITS)
+            total = math.ldexp(total, -_SCALE_BITS)
+            scale += _SCALE_BITS
+        if term <= _REL_TOL * max(total, 1e-300) and term <= prev:
+            streak += 1
+            if streak >= _STOP_STREAK:
+                return math.log(total) + scale * math.log(2.0) - x
+        else:
+            streak = 0
+    raise ConvergenceError("1F1 series exhausted max_terms")
 
 
 # ---------------------------------------------------------------------------

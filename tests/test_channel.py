@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import mpmath
 import numpy as np
@@ -106,6 +108,56 @@ class TestDerivedConstants:
     def test_cache_returns_same_object(self):
         pars = fig1_params(2.0)
         assert ch.derived_constants(pars) is ch.derived_constants(pars)
+
+
+def scalar_nb_weights(dc):
+    """The NB table by the scalar recurrence w_{k+1} = w_k (m_y + k) bb / (k + 1)."""
+    m_y, bb = dc.m_y, dc.beta_bar
+    w = dc.one_minus_beta_bar ** m_y
+    out = [w]
+    k = 0
+    while bb > 0.0:
+        r = (m_y + k) * bb / (k + 1.0)
+        w *= r
+        rho = max(r, bb)
+        if rho < 1.0 and w < ch._NB_TAIL * (1.0 - rho):
+            break
+        if len(out) == ch._NB_MAX_WEIGHTS:
+            raise specfun.ConvergenceError("past the cap")
+        out.append(w)
+        k += 1
+    return np.array(out)
+
+
+DOMAIN_LAWS = [law["law"] for law in json.loads(
+    (pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+     / "domain.json").read_text())["laws"]]
+# The benchmark's montecarlo laws (beta_bar 0.5, 0.44, 0.16 and 0).
+MONTECARLO_LAWS = ((1.2, 1.2, db(1.0), db(1.0), 2.0, db(10.0)),
+                   (0.5, 2.5, db(-3.0), db(3.0), 0.8, db(30.0)),
+                   (0.7, 1.8, db(0.0), db(-3.0), 4.0, db(40.0)),
+                   (2.0, 1.0, db(0.0), 0.0, 2.5, db(20.0)))
+
+
+class TestNbWeights:
+    """nb_weights multiplies chunks of ratios with np.multiply.accumulate; it
+    must be the scalar recurrence to the bit, and raise at the same cap."""
+
+    @pytest.mark.parametrize("law", DOMAIN_LAWS + list(MONTECARLO_LAWS) + [
+        (1, 1, 1, 199, 2.2, 10),  # beta_bar = 0.995: 6,432 weights
+        (1, 1, 1, 499, 2.2, 10),  # beta_bar = 0.998: 16,102 weights
+    ])
+    def test_matches_scalar_recurrence(self, law):
+        dc = ch.derived_constants(ChannelParams(*law))
+        assert np.array_equal(dc.nb_weights, scalar_nb_weights(dc))
+
+    def test_raises_at_the_cap(self):
+        # 1 - beta_bar = 1e-5 needs about 3.2 million weights.
+        dc = ch.derived_constants(ChannelParams(1, 1, 1, 1e5, 2, 10))
+        with pytest.raises(specfun.ConvergenceError):
+            scalar_nb_weights(dc)
+        with pytest.raises(specfun.ConvergenceError, match="100000 entries"):
+            dc.nb_weights
 
 
 # Small alpha with m_x well above m_y, where scipy's hyp2f1 can be far off on
@@ -289,6 +341,21 @@ class TestLogScaled1F1:
         ch._log_scaled_1f1(a, b, 199.0)
         ch._log_scaled_1f1(a, 50.0, 299.0)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("x", [660.0, 800.0])
+    def test_past_650_below_6b(self, x):
+        # The large-x expansion converged to a wrong value here (-329.955
+        # for -337.286 at x = 660); the pdf now sums the power series with
+        # its terms scaled, and the oracle's 1F1 raises instead.
+        with mpmath.workdps(40):
+            want = float(mpmath.log(mpmath.hyp1f1(70, 300, x)) - x)
+        assert abs(ch._log_scaled_1f1(70.0, 300.0, x) - want) <= 1e-13
+        from abxs import metrics
+        try:
+            got = metrics._log_scaled_1f1(70.0, 300.0, x)
+        except specfun.ConvergenceError:
+            return
+        assert abs(got - want) <= 1e-13
 
 
 class TestSnrCdf:

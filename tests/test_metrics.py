@@ -7,8 +7,10 @@ import sys
 import textwrap
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import gammaln
 from abxs import metrics as mt
 from abxs import specfun as sf
 from abxs.channel import ChannelParams, derived_constants
@@ -485,6 +487,76 @@ class TestSmallAlphaCapacity:
     @pytest.mark.parametrize("law, want", SMALL_ALPHA_CAPACITY)
     def test_quadrature_matches_mpmath(self, law, want):
         assert mt.capacity_quadrature(ChannelParams(*law)) == pytest.approx(want, rel=1e-10)
+
+
+class TestMixtureWindow:
+    """The mixture density sums each block of nodes over the window of
+    ``_mixture_window`` only; at the nodes the trapezoid rule visits it must
+    match the full (weights x nodes) sum, and every row the window leaves
+    out must be below e^-margin of its node's largest term."""
+
+    LAWS = (ChannelParams(1, 1, 1, 199, 2.2, 10),  # beta_bar = 0.995, 6,432 weights
+            *(ChannelParams(*law) for law in SMALL_ALPHA_LAWS),
+            ChannelParams(1, 20, 1, 9980, 2, 1e-5))  # 37,600 weights
+
+    @pytest.fixture(scope="class")
+    def blocks(self):
+        """Per law and block of visited nodes: (windowed, full sum, lo, hi,
+        margin, worst log gap of a dropped row below its node's largest term)."""
+        laws = [ChannelParams(*law["law"]) for law in json.loads(DOMAIN_REFERENCE.read_text())["laws"]]
+        laws += self.LAWS
+        real = mt._mixture_density
+        seen = []
+
+        def recording(params, dc):
+            density = real(params, dc)
+
+            def wrapped(t):
+                dens = density(t)
+                seen.append((t.copy(), dens.copy()))
+                return dens
+            return wrapped
+
+        out = []
+        mp = pytest.MonkeyPatch()
+        mp.setattr(mt, "_mixture_density", recording)
+        try:
+            for pars in laws:
+                seen.clear()
+                for call in (lambda: mt.aber_mixture(pars, BPSK), lambda: mt.capacity_mixture(pars)):
+                    try:
+                        call()
+                    except sf.ConvergenceError:  # the small-alpha capacities raise after summing
+                        pass
+                w = derived_constants(pars).nb_weights
+                shapes = (pars.m_x + np.arange(w.size))[:, None]
+                log_c = np.log(w)[:, None] - gammaln(shapes)
+                margin = sf._CONTOUR_CUT + math.log(w.size)
+                for t, dens in seen:
+                    for i in range(0, t.size, mt._MIXTURE_BLOCK):
+                        tb = t[i:i + mt._MIXTURE_BLOCK]
+                        log_terms = log_c + shapes * tb - np.exp(tb)
+                        lo, hi = mt._mixture_window(log_c[:, 0], tb[0], tb[-1], margin)
+                        dropped = np.concatenate((log_terms[:lo], log_terms[hi:]))
+                        gap = (dropped.max(axis=0) - log_terms.max(axis=0)).max() if dropped.size \
+                            else -math.inf
+                        out.append((pars, dens[i:i + mt._MIXTURE_BLOCK],
+                                    np.exp(log_terms).sum(axis=0), lo, hi, margin, gap))
+        finally:
+            mp.undo()
+        return out
+
+    def test_windowed_density_matches_full_sum(self, blocks):
+        assert len({id(b[0]) for b in blocks}) == 67 + len(self.LAWS)
+        for pars, windowed, full, *_ in blocks:
+            assert np.all(np.abs(windowed - full) <= 1e-15 * full), pars
+
+    def test_dropped_rows_below_margin(self, blocks):
+        # Each log term is rounded to about 1e-16 of its size (up to ~1e5 at
+        # 37,600 weights), hence the 1e-9 slack on a margin of 46 + log K.
+        for pars, _, _, lo, hi, margin, gap in blocks:
+            assert 0 <= lo < hi <= derived_constants(pars).nb_weights.size
+            assert gap < -margin + 1e-9, pars
 
 
 DOMAIN_POWERS = (db(-3.0), db(3.0))

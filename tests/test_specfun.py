@@ -98,15 +98,35 @@ class TestKummer1F1:
     def test_large_x_expansion(self):
         # Where the series overflows at large a, the expansion's terms grow
         # for about 20 steps before they shrink; summed to its 1e-16 break
-        # its log matches mpmath. At (0.5, 30, 40) the terms shrink, then
+        # its log matches mpmath. At (0.5, 5, 40) the terms shrink, then
         # grow again before reaching the break.
         for a, b, x in ((41.2887, 0.152354, 600.0), (50.0, 0.1, 530.0)):
             with mpmath.workdps(40):
                 want = float(mpmath.log(mpmath.hyp1f1(a, b, x)) - x)
             got = sf._log_scaled_1f1_large_x(a, b, x)
             assert got == pytest.approx(want, rel=1e-15, abs=0.0)
-        with pytest.raises(sf.ConvergenceError):
-            sf._log_scaled_1f1_large_x(0.5, 30.0, 40.0)
+        with pytest.raises(sf.ConvergenceError, match="diverges"):
+            sf._log_scaled_1f1_large_x(0.5, 5.0, 40.0)
+
+    def test_large_x_expansion_refuses_x_below_6b(self):
+        # At (70, 300, 800) the expansion converges, but 0.86 off in the log.
+        for a, b, x in ((70.0, 300.0, 800.0), (0.5, 30.0, 40.0)):
+            with pytest.raises(sf.ConvergenceError, match="6b"):
+                sf._log_scaled_1f1_large_x(a, b, x)
+        sf._log_scaled_1f1_large_x(70.0, 100.0, 600.0)
+
+    @pytest.mark.parametrize("a, b, x", [(70.0, 300.0, 660.0), (300.0, 200.0, 1000.0),
+                                         (1.0, 300.0, 900.0), (400.0, 180.0, 1000.0)])
+    def test_scaled_series(self, a, b, x):
+        # Past where the plain series overflows or kummer_1f1 stops (x = 709).
+        with mpmath.workdps(40):
+            want = float(mpmath.log(mpmath.hyp1f1(a, b, x)) - x)
+        got = sf._log_scaled_1f1_series(a, b, x)
+        assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
+
+    def test_scaled_series_is_kummer_where_nothing_scales(self):
+        for a, b, x in ((2.5, 1.5, 120.0), (41.2887, 0.152354, 300.0), (0.3, 8.0, 300.0)):
+            assert sf._log_scaled_1f1_series(a, b, x) == math.log(sf.kummer_1f1(a, b, x)) - x
 
     def test_domain(self):
         with pytest.raises(ValueError):
