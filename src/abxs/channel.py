@@ -146,33 +146,26 @@ class DerivedConstants:
         stops once, past the mode, the geometric bound w_{k+1} / (1 - max(r_k,
         bb)) on the mass left out falls below 1e-14; r_k = w_{k+1}/w_k, and
         max(r_k, bb) bounds every later ratio. Built on first use: the pdf never
-        needs the weights, and their count grows as 1/(1 - bb). The ratios
-        are taken in chunks that double in length, and
-        ``np.multiply.accumulate`` multiplies them in the same order as the
-        scalar recurrence w_{k+1} = w_k r_k, so every weight is that
-        recurrence's to the bit. Raises ConvergenceError once the list would
-        pass _NB_MAX_WEIGHTS entries.
+        needs the weights, and their count grows as 1/(1 - bb). Raises
+        ConvergenceError once the list would pass _NB_MAX_WEIGHTS entries.
         """
         m_y, bb = self.m_y, self.beta_bar
-        chunks = [np.array([self.one_minus_beta_bar ** m_y])]
-        k0, size = 0, 64
+        w = self.one_minus_beta_bar ** m_y
+        out = [w]
+        k = 0
         while bb > 0.0:
-            if k0 == _NB_MAX_WEIGHTS:
+            r = (m_y + k) * bb / (k + 1.0)
+            w *= r
+            rho = max(r, bb)
+            if rho < 1.0 and w < _NB_TAIL * (1.0 - rho):
+                break
+            if len(out) == _NB_MAX_WEIGHTS:
                 raise specfun.ConvergenceError(
                     f"NB weight table would pass {_NB_MAX_WEIGHTS} entries "
                     f"(1 - beta_bar = {self.one_minus_beta_bar:.3g})")
-            k = np.arange(k0, min(k0 + size, _NB_MAX_WEIGHTS), dtype=float)
-            r = (m_y + k) * bb / (k + 1.0)
-            w = np.multiply.accumulate(np.concatenate((chunks[-1][-1:], r)))[1:]
-            rho = np.maximum(r, bb)
-            stop = np.flatnonzero((rho < 1.0) & (w < _NB_TAIL * (1.0 - rho)))
-            if stop.size:
-                chunks.append(w[:stop[0]])
-                break
-            chunks.append(w)
-            k0 += k.size
-            size *= 2
-        weights = np.concatenate(chunks)
+            out.append(w)
+            k += 1
+        weights = np.array(out)
         weights.flags.writeable = False
         return weights
 
@@ -323,25 +316,20 @@ def _log_scaled_1f1(a: float, b: float, x: float) -> float:
     (which never adds x) at x >= max(200, 6b), else from the power series.
 
     Where the switch rule holds the expansion takes tens of terms and about
-    10 us, where the series takes hundreds and 120-350 us. Measured against
+    10 us, where the series takes hundreds and 75-230 us. Measured against
     50-digit mpmath on 1,338 random points with a in [0.1, 400] and b in
     [0.1, 200] at x from 200 to 650 and x >= 5b, it was within 6e-15 of
     max(1, |value|); at x = 4b it missed by up to 7e-12, and below x = 2b
     by up to 0.37. Where the expansion diverges first it raises
-    ConvergenceError and the series is summed instead. The series is
-    ``specfun.kummer_1f1`` up to x = 650; past it, or where that overflows
-    first (from x ~ 530 at a = 50), it is summed with its terms scaled by
-    powers of two (``specfun._log_scaled_1f1_series``), so no term overflows.
+    ConvergenceError and the series is summed instead. The series
+    (``specfun._log_scaled_1f1_series``) scales its terms by powers of two,
+    so it never overflows; it needs about x - b terms, and raises
+    ConvergenceError once that passes its term cap (x beyond about 10^4).
     """
     if x >= 200.0 and x >= 6.0 * b:
         try:
             return specfun._log_scaled_1f1_large_x(a, b, x)
         except specfun.ConvergenceError:
-            pass
-    if x <= 650.0:
-        try:
-            return math.log(specfun.kummer_1f1(a, b, x)) - x
-        except OverflowError:
             pass
     return specfun._log_scaled_1f1_series(a, b, x)
 

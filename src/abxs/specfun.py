@@ -40,6 +40,7 @@ raises ConvergenceError.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -131,8 +132,8 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
     The model passes a = m_y or 1 and x = beta_bar u or u. There every term
     of the power series is nonnegative, so it is summed directly and is
     stable up to the exp overflow boundary: past x = 709 it raises
-    OverflowError, and callers take the log-scaled large-x path. Other
-    arguments raise ValueError.
+    OverflowError, and callers take a log-scaled path. Other arguments
+    raise ValueError.
     """
     if not (a >= 0.0 and b > 0.0 and x >= 0.0):
         raise ValueError(f"kummer_1f1 requires a >= 0, b > 0 and x >= 0, got ({a}, {b}, {x})")
@@ -207,7 +208,8 @@ def _log_scaled_1f1_large_x(a: float, b: float, x: float) -> float:
     the e^x is left out, so a caller's -x does not cancel against it.
     Below x = 6b it can converge to a wrong value (0.86 off in the log at
     (70, 300, 800), against 40-digit mpmath), so there it raises
-    ConvergenceError without summing.
+    ConvergenceError without summing. Its terms can also cancel to a sum
+    that is not positive (at (200, 1000, 6000)), which raises too.
     """
     if x < 6.0 * b:
         raise ConvergenceError(f"large-x 1F1 expansion refused at x = {x:g} < 6b = {6.0 * b:g}")
@@ -224,11 +226,14 @@ def _log_scaled_1f1_large_x(a: float, b: float, x: float) -> float:
             raise ConvergenceError("large-x 1F1 expansion diverges before it converges")
         shrunk = shrunk or abs(term) < prev
         k += 1
+    if not s > 0.0:
+        raise ConvergenceError(f"large-x 1F1 expansion cancelled to {s:g}")
     return math.lgamma(b) - math.lgamma(a) + (a - b) * math.log(x) + math.log(s)
 
 
 # Power of two by which _log_scaled_1f1_series scales a term that passes it.
 _SCALE_BITS = 512
+_SCALE_AT = 2.0 ** _SCALE_BITS
 
 
 def _log_scaled_1f1_series(a: float, b: float, x: float) -> float:
@@ -237,9 +242,10 @@ def _log_scaled_1f1_series(a: float, b: float, x: float) -> float:
     The terms are those of :func:`kummer_1f1`, in the same order, with the
     shared stopping rule; whenever a term passes 2^_SCALE_BITS, the term and
     the partial sum are multiplied by 2^-_SCALE_BITS, which is exact, so no
-    term overflows and the log adds the scale back. Every term is
-    nonnegative, so nothing cancels. Serves the arguments where the large-x
-    expansion is refused (x < 6b) and the plain series overflows.
+    term overflows and the log adds the scale back. Where the sum fits in a
+    float the scale is undone before the log, so the value is
+    log(kummer_1f1(a, b, x)) - x to the bit wherever that is finite. Every
+    term is nonnegative, so nothing cancels.
     """
     term = total = 1.0
     scale = 0
@@ -252,13 +258,15 @@ def _log_scaled_1f1_series(a: float, b: float, x: float) -> float:
         term /= b + fk
         term /= fk + 1.0
         total += term
-        if term > 2.0 ** _SCALE_BITS:
+        if term > _SCALE_AT:
             term, prev = math.ldexp(term, -_SCALE_BITS), math.ldexp(prev, -_SCALE_BITS)
             total = math.ldexp(total, -_SCALE_BITS)
             scale += _SCALE_BITS
         if term <= _REL_TOL * max(total, 1e-300) and term <= prev:
             streak += 1
             if streak >= _STOP_STREAK:
+                if total <= math.ldexp(sys.float_info.max, -scale):
+                    total, scale = math.ldexp(total, scale), 0
                 return math.log(total) + scale * math.log(2.0) - x
         else:
             streak = 0
