@@ -11,7 +11,9 @@ mixture density its widest windows. Then, on each ``domain`` law, on
 ``PINNED`` and on ``LARGE_B``, one line each for ``c_alpha`` and for
 ``snr_pdf``, ``snr_cdf_phi2`` and ``bxs_envelope_pdf`` at gamma/gamma_bar
 in ``RATIOS``: the value's hex or the exception's name. ``LARGE_B`` adds
-``snr_pdf`` at ``LARGE_B_RATIOS``.
+``snr_pdf`` at ``LARGE_B_RATIOS``. The last line gives the number of mixture
+density nodes the run evaluated, counted by a spy on
+``channel._mixture_density``.
 The envelope density is taken at r^2 = (gamma/gamma_bar)(omega_x + omega_y),
 the ratio times the baseline mean power. The exact metrics are the mixture
 expectations, so these calls reach no Meijer G term; only the truncation
@@ -30,7 +32,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
-from abxs import metrics  # noqa: E402
+from abxs import channel, metrics  # noqa: E402
 from abxs.channel import (ChannelParams, bxs_envelope_pdf, derived_constants,  # noqa: E402
                           snr_cdf_phi2, snr_pdf)
 from paramsets import (FIG2_ALPHAS, FIG2_SNR_DB, FIG3_SETS, FIG4_SETS,  # noqa: E402
@@ -85,7 +87,25 @@ def density_lines(name, i, params):
             yield f"{name}[{i}] {fname}@{ratio:g} {outcome(call, float.hex)}"
 
 
+def count_density_nodes() -> list:
+    """Spy on the density the lattices build: the returned list's entry counts its nodes."""
+    real = channel._mixture_density
+    counted = [0]
+
+    def counting(m_x, weights):
+        density = real(m_x, weights)
+
+        def wrapped(t):
+            counted[0] += t.size
+            return density(t)
+        return wrapped
+
+    channel._mixture_density = counting
+    return counted
+
+
 def main() -> int:
+    nodes = count_density_nodes()
     qam16 = metrics.modulation_coeffs("mqam", 16)
     bpsk = metrics.modulation_coeffs("bpsk")
     calls = (("aber_exact:qam16", lambda p: metrics.aber_exact(p, qam16)),
@@ -105,6 +125,7 @@ def main() -> int:
     for ratio in LARGE_B_RATIOS:
         pdf = outcome(lambda: snr_pdf(LARGE_B, ratio * LARGE_B.gamma_bar), float.hex)
         print(f"largeb[0] snr_pdf@{ratio:g} {pdf}")
+    print(f"density nodes evaluated: {nodes[0]}")
     return 0
 
 

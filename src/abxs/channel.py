@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
+from scipy.special import gammainc, gammaincc, gammaln
 
 from . import specfun
 
@@ -124,9 +124,14 @@ class DerivedConstants:
     alpha/2 has none with q <= _CLOSED_FORM_MAX_Q (8): the paper's Meijer-G
     closed form, which the metrics' truncation profiles evaluate, exists only
     where q is set.
-    ``m_y`` and ``beta_bar`` fix the mixing law of :attr:`nb_weights`.
+    ``m_y`` and ``beta_bar`` fix the mixing law of :attr:`nb_weights`, and
+    ``m_x`` with them the mixture density of :attr:`density_lattice`.
     ``one_minus_beta_bar`` is 1 - beta_bar from its own quotient, so it keeps
     its digits as beta_bar -> 1.
+
+    Both cached properties live as long as this object, that is, until
+    ``derived_constants`` evicts it or ``derived_constants.cache_clear()``
+    runs; nothing else holds them.
     """
 
     c_alpha: float
@@ -135,6 +140,7 @@ class DerivedConstants:
     p: int | None
     q: int | None
     m_y: float
+    m_x: float
 
     @cached_property
     def nb_weights(self) -> np.ndarray:
@@ -168,6 +174,129 @@ class DerivedConstants:
         weights = np.array(out)
         weights.flags.writeable = False
         return weights
+
+    @cached_property
+    def density_lattice(self) -> _DensityLattice:
+        """The mixture t-density at the trapezoid nodes the metrics visit, each computed once.
+
+        Every mixture expectation on this law (ABER for any modulation, and
+        capacity) reads its density values from here; see
+        :class:`_DensityLattice` for the nodes and the memory bound.
+        """
+        return _DensityLattice(self.m_x, self.nb_weights)
+
+
+# Nodes per mixture-density evaluation. Each block evaluates only the weights
+# that reach e^-(_CONTOUR_CUT + log K) of the largest term at one of its nodes
+# (see _mixture_density), which bounds the (weights x nodes) array.
+_MIXTURE_BLOCK = 64
+
+
+def _mixture_window(a: np.ndarray, t_first: float, t_last: float, margin: float):
+    """(lo, hi): the rows k of a block of nodes t_first..t_last that reach its density.
+
+    Term k of the density at t is e^(a_k + k t) times a factor common to all
+    k. lo is the first k with a_k + k t_first >= M(t_first) - margin, and hi
+    is one past the last k with a_k + k t_last >= M(t_last) - margin, where
+    M(t) = max_j (a_j + j t). The row j that attains M(t_first) has j >= lo,
+    and for t >= t_first, M(t) >= a_j + j t rises with slope j, faster than
+    any row k < lo; so such a row stays below M(t) - margin at every
+    t >= t_first. In the same way a row k >= hi stays below M(t) - margin at
+    every t <= t_last.
+    """
+    rows = a + np.multiply.outer((t_first, t_last), np.arange(a.size))
+    keep = rows >= rows.max(axis=1, keepdims=True) - margin
+    return int(keep[0].argmax()), a.size - int(keep[1, ::-1].argmax())
+
+
+def _mixture_density(m_x: float, weights: np.ndarray):
+    """The t-density of log u, t -> sum_k w_k e^((m_x+k) t - e^t) / Gamma(m_x + k).
+
+    It takes an increasing ndarray of nodes and sums it in blocks of
+    _MIXTURE_BLOCK nodes. A block sums only the rows [lo, hi) of
+    :func:`_mixture_window`, with a_k = log w_k - lgamma(m_x + k) and margin
+    = _CONTOUR_CUT + log K for K weights: every row left out is below
+    e^-margin of the largest term at every node of the block, so the K or
+    fewer rows left out hold less than e^-_CONTOUR_CUT (e^-46) of the
+    density at each node. That costs 2K operations per block, where the
+    full block takes 64 K exponentials, of which only a few percent come
+    within e^-46 of their node's largest term.
+    """
+    shapes = (m_x + np.arange(weights.size))[:, None]
+    log_c = np.log(weights)[:, None] - gammaln(shapes)
+    a = log_c[:, 0]
+    margin = specfun._CONTOUR_CUT + math.log(weights.size)
+
+    def density(t: np.ndarray) -> np.ndarray:
+        dens = np.empty_like(t)
+        for i in range(0, t.size, _MIXTURE_BLOCK):
+            tb = t[i:i + _MIXTURE_BLOCK]
+            lo, hi = _mixture_window(a, tb[0], tb[-1], margin)
+            dens[i:i + _MIXTURE_BLOCK] = np.exp(
+                log_c[lo:hi] + shapes[lo:hi] * tb - np.exp(tb)).sum(axis=0)
+        return dens
+    return density
+
+
+class _DensityLattice:
+    """The mixture t-density on the dyadic trapezoid lattice, computed at most once per node.
+
+    Node j of level 0 is t = start + j/2, and node j of level L >= 1 is the
+    midpoint t = start + (2j + 1)/2^(L+1), with start = log(s + 10 sqrt(s) +
+    50) at the last component's shape s = m_x + K - 1: a law's nodes depend
+    on the law alone, so every expectation on it shares them.
+
+    Per level the memo keeps one contiguous index range and its values. A
+    request computes only the indices outside the range held (and any gap
+    between the two) with :func:`_mixture_density`, then publishes the new
+    (lo, values) pair whole, so a concurrent caller can only repeat work,
+    never read a torn range. The blocks of a request start at its first new
+    index, so a node's window depends on the request that computed it; but
+    a window leaves out only rows below e^-(46 + log K) of the node's
+    largest term, which has not been seen to change a bit of a sum.
+
+    Memory: one float per node kept (at most 1,579 nodes, 13 KB, per law of
+    the benchmark's ``domain`` workload). Level 0 holds the nodes of the
+    expectations' decay searches, which raise before they pass t = -1e4 or
+    700, so at most about 21,400. A call whose levels still disagree at the
+    level cap would leave up to 2^12 times its level-0 span, so it calls
+    :meth:`drop_refinements` before it raises: at rest, the levels L >= 1
+    of a law are those of calls that converged since its last failing call,
+    each level the union of their ranges of 2^(L-1) times their level-0
+    spans.
+    """
+
+    def __init__(self, m_x: float, weights: np.ndarray) -> None:
+        last_shape = m_x + (weights.size - 1)
+        self.start = math.log(last_shape + 10.0 * math.sqrt(last_shape) + 50.0)
+        self._density = _mixture_density(m_x, weights)
+        self._levels = {}  # level -> (first index held, read-only values)
+
+    def nodes(self, level: int, j):
+        """t at the indices j (an int or an integer ndarray) of ``level``."""
+        if level == 0:
+            return self.start + 0.5 * j
+        return self.start + (2 * j + 1) / 2.0 ** (level + 1)
+
+    def density(self, level: int, a: int, b: int) -> np.ndarray:
+        """The density at the nodes a..b-1 of ``level``, as a read-only array."""
+        lo, values = self._levels.get(level, (a, np.empty(0)))
+        hi = lo + values.size
+        if a < lo or hi < b:
+            new_lo = min(a, lo)
+            values = np.concatenate((self._evaluate(level, new_lo, lo), values,
+                                     self._evaluate(level, hi, max(b, hi))))
+            values.flags.writeable = False
+            lo = new_lo
+            self._levels[level] = (lo, values)
+        return values[a - lo:b - lo]
+
+    def drop_refinements(self) -> None:
+        """Forget every level but level 0."""
+        self._levels = {0: self._levels[0]}
+
+    def _evaluate(self, level: int, a: int, b: int) -> np.ndarray:
+        return self._density(self.nodes(level, np.arange(a, b)))
 
 
 # Agreement asked of scipy's hyp2f1 and Euler's integral, in log 2F1 per unit of s.
@@ -298,7 +427,8 @@ def derived_constants(params: ChannelParams) -> DerivedConstants:
     except ValueError:
         p, q = None, None
     return DerivedConstants(c_alpha=math.exp(log_c), beta_bar=bb,
-                            one_minus_beta_bar=one_minus_bb, p=p, q=q, m_y=params.m_y)
+                            one_minus_beta_bar=one_minus_bb, p=p, q=q, m_y=params.m_y,
+                            m_x=params.m_x)
 
 
 def envelope_moment(params: ChannelParams, k: float) -> float:

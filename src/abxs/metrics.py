@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, erfc, gammaln, hyp1f1
+from scipy.special import digamma, erfc, gammaln
+from scipy.special.cython_special import hyp1f1
 
 from . import channel, specfun
 from .channel import ChannelParams, derived_constants
@@ -37,12 +38,6 @@ _TAIL_REL_TOL = 1e-10
 # QUADPACK settings of the quadrature oracle.
 _QUAD_EPSREL = 1e-11
 _QUAD_LIMIT = 200
-
-# Nodes per mixture-density evaluation. Each block evaluates only the weights
-# that reach e^-(_CONTOUR_CUT + log K) of the largest term at one of its nodes
-# (see _mixture_density), which bounds the (weights x nodes) array.
-_MIXTURE_BLOCK = 64
-
 
 @dataclass(frozen=True)
 class ModulationScheme:
@@ -127,15 +122,18 @@ def _make_aber(value: float, terms_used: int, path: str,
                mod: ModulationScheme) -> AberResult:
     bound = 0.5 * mod.delta1 * mod.delta3
     if value > bound * (1.0 + 1e-9):
-        raise ValueError(f"ABER {value} exceeds the Q <= 1/2 bound {bound}")
+        raise ConvergenceError(f"ABER {value} exceeds the Q <= 1/2 bound {bound}")
     return AberResult(value=min(value, bound), terms_used=terms_used, path=path)
 
 
 def _log_scaled_1f1(a: float, b: float, x: float) -> float:
     """log(e^-x 1F1(a; b; x)) for x >= 0 from scipy's hyp1f1, asymptotic past its range.
 
-    Past x = 650, or where hyp1f1 overflows, the large-x expansion raises
-    ConvergenceError at x < 6b, where it can converge to a wrong value.
+    hyp1f1 is taken from ``scipy.special.cython_special``: the same routine
+    as the ``scipy.special.hyp1f1`` ufunc, without the ufunc's per-call
+    overhead on a Python float (0.2 us against 0.9 us). Past x = 650, or
+    where hyp1f1 overflows, the large-x expansion raises ConvergenceError at
+    x < 6b, where it can converge to a wrong value.
     """
     value = hyp1f1(a, b, x) if x <= 650.0 else math.inf
     if math.isfinite(value):
@@ -228,73 +226,35 @@ def cdf_quadrature(params: ChannelParams, gamma: float) -> float:
     return _snr_integral(params, lambda log_g: 1.0, t_hi)
 
 
-def _mixture_window(a: np.ndarray, t_first: float, t_last: float, margin: float):
-    """(lo, hi): the rows k of a block of nodes t_first..t_last that reach its density.
-
-    Term k of the density at t is e^(a_k + k t) times a factor common to all
-    k. lo is the first k with a_k + k t_first >= M(t_first) - margin, and hi
-    is one past the last k with a_k + k t_last >= M(t_last) - margin, where
-    M(t) = max_j (a_j + j t). The row j that attains M(t_first) has j >= lo,
-    and for t >= t_first, M(t) >= a_j + j t rises with slope j, faster than
-    any row k < lo; so such a row stays below M(t) - margin at every
-    t >= t_first. In the same way a row k >= hi stays below M(t) - margin at
-    every t <= t_last.
-    """
-    rows = a + np.multiply.outer((t_first, t_last), np.arange(a.size))
-    keep = rows >= rows.max(axis=1, keepdims=True) - margin
-    return int(keep[0].argmax()), a.size - int(keep[1, ::-1].argmax())
-
-
-def _mixture_density(params: ChannelParams, dc):
-    """The t-density of log u, t -> sum_k w_k e^((m_x+k) t - e^t) / Gamma(m_x + k).
-
-    It takes an increasing ndarray of nodes and sums it in blocks of
-    _MIXTURE_BLOCK nodes. A block sums only the rows [lo, hi) of
-    :func:`_mixture_window`, with a_k = log w_k - lgamma(m_x + k) and margin
-    = _CONTOUR_CUT + log K for K weights: every row left out is below
-    e^-margin of the largest term at every node of the block, so the K or
-    fewer rows left out hold less than e^-_CONTOUR_CUT (e^-46) of the
-    density at each node. That costs 2K operations per block, where the
-    full block takes 64 K exponentials, of which only a few percent come
-    within e^-46 of their node's largest term.
-    """
-    w = dc.nb_weights
-    shapes = (params.m_x + np.arange(w.size))[:, None]
-    log_c = np.log(w)[:, None] - gammaln(shapes)
-    a = log_c[:, 0]
-    margin = specfun._CONTOUR_CUT + math.log(w.size)
-
-    def density(t: np.ndarray) -> np.ndarray:
-        dens = np.empty_like(t)
-        for i in range(0, t.size, _MIXTURE_BLOCK):
-            tb = t[i:i + _MIXTURE_BLOCK]
-            lo, hi = _mixture_window(a, tb[0], tb[-1], margin)
-            dens[i:i + _MIXTURE_BLOCK] = np.exp(
-                log_c[lo:hi] + shapes[lo:hi] * tb - np.exp(tb)).sum(axis=0)
-        return dens
-    return density
-
-
 def _mixture_expectation(params: ChannelParams, h):
     """(E[h(gamma)], weights used) over the negative-binomial gamma mixture.
 
     gamma = gamma_bar (C u)^(2/alpha) with u ~ sum_k w_k Gamma(m_x + k, 1), so
-    E[h] is the integral over t = log u of h(gamma) times the density of
-    :func:`_mixture_density`, which leaves out less than e^-46 of its value
-    at each node. The integrand is analytic and decays at both ends, so the
-    trapezoid rule in t converges exponentially (Trefethen and Weideman, SIAM
-    Review 56(3), 2014). ``h`` maps an ndarray of log SNRs to an ndarray; it
-    is evaluated only where the density has not underflowed.
+    E[h] is the integral over t = log u of h(gamma) times the mixture
+    t-density, which leaves out less than e^-46 of its value at each node
+    (``channel._mixture_density``). The integrand is analytic and decays at
+    both ends, so the trapezoid rule in t converges exponentially (Trefethen
+    and Weideman, SIAM Review 56(3), 2014). ``h`` maps an ndarray of log SNRs
+    to an ndarray; it is evaluated on every call, only where the density has
+    not underflowed.
+
+    The density depends on the law alone, so it is read, node by node, from
+    the law's ``DerivedConstants.density_lattice``: this call's level-0
+    search and refinement levels, and every other expectation on the law,
+    evaluate each node at most once for as long as the law stays in
+    ``derived_constants``' cache. A call whose levels do not agree by the
+    level cap drops the lattice's refinement levels before it raises, which
+    bounds what a failing law keeps (see ``channel._DensityLattice``).
     """
     dc = derived_constants(params)
-    w = dc.nb_weights
-    density = _mixture_density(params, dc)
+    lattice = dc.density_lattice
     two_over_alpha = 2.0 / params.alpha
     log_scale = math.log(params.gamma_bar) + two_over_alpha * math.log(dc.c_alpha)
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        dens = density(t)
+    def integrand(level: int, a: int, b: int) -> np.ndarray:
+        dens = lattice.density(level, a, b).copy()
         live = dens > 0.0
+        t = lattice.nodes(level, np.arange(a, b))
         dens[live] *= h(log_scale + two_over_alpha * t[live])
         return dens
 
@@ -302,33 +262,31 @@ def _mixture_expectation(params: ChannelParams, h):
     # tail, doubled at whichever end is not yet below 1e-18 of the peak (h can
     # move the peak far into that tail, as log2(1 + gamma) does at small
     # alpha); then the negligible nodes at both ends are dropped.
-    step = 0.5
-    last_shape = params.m_x + (w.size - 1)
-    start = math.log(last_shape + 10.0 * math.sqrt(last_shape) + 50.0)
-    lo, hi = -_MIXTURE_BLOCK, _MIXTURE_BLOCK
+    lo, hi = -channel._MIXTURE_BLOCK, channel._MIXTURE_BLOCK
     while True:
-        values = integrand(start + step * np.arange(lo, hi))
+        values = integrand(0, lo, hi)
         negligible = values < 1e-18 * values.max()
         if negligible[0] and negligible[-1]:
             break
         lo *= 1 if negligible[0] else 2
         hi *= 1 if negligible[-1] else 2
-        if not (-1e4 < start + step * lo and start + step * hi < 700.0):
+        if not (-1e4 < lattice.nodes(0, lo) and lattice.nodes(0, hi) < 700.0):
             raise ConvergenceError("mixture integrand does not decay")
     live = np.flatnonzero(~negligible)
     first, last = live[0] - 1, live[-1] + 1
-    bottom = start + step * (lo + first)
-    count = last - first
+    bottom, count = lo + first, last - first
+    step = 0.5
     level_sum = values[first:last + 1].sum()
     value = step * level_sum
-    # Each level halves the step, adding only the new midpoints.
-    for _ in range(12):
-        level_sum += integrand(bottom + step * (np.arange(count) + 0.5)).sum()
+    # Level L adds the count 2^(L-1) midpoints between the nodes so far.
+    for level in range(1, 13):
+        scale = 2 ** (level - 1)
+        level_sum += integrand(level, bottom * scale, (bottom + count) * scale).sum()
         step *= 0.5
-        count *= 2
         prev, value = value, step * level_sum
         if abs(value - prev) <= 1e-12 * abs(value):
-            return float(value), w.size
+            return float(value), dc.nb_weights.size
+    lattice.drop_refinements()
     raise ConvergenceError("mixture trapezoid levels did not agree to 1e-12")
 
 

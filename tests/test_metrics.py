@@ -5,12 +5,15 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import threading
+import weakref
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.special import gammaln
+from abxs import channel as ch
 from abxs import metrics as mt
 from abxs import specfun as sf
 from abxs.channel import ChannelParams, derived_constants
@@ -156,6 +159,19 @@ class TestOracleAgainstMpmath:
         assert mt.aber_quadrature(pars, QAM16).value == pytest.approx(0.06224938472924356,
                                                                       rel=1e-10)
 
+    def test_cython_hyp1f1_is_the_ufunc(self):
+        # The oracle calls hyp1f1 through cython_special for its lower
+        # per-call cost; it must be scipy's hyp1f1 ufunc to the bit, inf where
+        # the ufunc overflows included.
+        from scipy.special import cython_special, hyp1f1
+        grid = [(a, b, x) for a in (0.1, 0.5, 1.2, 4.0, 20.0, 41.3, 70.0)
+                for b in (0.15, 0.5, 1.0, 2.5, 30.0, 300.0)
+                for x in (0.0, 1e-3, 0.7, 12.0, 200.0, 550.0, 625.0, 650.0)]
+        got = [cython_special.hyp1f1(a, b, x) for a, b, x in grid]
+        want = [float(hyp1f1(a, b, x)) for a, b, x in grid]
+        assert got == want
+        assert any(math.isinf(v) for v in want)
+
     def test_cdf_rayleigh(self):
         pars = rayleigh(gamma_bar=db(10.0))
         assert mt.cdf_quadrature(pars, 0.0) == 0.0
@@ -274,6 +290,19 @@ class TestAberExact:
     def test_truncation_profile_needs_the_closed_form(self):
         with pytest.raises(ValueError):
             mt.aber_exact_truncation_profile(fig2_params(2.2, 10.0), QAM16)
+
+
+class TestAberBound:
+    def test_value_past_the_q_bound_raises_convergence_error(self, monkeypatch):
+        # Q <= 1/2 bounds the ABER by delta1 delta3 / 2; an expectation of
+        # 0.6 delta1 delta3 is a numerical failure, not a bad argument.
+        pars = rayleigh(gamma_bar=db(10.0))
+        past = 0.6 * QAM16.delta1 * QAM16.delta3
+        monkeypatch.setattr(mt, "_mixture_expectation", lambda params, h: (past, 1))
+        monkeypatch.setattr(mt, "_snr_integral", lambda params, h: past)
+        for call in (mt.aber_exact, mt.aber_quadrature):
+            with pytest.raises(sf.ConvergenceError, match="Q <= 1/2 bound"):
+                call(pars, QAM16)
 
 
 class TestAberAsymptotic:
@@ -505,11 +534,11 @@ class TestMixtureWindow:
         margin, worst log gap of a dropped row below its node's largest term)."""
         laws = [ChannelParams(*law["law"]) for law in json.loads(DOMAIN_REFERENCE.read_text())["laws"]]
         laws += self.LAWS
-        real = mt._mixture_density
+        real = ch._mixture_density
         seen = []
 
-        def recording(params, dc):
-            density = real(params, dc)
+        def recording(m_x, weights):
+            density = real(m_x, weights)
 
             def wrapped(t):
                 dens = density(t)
@@ -519,7 +548,9 @@ class TestMixtureWindow:
 
         out = []
         mp = pytest.MonkeyPatch()
-        mp.setattr(mt, "_mixture_density", recording)
+        mp.setattr(ch, "_mixture_density", recording)
+        # A law whose lattice an earlier test built would record no node.
+        derived_constants.cache_clear()
         try:
             for pars in laws:
                 seen.clear()
@@ -533,17 +564,18 @@ class TestMixtureWindow:
                 log_c = np.log(w)[:, None] - gammaln(shapes)
                 margin = sf._CONTOUR_CUT + math.log(w.size)
                 for t, dens in seen:
-                    for i in range(0, t.size, mt._MIXTURE_BLOCK):
-                        tb = t[i:i + mt._MIXTURE_BLOCK]
+                    for i in range(0, t.size, ch._MIXTURE_BLOCK):
+                        tb = t[i:i + ch._MIXTURE_BLOCK]
                         log_terms = log_c + shapes * tb - np.exp(tb)
-                        lo, hi = mt._mixture_window(log_c[:, 0], tb[0], tb[-1], margin)
+                        lo, hi = ch._mixture_window(log_c[:, 0], tb[0], tb[-1], margin)
                         dropped = np.concatenate((log_terms[:lo], log_terms[hi:]))
                         gap = (dropped.max(axis=0) - log_terms.max(axis=0)).max() if dropped.size \
                             else -math.inf
-                        out.append((pars, dens[i:i + mt._MIXTURE_BLOCK],
+                        out.append((pars, dens[i:i + ch._MIXTURE_BLOCK],
                                     np.exp(log_terms).sum(axis=0), lo, hi, margin, gap))
         finally:
             mp.undo()
+            derived_constants.cache_clear()  # no later test reads a recording lattice
         return out
 
     def test_windowed_density_matches_full_sum(self, blocks):
@@ -557,6 +589,112 @@ class TestMixtureWindow:
         for pars, _, _, lo, hi, margin, gap in blocks:
             assert 0 <= lo < hi <= derived_constants(pars).nb_weights.size
             assert gap < -margin + 1e-9, pars
+
+
+class TestDensityLattice:
+    """Each law's mixture density is evaluated at most once per trapezoid
+    node, shared by every expectation on the law, and freed with the law's
+    DerivedConstants."""
+
+    CALLS = (("aber_qam16", lambda pars: mt.aber_mixture(pars, QAM16).value),
+             ("aber_bpsk", lambda pars: mt.aber_mixture(pars, BPSK).value),
+             ("capacity", lambda pars: mt.capacity_mixture(pars).value))
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record the t of every node the density evaluates, in a list."""
+        real = ch._mixture_density
+        nodes = []
+
+        def counting(m_x, weights):
+            density = real(m_x, weights)
+
+            def wrapped(t):
+                nodes.extend(t.tolist())
+                return density(t)
+            return wrapped
+
+        monkeypatch.setattr(ch, "_mixture_density", counting)
+        return nodes
+
+    def test_no_node_twice(self, monkeypatch):
+        pars = ChannelParams(*json.loads(DOMAIN_REFERENCE.read_text())["laws"][0]["law"])
+        nodes = self.spy(monkeypatch)
+        derived_constants.cache_clear()
+        mt.capacity_mixture(pars)
+        alone = len(nodes)
+        derived_constants.cache_clear()
+        nodes.clear()
+        for _, call in self.CALLS:
+            after_aber = len(nodes)
+            call(pars)
+        # Level and index fix t, and distinct lattice nodes are far more
+        # than an ulp apart, so a repeated t is a node evaluated twice.
+        assert len(set(nodes)) == len(nodes)
+        assert len(nodes) - after_aber < alone
+
+    def test_values_independent_of_call_order(self):
+        laws = [ChannelParams(*law["law"]) for law in json.loads(DOMAIN_REFERENCE.read_text())["laws"]]
+
+        def run(order):
+            derived_constants.cache_clear()
+            return {(i, name): call(pars) for i, pars in enumerate(laws) for name, call in order}
+
+        forward = run(self.CALLS)
+        assert run(self.CALLS[::-1]) == forward
+        for name, call in self.CALLS:
+            assert run(((name, call),)) == {key: v for key, v in forward.items() if key[1] == name}
+
+    def test_threads_share_a_lattice(self):
+        # Four threads on two cores, switching every microsecond, share each
+        # law's lattice: a torn (lo, values) pair would move a value.
+        laws = [ChannelParams(*law["law"])
+                for law in json.loads(DOMAIN_REFERENCE.read_text())["laws"][:12]]
+        derived_constants.cache_clear()
+        calls = [call for _, call in self.CALLS + self.CALLS[:1]]
+        want = [[call(pars) for pars in laws] for call in calls]
+        got = [None] * len(calls)
+
+        def run(i):
+            got[i] = [calls[i](pars) for pars in laws]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            derived_constants.cache_clear()
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    def test_cache_clear_frees_the_lattice(self):
+        pars = ChannelParams(1.5, 2.0, 1.0, 0.5, 2.5, 100.0)
+        mt.aber_mixture(pars, QAM16)
+        lattice = weakref.ref(derived_constants(pars).density_lattice)
+        assert lattice() is not None
+        derived_constants.cache_clear()
+        assert lattice() is None
+
+    def test_raise_at_the_level_cap_keeps_level_zero_only(self):
+        # A step in h leaves the trapezoid an O(step) error, so its levels
+        # never agree to 1e-12: the call raises after 12 levels, and the
+        # lattice keeps no refinement level of it.
+        pars = ChannelParams(1.5, 2.0, 1.0, 0.5, 2.5, 100.0)
+        derived_constants.cache_clear()
+        capacity = mt.capacity_mixture(pars).value
+        lattice = derived_constants(pars).density_lattice
+        assert len(lattice._levels) > 1
+        step_at = math.log(pars.gamma_bar)
+        with pytest.raises(sf.ConvergenceError, match="did not agree"):
+            mt._mixture_expectation(pars, lambda log_g: (log_g > step_at).astype(float))
+        assert set(lattice._levels) == {0}
+        assert lattice._levels[0][1].size <= 2 * 10_700  # level 0 lies in t in (-1e4, 700)
+        assert mt.capacity_mixture(pars).value == capacity
 
 
 DOMAIN_POWERS = (db(-3.0), db(3.0))

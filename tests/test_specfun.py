@@ -206,7 +206,7 @@ class TestGauss2F1Derivative:
            st.floats(min_value=0.0, max_value=0.7))
     def test_finite_difference(self, a, b, z):
         dc = DerivedConstants(c_alpha=1.0, beta_bar=z, one_minus_beta_bar=1.0 - z,
-                              p=None, q=None, m_y=b)
+                              p=None, q=None, m_y=b, m_x=a)
         mean_log = float(dc.nb_weights @ digamma(a + np.arange(dc.nb_weights.size)))
         want = float(digamma(a)) + (1.0 - z) ** b * _d_da_2f1(a, b, a, z)
         assert mean_log == pytest.approx(want, rel=1e-6, abs=1e-9)
