@@ -11,13 +11,15 @@ mixture density its widest windows. Then, on each ``domain`` law, on
 ``PINNED`` and on ``LARGE_B``, one line each for ``c_alpha`` and for
 ``snr_pdf``, ``snr_cdf_phi2`` and ``bxs_envelope_pdf`` at gamma/gamma_bar
 in ``RATIOS``: the value's hex or the exception's name. ``LARGE_B`` adds
-``snr_pdf`` at ``LARGE_B_RATIOS``. The last line gives the number of mixture
-density nodes the run evaluated, counted by a spy on
-``channel._mixture_density``.
+``snr_pdf`` at ``LARGE_B_RATIOS``. Then one line per truncation profile of
+the paper's Meijer-G k-series, its partial sums' hex (or the exception's
+name): ``aber_exact_truncation_profile`` for QAM-16 at k_max 40 on the fig-2
+and fig-3 laws, and ``capacity_exact_truncation_profile`` at k_max 48 on the
+fig-4 laws. The last line gives the number of mixture density nodes the run
+evaluated, counted by a spy on ``channel._mixture_density``.
 The envelope density is taken at r^2 = (gamma/gamma_bar)(omega_x + omega_y),
 the ratio times the baseline mean power. The exact metrics are the mixture
-expectations, so these calls reach no Meijer G term; only the truncation
-profiles do, and the tests cover them.
+expectations, so only the truncation profiles reach a Meijer G term.
 
 Comparing two versions of the code is one ``diff`` of this script's output
 run on each checkout:
@@ -87,6 +89,21 @@ def density_lines(name, i, params):
             yield f"{name}[{i}] {fname}@{ratio:g} {outcome(call, float.hex)}"
 
 
+def profile_lines(mod):
+    """One line per truncation profile: the fig-2 and fig-3 ABER, the fig-4 capacity."""
+    profiles = {
+        "fig2": lambda p: metrics.aber_exact_truncation_profile(p, mod, k_max=40),
+        "fig3": lambda p: metrics.aber_exact_truncation_profile(p, mod, k_max=40),
+        "fig4": lambda p: metrics.capacity_exact_truncation_profile(p, k_max=48),
+    }
+    for name, laws in law_sets():
+        if name in profiles:
+            for i, params in enumerate(laws):
+                sums = outcome(lambda: profiles[name](params),
+                               lambda s: " ".join(map(float.hex, s)))
+                yield f"{name}[{i}] profile {sums}"
+
+
 def count_density_nodes() -> list:
     """Spy on the density the lattices build: the returned list's entry counts its nodes."""
     real = channel._mixture_density
@@ -125,6 +142,8 @@ def main() -> int:
     for ratio in LARGE_B_RATIOS:
         pdf = outcome(lambda: snr_pdf(LARGE_B, ratio * LARGE_B.gamma_bar), float.hex)
         print(f"largeb[0] snr_pdf@{ratio:g} {pdf}")
+    for line in profile_lines(qam16):
+        print(line)
     print(f"density nodes evaluated: {nodes[0]}")
     return 0
 

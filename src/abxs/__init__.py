@@ -48,7 +48,6 @@ from .montecarlo import (
 from .specfun import (
     ConvergenceError,
     MeijerGSpec,
-    PrecisionWarning,
     appell_phi2,
     gauss_2f1,
     kummer_1f1,

@@ -55,12 +55,6 @@ def validate(params: ChannelParams) -> ChannelParams:
     return params
 
 
-# Largest denominator of alpha/2 that derived_constants rationalises: past it
-# the Meijer-G parameter count makes the paper's closed form too costly, and
-# the truncation profiles of its k-series raise ValueError.
-_CLOSED_FORM_MAX_Q = 8
-
-
 def rationalize_alpha(alpha: float, tol: float = 1e-9, max_q: int = 32):
     """Smallest-denominator (p, q) with |p/q - alpha/2| <= tol and gcd(p,q)=1.
 
@@ -120,10 +114,6 @@ _NB_MAX_WEIGHTS = 100_000
 class DerivedConstants:
     """Per-parameter-set constants shared by the statistics and metrics.
 
-    ``p``/``q`` are the reduced numerator/denominator of alpha/2, or None when
-    alpha/2 has none with q <= _CLOSED_FORM_MAX_Q (8): the paper's Meijer-G
-    closed form, which the metrics' truncation profiles evaluate, exists only
-    where q is set.
     ``m_y`` and ``beta_bar`` fix the mixing law of :attr:`nb_weights`, and
     ``m_x`` with them the mixture density of :attr:`density_lattice`.
     ``one_minus_beta_bar`` is 1 - beta_bar from its own quotient, so it keeps
@@ -137,8 +127,6 @@ class DerivedConstants:
     c_alpha: float
     beta_bar: float
     one_minus_beta_bar: float
-    p: int | None
-    q: int | None
     m_y: float
     m_x: float
 
@@ -422,13 +410,8 @@ def derived_constants(params: ChannelParams) -> DerivedConstants:
     log_c = (math.lgamma(params.m_x) - math.lgamma(params.m_x + two_over_alpha)
              - _log_los_2f1(params.m_x, params.m_y, bb, one_minus_bb, two_over_alpha)
              ) / two_over_alpha
-    try:
-        p, q = rationalize_alpha(params.alpha, max_q=_CLOSED_FORM_MAX_Q)
-    except ValueError:
-        p, q = None, None
     return DerivedConstants(c_alpha=math.exp(log_c), beta_bar=bb,
-                            one_minus_beta_bar=one_minus_bb, p=p, q=q, m_y=params.m_y,
-                            m_x=params.m_x)
+                            one_minus_beta_bar=one_minus_bb, m_y=params.m_y, m_x=params.m_x)
 
 
 def envelope_moment(params: ChannelParams, k: float) -> float:

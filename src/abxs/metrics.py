@@ -31,6 +31,11 @@ from . import channel, specfun
 from .channel import ChannelParams, derived_constants
 from .specfun import ConvergenceError, MeijerGSpec
 
+# Largest denominator q of alpha/2 = p/q for which the truncation profiles
+# evaluate the paper's Meijer-G closed form: past it the parameter count makes
+# each G term too costly, and rationalize_alpha raises ValueError.
+_CLOSED_FORM_MAX_Q = 8
+
 # Largest share of the capacity that capacity_mixture lets the NB weight
 # table leave out.
 _TAIL_REL_TOL = 1e-10
@@ -325,9 +330,10 @@ def _aber_e_term(params: ChannelParams, dc, d2: float):
     """E_k = E[Q(sqrt(2 d2 gamma)) | K = k] of the ABER component d2, from its G term k.
 
     E_k is the G term at (p/d2)^p / (q C gamma_bar^(alpha/2))^q times
-    sqrt(pi) q^(m_x+k-1/2) / ((2 pi)^((p+q)/2) Gamma(m_x+k)).
+    sqrt(pi) q^(m_x+k-1/2) / ((2 pi)^((p+q)/2) Gamma(m_x+k)), with alpha/2 =
+    p/q; raises ValueError when no q <= _CLOSED_FORM_MAX_Q fits.
     """
-    p, q = dc.p, dc.q
+    p, q = channel.rationalize_alpha(params.alpha, max_q=_CLOSED_FORM_MAX_Q)
     z = (p / d2) ** p / (q * dc.c_alpha * params.gamma_bar ** (params.alpha / 2.0)) ** q
     upper = tuple((0.5 + i) / p for i in range(p)) + (1.0,)
 
@@ -359,8 +365,6 @@ def aber_exact_truncation_profile(params: ChannelParams, mod: ModulationScheme, 
     when alpha/2 has no p/q with q <= 8.
     """
     dc = derived_constants(params)
-    if dc.q is None:
-        raise ValueError("truncation profile needs the Meijer-G route")
     e_terms = [_aber_e_term(params, dc, d2) for d2 in mod.delta2]
     partial = _partial_sums(dc.nb_weights, k_max, lambda k: sum(e(k) for e in e_terms))
     return [mod.delta1 * acc for acc in partial]
@@ -421,18 +425,15 @@ def capacity_exact_truncation_profile(params: ChannelParams, k_max: int = 16):
     """Capacity partial sums of the paper's Meijer-G k-series after 1..k_max terms.
 
     Entry i holds the sum of the terms NB_k E_k for k <= i, with E_k =
-    E[log2(1 + gamma) | K = k] from the G term k. These G terms always carry
-    an integer pole collision (a doubled zero parameter), so they go straight
-    to the Mellin-Barnes contour, which is where meijer_g would send them.
-    The terms differ only in their Gamma(m_x + k - q s) factor, and their pole
-    ladders start at 0 and -1/p for every k, so one memo lets every term keep
+    E[log2(1 + gamma) | K = k] from the G term k, on the Mellin-Barnes
+    contour that meijer_g takes, called directly to share one memo. The
+    terms differ only in their Gamma(m_x + k - q s) factor, and their pole
+    ladders start at 0 and -1/p for every k, so the memo lets every term keep
     the first term's line and reuse the other factors' values. Raises
     ValueError when alpha/2 has no p/q with q <= 8.
     """
     dc = derived_constants(params)
-    if dc.q is None:
-        raise ValueError("truncation profile needs the Meijer-G route")
-    p, q = dc.p, dc.q
+    p, q = channel.rationalize_alpha(params.alpha, max_q=_CLOSED_FORM_MAX_Q)
     z = (1.0 / (q * dc.c_alpha * params.gamma_bar ** (params.alpha / 2.0))) ** q
     ladder = tuple(i / p for i in range(p))
     memo = {}

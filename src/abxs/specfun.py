@@ -11,23 +11,21 @@ scipy ``hyp1f1``; the two share only the large-x expansion, which both take
 at x >= 6b, the pdf from x = 200 on and the oracle past x = 650 or where
 hyp1f1 overflows. Phi2 and Meijer G have no scipy counterpart.
 
-All series share one stopping rule with fixed tolerances: stop once three
-consecutive terms fall below 1e-14 times the magnitude of the partial sum
-(guards against a premature stop on sign-alternating series); in the
-hypergeometric series each of the three must also be no larger than the term
-before it, so a term made tiny by a parameter near a nonpositive integer does
-not end a series whose later terms grow again. Raise
-ConvergenceError after 10000 terms. Every sum is in plain double precision:
-on these domains the 1F1 and Phi2 terms are nonnegative, so nothing cancels.
-No arbitrary-precision library is used anywhere.
+The 1F1 power series, which ``kummer_1f1`` and the pdf's log-scaled 1F1
+share, and the Phi2 series share one stopping rule with fixed tolerances:
+stop once three consecutive terms fall below 1e-14 times the partial sum
+(a guard against stopping on one stray small term); in the 1F1 series each
+of the three must also be no larger than the term before it, so a term
+made tiny by a small a does not end a series whose later terms grow again.
+Raise ConvergenceError after 10000 terms. Every sum is in plain double
+precision: on these domains the 1F1 and Phi2 terms are nonnegative, so
+nothing cancels. No arbitrary-precision library is used anywhere.
 
-The Meijer G evaluator sums the residue (Slater) expansion in plain double
-precision when the contributing poles are simple and the sum is well
-conditioned, and falls back to numerical Mellin-Barnes contour integration
-otherwise, on the vertical line through the integrand's saddle point on the
-real axis. The contour evaluates its gamma factors with scipy's complex
-``loggamma``, one call per factor and trapezoid level, after merging each run
-of parameters spaced 1/N into a single factor by Gauss's multiplication
+Meijer G is evaluated by numerical Mellin-Barnes contour integration, on
+the vertical line through the integrand's saddle point on the real axis.
+The contour evaluates its gamma factors with scipy's complex ``loggamma``,
+one call per factor and trapezoid level, after merging each run of
+parameters spaced 1/N into a single factor by Gauss's multiplication
 formula. It finds where to cut the line on its first level's own nodes; each
 refinement evaluates only the new midpoints, and refinement stops once two
 levels agree to 1e-12 or the shrinking level differences show that the next
@@ -41,7 +39,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,10 +50,6 @@ class ConvergenceError(ArithmeticError):
     """A series or contour quadrature failed to stabilize within its budget."""
 
 
-class PrecisionWarning(UserWarning):
-    """A degraded evaluation path had to be taken (e.g. pole collision)."""
-
-
 # The stopping rule of the module docstring.
 _REL_TOL = 1e-14
 _MAX_TERMS = 10000
@@ -65,87 +58,24 @@ _STOP_STREAK = 3
 _LN_2PI = 1.8378770664093454836
 
 
-# ---------------------------------------------------------------------------
-# gamma family
-# ---------------------------------------------------------------------------
-
-
-def _is_nonpositive_integer(x: float, tol: float = 1e-9) -> bool:
-    r = round(x)
-    return r <= 0 and abs(x - r) <= tol
-
-
-def _signed_loggamma(x: float):
-    """(log|Gamma(x)|, sign of Gamma(x)) for any non-pole real x."""
-    if x > 0.0:
-        return math.lgamma(x), 1.0
-    if _is_nonpositive_integer(x, tol=0.0):
-        raise ValueError(f"Gamma pole at x = {x}")
-    sign = 1.0 if math.floor(x) % 2 == 0 else -1.0
-    return math.lgamma(x), sign
-
-
-# ---------------------------------------------------------------------------
-# hypergeometric series
-# ---------------------------------------------------------------------------
-
-
-def _hyp_series(num, den, x: float):
-    """sum_k prod(num)_k / prod(den)_k * x^k / k! with the shared stopping rule.
-
-    Returns (value, max_abs_term). ``den`` entries must avoid nonpositive
-    integers.
-    """
-    for d in den:
-        if _is_nonpositive_integer(d):
-            raise ValueError(f"series denominator parameter is a nonpositive integer: {d}")
-    term = 1.0
-    total = 1.0
-    max_mag = mag = 1.0
-    streak = 0
-    for k in range(_MAX_TERMS):
-        fk = float(k)
-        for u in num:
-            term *= u + fk
-        term *= x
-        for d in den:
-            term /= d + fk
-        term /= fk + 1.0
-        total += term
-        mag, prev_mag = abs(term), mag
-        if mag > max_mag:
-            max_mag = mag
-        if not math.isfinite(total):
-            raise OverflowError("hypergeometric series overflowed")
-        if mag <= _REL_TOL * max(abs(total), 1e-300) and mag <= prev_mag:
-            streak += 1
-            if streak >= _STOP_STREAK:
-                return total, max_mag
-        else:
-            streak = 0
-    raise ConvergenceError("hypergeometric series exhausted max_terms")
-
-
 def kummer_1f1(a: float, b: float, x: float) -> float:
-    """Kummer's confluent hypergeometric 1F1(a; b; x) for a >= 0, b > 0 and x >= 0.
+    """Kummer's confluent hypergeometric 1F1(a; b; x) for finite a >= 0, b > 0 and x >= 0.
 
     The model passes a = m_y or 1 and x = beta_bar u or u. There every term
-    of the power series is nonnegative, so it is summed directly and is
-    stable up to the exp overflow boundary: past x = 709 it raises
-    OverflowError, and callers take a log-scaled path. Other arguments
-    raise ValueError.
+    of the power series is nonnegative, so it is summed directly
+    (:func:`_scaled_1f1_series`), with no intermediate overflow. Where the
+    value passes the largest double it raises OverflowError, and past
+    x = 709 it raises OverflowError without summing: callers take a
+    log-scaled path there. Other arguments raise ValueError.
     """
-    if not (a >= 0.0 and b > 0.0 and x >= 0.0):
-        raise ValueError(f"kummer_1f1 requires a >= 0, b > 0 and x >= 0, got ({a}, {b}, {x})")
-    if x == 0.0:
-        return 1.0
+    if not (0.0 <= a < math.inf and b > 0.0 and x >= 0.0):
+        raise ValueError(f"kummer_1f1 requires finite a >= 0, b > 0, x >= 0, got ({a}, {b}, {x})")
     if x > 709.0:
-        raise OverflowError(
-            f"kummer_1f1 argument {x} exceeds the exp overflow boundary; "
-            "use a log-scaled path"
-        )
-    value, _ = _hyp_series((a,), (b,), x)
-    return value
+        raise OverflowError(f"kummer_1f1 argument {x} is past 709; use a log-scaled path")
+    total, scale = _scaled_1f1_series(a, b, x)
+    if scale:
+        raise OverflowError(f"1F1({a}; {b}; {x}) exceeds the largest double")
+    return total
 
 
 def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
@@ -231,21 +161,19 @@ def _log_scaled_1f1_large_x(a: float, b: float, x: float) -> float:
     return math.lgamma(b) - math.lgamma(a) + (a - b) * math.log(x) + math.log(s)
 
 
-# Power of two by which _log_scaled_1f1_series scales a term that passes it.
+# Power of two by which _scaled_1f1_series scales a term that passes it.
 _SCALE_BITS = 512
 _SCALE_AT = 2.0 ** _SCALE_BITS
 
 
-def _log_scaled_1f1_series(a: float, b: float, x: float) -> float:
-    """log(e^-x 1F1(a; b; x)) for a >= 0, b > 0 and x >= 0 from the power series.
+def _scaled_1f1_series(a: float, b: float, x: float):
+    """1F1(a; b; x) = total 2^scale for a >= 0, b > 0 and x >= 0 from the power series.
 
-    The terms are those of :func:`kummer_1f1`, in the same order, with the
-    shared stopping rule; whenever a term passes 2^_SCALE_BITS, the term and
-    the partial sum are multiplied by 2^-_SCALE_BITS, which is exact, so no
-    term overflows and the log adds the scale back. Where the sum fits in a
-    float the scale is undone before the log, so the value is
-    log(kummer_1f1(a, b, x)) - x to the bit wherever that is finite. Every
-    term is nonnegative, so nothing cancels.
+    Returns (total, scale) with the stopping rule of the module docstring.
+    Whenever a term passes 2^_SCALE_BITS, the term and the partial sum are
+    multiplied by 2^-_SCALE_BITS, which is exact, so no term overflows.
+    Where the sum fits in a float the scale is undone, so scale is 0 exactly
+    when the value is finite, and total is then the plain sum to the bit.
     """
     term = total = 1.0
     scale = 0
@@ -267,10 +195,20 @@ def _log_scaled_1f1_series(a: float, b: float, x: float) -> float:
             if streak >= _STOP_STREAK:
                 if total <= math.ldexp(sys.float_info.max, -scale):
                     total, scale = math.ldexp(total, scale), 0
-                return math.log(total) + scale * math.log(2.0) - x
+                return total, scale
         else:
             streak = 0
     raise ConvergenceError("1F1 series exhausted max_terms")
+
+
+def _log_scaled_1f1_series(a: float, b: float, x: float) -> float:
+    """log(e^-x 1F1(a; b; x)) for a >= 0, b > 0 and x >= 0 from the power series.
+
+    The log of :func:`_scaled_1f1_series` with its scale added back, so the
+    value is log(kummer_1f1(a, b, x)) - x to the bit wherever that is finite.
+    """
+    total, scale = _scaled_1f1_series(a, b, x)
+    return math.log(total) + scale * math.log(2.0) - x
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +228,9 @@ def _log_scaled_1f1_series(a: float, b: float, x: float) -> float:
 class MeijerGSpec:
     """Order indices and parameter lists of a Meijer G function.
 
-    ``m`` counts the lower parameters whose gamma factors contribute the
-    ascending pole ladders picked up by the residue series; ``n`` counts the
-    contributing upper parameters.
+    ``m`` counts the lower parameters whose gamma factors give the ascending
+    pole ladders right of the contour; ``n`` counts the upper parameters
+    whose factors give the descending ladders left of it.
     """
 
     m: int
@@ -312,31 +250,17 @@ class MeijerGSpec:
                 raise ValueError("Meijer G parameters must be finite")
 
 
-class _SlaterUnstable(Exception):
-    """Residue series rejected (cancellation, overflow, or degenerate params)."""
-
-
-# Cancellation budgets: max acceptable ratio of largest magnitude seen to the
-# final magnitude, for one residue's series and across the residues. Doubles
-# keep ~16 digits, so either budget leaves ~12 of them.
-_PLAIN_CANCEL = 1e4
-_CROSS_TERM_CANCEL = 3e3
-
-
 def meijer_g(spec: MeijerGSpec, z: float) -> float:
     """Evaluate G^{m,n}_{p,q}(z | a; b) for real parameters and z > 0.
 
-    Residue (Slater) series, summed in plain double precision, when every
-    contributing pole is simple and the sum is well conditioned; otherwise
-    numerical Mellin-Barnes contour integration. Pole collisions (contributing
-    lower parameters differing by an integer) force the contour and emit a
-    :class:`PrecisionWarning`.
+    By numerical Mellin-Barnes contour integration (:func:`_meijer_contour`).
+    A G with more upper than lower parameters is first taken to the same G
+    at 1/z with reflected parameters (DLMF 16.19.1).
+    Raises ConvergenceError when m = 0 after that, or when the contour does.
     """
     if not (z > 0.0 and math.isfinite(z)):
         raise ValueError(f"meijer_g requires finite z > 0, got {z}")
-    p = len(spec.a_params)
-    q = len(spec.b_params)
-    if p > q or (p == q and z > 1.0):
+    if len(spec.a_params) > len(spec.b_params):
         flipped = MeijerGSpec(
             m=spec.n,
             n=spec.m,
@@ -346,92 +270,7 @@ def meijer_g(spec: MeijerGSpec, z: float) -> float:
         return meijer_g(flipped, 1.0 / z)
     if spec.m == 0:
         raise ConvergenceError("meijer_g needs at least one contributing lower parameter")
-    if p == q and z == 1.0:
-        return _meijer_contour(spec, z)
-    if _has_pole_collision(spec):
-        warnings.warn(
-            "Meijer G pole collision: falling back to Mellin-Barnes contour",
-            PrecisionWarning,
-            stacklevel=2,
-        )
-        return _meijer_contour(spec, z)
-    try:
-        return _meijer_slater(spec, z)
-    except _SlaterUnstable:
-        return _meijer_contour(spec, z)
-
-
-def _has_pole_collision(spec: MeijerGSpec, tol: float = 1e-9) -> bool:
-    bs = spec.b_params[: spec.m]
-    for i in range(len(bs)):
-        for j in range(i + 1, len(bs)):
-            d = bs[i] - bs[j]
-            if abs(d - round(d)) <= tol:
-                return True
-    return False
-
-
-def _meijer_slater(spec: MeijerGSpec, z: float) -> float:
-    """G as the sum of its residue series, each summed in plain double precision.
-
-    Raises :class:`_SlaterUnstable` when a residue degenerates, overflows or
-    cancels beyond the budgets above; :func:`meijer_g` then takes the contour.
-    """
-    a, b = spec.a_params, spec.b_params
-    m, n = spec.m, spec.n
-    p, q = len(a), len(b)
-    lnz = math.log(z)
-    sign_w = 1.0 if (p - m - n) % 2 == 0 else -1.0
-    w = sign_w * z
-
-    values = []
-    noise_floor = 0.0  # absolute scale at which each term's accuracy bottoms out
-    for h in range(m):
-        bh = b[h]
-        logmag = bh * lnz
-        sign = 1.0
-        for j in range(m):
-            if j == h:
-                continue
-            lg, sg = _signed_loggamma(b[j] - bh)
-            logmag += lg
-            sign *= sg
-        for j in range(n):
-            arg = 1.0 + bh - a[j]
-            if _is_nonpositive_integer(arg):
-                raise _SlaterUnstable  # numerator pole: expansion degenerates
-            lg, sg = _signed_loggamma(arg)
-            logmag += lg
-            sign *= sg
-        den_args = [1.0 + bh - b[j] for j in range(m, q)] + [a[j] - bh for j in range(n, p)]
-        if any(map(_is_nonpositive_integer, den_args)):
-            values.append(0.0)  # a denominator pole kills this residue
-            continue
-        for arg in den_args:
-            lg, sg = _signed_loggamma(arg)
-            logmag -= lg
-            sign *= sg
-        if logmag > 700.0:
-            raise _SlaterUnstable
-        num = tuple(1.0 + bh - aj for aj in a)
-        den = tuple(1.0 + bh - b[j] for j in range(q) if j != h)
-        try:
-            series, max_term = _hyp_series(num, den, w)
-        except (ConvergenceError, OverflowError, ValueError):
-            raise _SlaterUnstable
-        if max_term > _PLAIN_CANCEL * max(abs(series), 1e-300):
-            raise _SlaterUnstable
-        scale = math.exp(logmag)
-        noise_floor = max(noise_floor, scale * max_term * 1e-15)
-        values.append(sign * scale * series)
-
-    if not all(map(math.isfinite, values)):
-        raise _SlaterUnstable  # a residue overflowed; fsum would raise on inf - inf
-    total = math.fsum(values)
-    peak = max((abs(v) for v in values), default=0.0)
-    if peak > _CROSS_TERM_CANCEL * abs(total) or noise_floor > 1e-9 * abs(total):
-        raise _SlaterUnstable
-    return total
+    return _meijer_contour(spec, z)
 
 
 def _gauss_runs(values, tol: float = 1e-12):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from scipy import integrate, special as sp_special
 
 from abxs import channel as ch
+from abxs import metrics
 from abxs import specfun
 from abxs.channel import ChannelParams
 from oracles import MpSnrLaw
@@ -70,11 +71,14 @@ class TestDerivedConstants:
         assert ch.beta_bar(pars) == pytest.approx(1.6 / 3.1, rel=1e-14)
 
     def test_closed_form_route_stops_at_q_8(self):
-        # alpha/2 = 11/10 rationalises, but past q = 8 the metrics take the
-        # mixture, so derived_constants leaves p and q unset.
-        dc = ch.derived_constants(ChannelParams(1.2, 1.2, 1.0, 1.0, 2.2, 10.0))
-        assert dc.p is None and dc.q is None
-        assert ch.derived_constants(ChannelParams(1.2, 1.2, 1.0, 1.0, 2.5, 10.0)).q == 4
+        # alpha/2 = 11/10 rationalises, but past q = 8 the truncation profiles
+        # of the paper's closed form raise; derived_constants serves every alpha.
+        law = ChannelParams(1.2, 1.2, 1.0, 1.0, 2.2, 10.0)
+        assert ch.derived_constants(law).c_alpha > 0.0
+        with pytest.raises(ValueError):
+            metrics.capacity_exact_truncation_profile(law, k_max=2)
+        law = ChannelParams(1.2, 1.2, 1.0, 1.0, 2.5, 10.0)
+        assert metrics.capacity_exact_truncation_profile(law, k_max=2)[-1] > 0.0
 
     def test_c_alpha_nakagami(self):
         # alpha=2, no LoS: the constant collapses to 1/m_x

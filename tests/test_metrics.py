@@ -233,17 +233,15 @@ class TestAberExact:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_overflowing_residue_falls_back_to_contour(self):
-        # a residue of one G term of the paper's k-series overflows to +-inf;
-        # the Slater sum used to leak "ValueError: -inf + inf in fsum" here.
-        # mpmath reference value.
+        # a residue of one G term of the paper's k-series overflows to +-inf,
+        # so a residue sum leaked "ValueError: -inf + inf in fsum" here; the
+        # contour evaluates every G term. mpmath reference value.
         pars = fig3_params(0.5, 0.5, 1.0, snr_db=-10.0)
         prof = mt.aber_exact_truncation_profile(pars, QAM16, k_max=64)
         assert prof[-1] == pytest.approx(0.6602567351595884, rel=1e-6)
         assert mt.aber_exact(pars, QAM16).value == pytest.approx(0.6602567351595884, rel=1e-12)
 
     # Fig-3 rows (20 dB, powers -3 / +3 dB), mpmath references at 40 digits.
-    # At alpha 2.5 and 3.75 most G terms fail the Slater series' cancellation
-    # gates and evaluate on the contour.
     @pytest.mark.parametrize("m_x, m_y, alpha, want", [
         (0.5, 0.5, 1.25, 0.1652216485975596),
         (0.5, 0.5, 2.5, 0.043308621967241084),
