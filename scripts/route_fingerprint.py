@@ -5,9 +5,9 @@ One line per call: law set and index, metric, ``value.hex()``, ``path`` and
 ``terms_used`` (or the exception's name). The calls are ``aber_exact``
 (QAM-16 and BPSK) and ``capacity_exact`` on the benchmark's 67 ``domain``
 laws, on the fig-2, fig-3 (alpha 1:0.25:4), fig-4 and 72-point grid laws,
-on the four small-alpha laws whose capacity the NB weight table leaves out,
-on ``LOW_SNR`` and on the ``LONG_TABLES`` laws, whose tables give the
-mixture density its widest windows. Then, on each ``domain`` law, on
+on the four small-alpha laws whose capacity lies in NB terms far past the
+mean, on ``LOW_SNR`` and on the ``LONG_TABLES`` laws, whose NB mass centres
+far from k = 0 and gives the mixture density its widest windows. Then, on each ``domain`` law, on
 ``PINNED`` and on ``LARGE_B``, one line each for ``c_alpha`` and for
 ``snr_pdf``, ``snr_cdf_phi2`` and ``bxs_envelope_pdf`` at gamma/gamma_bar
 in ``RATIOS``: the value's hex or the exception's name. ``LARGE_B`` adds
@@ -15,8 +15,10 @@ in ``RATIOS``: the value's hex or the exception's name. ``LARGE_B`` adds
 the paper's Meijer-G k-series, its partial sums' hex (or the exception's
 name): ``aber_exact_truncation_profile`` for QAM-16 at k_max 40 on the fig-2
 and fig-3 laws, and ``capacity_exact_truncation_profile`` at k_max 48 on the
-fig-4 laws. The last line gives the number of mixture density nodes the run
-evaluated, counted by a spy on ``channel._mixture_density``.
+fig-4 laws. The last two lines give the number of mixture density nodes the
+run evaluated, counted by a spy on ``channel._mixture_density``, and the
+NB rows times nodes its windows summed, counted by a spy on
+``channel._window_sum``.
 The envelope density is taken at r^2 = (gamma/gamma_bar)(omega_x + omega_y),
 the ratio times the baseline mean power. The exact metrics are the mixture
 expectations, so only the truncation profiles reach a Meijer G term.
@@ -104,25 +106,29 @@ def profile_lines(mod):
                 yield f"{name}[{i}] profile {sums}"
 
 
-def count_density_nodes() -> list:
-    """Spy on the density the lattices build: the returned list's entry counts its nodes."""
-    real = channel._mixture_density
-    counted = [0]
+def count_density_work() -> list:
+    """Spy on the density the lattices build: the returned list counts its nodes and its rows x nodes."""
+    real_density, real_sum = channel._mixture_density, channel._window_sum
+    counted = [0, 0]
 
-    def counting(m_x, weights):
-        density = real(m_x, weights)
+    def counting(*law):
+        density = real_density(*law)
 
         def wrapped(t):
             counted[0] += t.size
             return density(t)
         return wrapped
 
-    channel._mixture_density = counting
+    def summing(m_x, a, lo, t):
+        counted[1] += a.size * t.size
+        return real_sum(m_x, a, lo, t)
+
+    channel._mixture_density, channel._window_sum = counting, summing
     return counted
 
 
 def main() -> int:
-    nodes = count_density_nodes()
+    work = count_density_work()
     qam16 = metrics.modulation_coeffs("mqam", 16)
     bpsk = metrics.modulation_coeffs("bpsk")
     calls = (("aber_exact:qam16", lambda p: metrics.aber_exact(p, qam16)),
@@ -144,7 +150,8 @@ def main() -> int:
         print(f"largeb[0] snr_pdf@{ratio:g} {pdf}")
     for line in profile_lines(qam16):
         print(line)
-    print(f"density nodes evaluated: {nodes[0]}")
+    print(f"density nodes evaluated: {work[0]}")
+    print(f"density rows x nodes summed: {work[1]}")
     return 0
 
 

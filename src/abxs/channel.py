@@ -10,12 +10,13 @@ boundary only. Everything here is scalar, pure and thread-safe.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln
+from scipy.special import gammainc, gammaincc, gammaln, xlogy
 
 from . import specfun
 
@@ -107,6 +108,7 @@ _NB_TAIL = 1e-14
 
 # Most weights nb_weights builds (1 - bb of 2.7e-4 to 1.2e-3 for m_y of 0.1 to
 # 50); the count grows as 1/(1 - bb), and past it each route takes seconds.
+# Also the most NB rows a mixture density keeps.
 _NB_MAX_WEIGHTS = 100_000
 
 
@@ -115,7 +117,8 @@ class DerivedConstants:
     """Per-parameter-set constants shared by the statistics and metrics.
 
     ``m_y`` and ``beta_bar`` fix the mixing law of :attr:`nb_weights`, and
-    ``m_x`` with them the mixture density of :attr:`density_lattice`.
+    ``m_x`` with them the mixture density of :attr:`density_lattice`, which
+    takes its NB rows from log-gammas and never reads the weight table.
     ``one_minus_beta_bar`` is 1 - beta_bar from its own quotient, so it keeps
     its digits as beta_bar -> 1.
 
@@ -135,8 +138,8 @@ class DerivedConstants:
         """NB(m_y, beta_bar) probabilities w_k = (1-bb)^m_y (m_y)_k bb^k / k!.
 
         U = (gamma/gamma_bar)^(alpha/2) / C is the mixture sum_k w_k Gamma(m_x+k, 1),
-        so these weights drive the cdf, the ccdf, the KS cdf, the exact
-        metrics' mixture expectations and the Meijer-G k-series. The list
+        so these weights drive the cdf, the ccdf, the KS cdf, the capacity
+        asymptote and the Meijer-G k-series. The list
         stops once, past the mode, the geometric bound w_{k+1} / (1 - max(r_k,
         bb)) on the mass left out falls below 1e-14; r_k = w_{k+1}/w_k, and
         max(r_k, bb) bounds every later ratio. Built on first use: the pdf never
@@ -171,57 +174,125 @@ class DerivedConstants:
         capacity) reads its density values from here; see
         :class:`_DensityLattice` for the nodes and the memory bound.
         """
-        return _DensityLattice(self.m_x, self.nb_weights)
+        return _DensityLattice(self.m_x, self.m_y, self.beta_bar, self.one_minus_beta_bar)
 
 
-# Nodes per mixture-density evaluation. Each block evaluates only the weights
-# that reach e^-(_CONTOUR_CUT + log K) of the largest term at one of its nodes
-# (see _mixture_density), which bounds the (weights x nodes) array.
+# Most nodes per block of a mixture-density evaluation (see _mixture_density).
 _MIXTURE_BLOCK = 64
 
+# A block's window keeps the rows within e^-_WINDOW_MARGIN of its end nodes'
+# largest rows: _CONTOUR_CUT, plus e^8 for the rows past each edge.
+_WINDOW_MARGIN = specfun._CONTOUR_CUT + 8.0
 
-def _mixture_window(a: np.ndarray, t_first: float, t_last: float, margin: float):
-    """(lo, hi): the rows k of a block of nodes t_first..t_last that reach its density.
-
-    Term k of the density at t is e^(a_k + k t) times a factor common to all
-    k. lo is the first k with a_k + k t_first >= M(t_first) - margin, and hi
-    is one past the last k with a_k + k t_last >= M(t_last) - margin, where
-    M(t) = max_j (a_j + j t). The row j that attains M(t_first) has j >= lo,
-    and for t >= t_first, M(t) >= a_j + j t rises with slope j, faster than
-    any row k < lo; so such a row stays below M(t) - margin at every
-    t >= t_first. In the same way a row k >= hi stays below M(t) - margin at
-    every t <= t_last.
-    """
-    rows = a + np.multiply.outer((t_first, t_last), np.arange(a.size))
-    keep = rows >= rows.max(axis=1, keepdims=True) - margin
-    return int(keep[0].argmax()), a.size - int(keep[1, ::-1].argmax())
+# Most NB rows a density node may sum; a law reaches it as the NB mass centres
+# near 10^6, at 1 - beta_bar of about m_y / 10^6.
+_MAX_ROWS = 1_000_000
 
 
-def _mixture_density(m_x: float, weights: np.ndarray):
+def _window_sum(m_x: float, a: np.ndarray, lo: int, t: np.ndarray) -> np.ndarray:
+    """sum_k e^(a_k + (m_x + k) t - e^t) over the rows k = lo..lo + a.size - 1, at each node t."""
+    shapes = (m_x + np.arange(lo, lo + a.size))[:, None]
+    return np.exp(a[:, None] + shapes * t - np.exp(t)).sum(axis=0)
+
+
+def _mixture_density(m_x: float, m_y: float, bb: float, one_minus_bb: float):
     """The t-density of log u, t -> sum_k w_k e^((m_x+k) t - e^t) / Gamma(m_x + k).
 
-    It takes an increasing ndarray of nodes and sums it in blocks of
-    _MIXTURE_BLOCK nodes. A block sums only the rows [lo, hi) of
-    :func:`_mixture_window`, with a_k = log w_k - lgamma(m_x + k) and margin
-    = _CONTOUR_CUT + log K for K weights: every row left out is below
-    e^-margin of the largest term at every node of the block, so the K or
-    fewer rows left out hold less than e^-_CONTOUR_CUT (e^-46) of the
-    density at each node. That costs 2K operations per block, where the
-    full block takes 64 K exponentials, of which only a few percent come
-    within e^-46 of their node's largest term.
+    Row k is a_k = log w_k - lgamma(m_x + k), taken from log-gammas (xlogy
+    makes beta_bar = 0 a single row); no weight table is read. Term k at t
+    is e^(a_k + k t) times a factor common to every k. The term ratio
+    (m_y + k) x / ((m_x + k)(k + 1)), x = beta_bar e^t, crosses 1 at the
+    larger root k*(t) of k^2 + (m_x + 1 - x) k + (m_x - m_y x), clipped at
+    0, whose inverse is t(k) = log((k + 1)(k + m_x) / ((k + m_y) beta_bar)).
+    The ratio crosses 1 at most twice, so past row ceil(k*) the rows fall,
+    and below it they rise, apart from a fall from row 0 below the smaller
+    crossing.
+
+    The returned function takes an increasing ndarray of nodes and sums it
+    in blocks: consecutive nodes while k* moves less than two half-widths
+    10.4 sqrt(5 (k + 1)) + 4 (5 (k + 1) bounds the rows' local variance
+    where they curve, 1 / (1/(k + 1) + 1/(m_x + k) - 1/(m_y + k))), and at
+    most _MIXTURE_BLOCK of them. Each block sums the rows within
+    e^-_WINDOW_MARGIN of the largest row at its first node t0 (for the rows
+    below k*) and at its last node t1 (above it): the window starts a
+    half-width past k* on each side, doubles until its edge rows are below
+    that at t0 and t1 and row 0 is too (or the window reaches it), and then
+    each edge is bisected in to the last row within the margin. Every row
+    below the window is then below e^-_WINDOW_MARGIN of the largest term at
+    t0, and the rows' maximum M(t) = max_k (a_k + k t) rises at least as
+    fast as any of them, so they stay below it at every node of the block;
+    in the same way at t1 for the rows above. Past each edge the rows fall
+    at least geometrically, so they hold less than e^-_CONTOUR_CUT (e^-46)
+    of the density at each node.
+
+    The rows k < _NB_MAX_WEIGHTS are kept in one read-only prefix that grows
+    on demand and is published whole; rows past it are computed per block
+    and not kept. A window that would reach row _MAX_ROWS (10^6) raises
+    ConvergenceError. Past the t at which a Chernoff bound, s = 0.9(1 - bb),
+    puts P(U > e^t) below e^-745, the density is 0: an underflow-level cut,
+    not a tolerance.
     """
-    shapes = (m_x + np.arange(weights.size))[:, None]
-    log_c = np.log(weights)[:, None] - gammaln(shapes)
-    a = log_c[:, 0]
-    margin = specfun._CONTOUR_CUT + math.log(weights.size)
+    log_head = m_y * math.log(one_minus_bb) - math.lgamma(m_y)
+    log_bb = math.log(bb) if bb > 0.0 else -math.inf
+    s = 0.9 * one_minus_bb
+    t_max = math.log((745.0 + m_y * math.log(10.0) + (m_y - m_x) * math.log1p(-s)) / s)
+    kept = np.empty(0)
+
+    def new_rows(lo: int, hi: int) -> np.ndarray:
+        k = np.arange(lo, hi, dtype=float)
+        return gammaln(m_y + k) - gammaln(k + 1.0) - gammaln(m_x + k) + xlogy(k, bb) + log_head
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        nonlocal kept
+        if hi > _MAX_ROWS:
+            raise specfun.ConvergenceError(f"mixture density needs NB rows past {_MAX_ROWS}")
+        held = kept
+        if held.size < hi <= _NB_MAX_WEIGHTS:
+            size = min(max(hi, 2 * held.size, 64), _NB_MAX_WEIGHTS)
+            held = np.concatenate((held, new_rows(held.size, size)))
+            held.flags.writeable = False
+            kept = held
+        return held[lo:hi] if hi <= held.size else new_rows(lo, hi)
+
+    row0 = rows(0, 1).item(0)
+
+    def peak(t: float):
+        """(k*(t), the window's half-width there)."""
+        x = bb * math.exp(t)
+        b = m_x + 1.0 - x
+        k = max(0.5 * (math.sqrt(max(b * b - 4.0 * (m_x - m_y * x), 0.0)) - b), 0.0)
+        return k, 10.4 * math.sqrt(5.0 * (k + 1.0)) + 4.0
 
     def density(t: np.ndarray) -> np.ndarray:
-        dens = np.empty_like(t)
-        for i in range(0, t.size, _MIXTURE_BLOCK):
-            tb = t[i:i + _MIXTURE_BLOCK]
-            lo, hi = _mixture_window(a, tb[0], tb[-1], margin)
-            dens[i:i + _MIXTURE_BLOCK] = np.exp(
-                log_c[lo:hi] + shapes[lo:hi] * tb - np.exp(tb)).sum(axis=0)
+        dens = np.zeros_like(t)
+        nodes = t.tolist()
+        stop = bisect.bisect_right(nodes, t_max)
+        i = 0
+        while i < stop:
+            (k0, half0), t0 = peak(nodes[i]), nodes[i]
+            reach = k0 + 2.0 * half0
+            t_reach = math.log((reach + 1.0) * (reach + m_x) / (reach + m_y)) - log_bb
+            j = bisect.bisect_left(nodes, t_reach, i + 1, min(stop, i + _MIXTURE_BLOCK))
+            (k1, half1), t1 = peak(nodes[j - 1]), nodes[j - 1]
+            top0, top1 = math.ceil(k0), math.ceil(k1)  # the largest rows, as the ratio crosses 1
+            lo, hi = max(math.floor(k0 - half0), 0), math.ceil(k1 + half1) + 1
+            while True:
+                a = rows(lo, hi)
+                row = a.item  # a Python float, so the scalar tests below stay cheap
+                cut0 = row(top0 - lo) + top0 * t0 - _WINDOW_MARGIN
+                cut1 = row(top1 - lo) + top1 * t1 - _WINDOW_MARGIN
+                if row(-1) + (hi - 1) * t1 < cut1 and (
+                        lo == 0 or max(row0, row(0) + lo * t0) < cut0):
+                    break
+                lo, hi = max(2 * lo - hi, 0), 2 * hi - lo
+            # Bisect each edge in to the rows within the margin: they rise up
+            # to top0 once row 0 is below the cut, and fall past top1.
+            start = lo if row0 >= cut0 else bisect.bisect_left(
+                range(top0), True, lo, key=lambda k: row(k - lo) + k * t0 >= cut0)
+            end = bisect.bisect_left(
+                range(hi), True, top1, key=lambda k: row(k - lo) + k * t1 < cut1)
+            dens[i:j] = _window_sum(m_x, a[start - lo:end - lo], start, t[i:j])
+            i = j
         return dens
     return density
 
@@ -230,9 +301,9 @@ class _DensityLattice:
     """The mixture t-density on the dyadic trapezoid lattice, computed at most once per node.
 
     Node j of level 0 is t = start + j/2, and node j of level L >= 1 is the
-    midpoint t = start + (2j + 1)/2^(L+1), with start = log(s + 10 sqrt(s) +
-    50) at the last component's shape s = m_x + K - 1: a law's nodes depend
-    on the law alone, so every expectation on it shares them.
+    midpoint t = start + (2j + 1)/2^(L+1), with start = log(EU + 10 sqrt(EU)
+    + 50) at the law's mean EU = m_x + m_y bb / (1 - bb): a law's nodes
+    depend on the law alone, so every expectation on it shares them.
 
     Per level the memo keeps one contiguous index range and its values. A
     request computes only the indices outside the range held (and any gap
@@ -240,11 +311,12 @@ class _DensityLattice:
     (lo, values) pair whole, so a concurrent caller can only repeat work,
     never read a torn range. The blocks of a request start at its first new
     index, so a node's window depends on the request that computed it; but
-    a window leaves out only rows below e^-(46 + log K) of the node's
-    largest term, which has not been seen to change a bit of a sum.
+    a window leaves out only rows below e^-(46 + 8) of the node's largest
+    term, which has not been seen to change a bit of a sum.
 
-    Memory: one float per node kept (at most 1,579 nodes, 13 KB, per law of
-    the benchmark's ``domain`` workload). Level 0 holds the nodes of the
+    Memory: one float per node kept (at most 1,520 nodes, 12 KB, per law of
+    the benchmark's ``domain`` workload), and the density's prefix of at
+    most _NB_MAX_WEIGHTS (100,000) rows. Level 0 holds the nodes of the
     expectations' decay searches, which raise before they pass t = -1e4 or
     700, so at most about 21,400. A call whose levels still disagree at the
     level cap would leave up to 2^12 times its level-0 span, so it calls
@@ -254,10 +326,10 @@ class _DensityLattice:
     spans.
     """
 
-    def __init__(self, m_x: float, weights: np.ndarray) -> None:
-        last_shape = m_x + (weights.size - 1)
-        self.start = math.log(last_shape + 10.0 * math.sqrt(last_shape) + 50.0)
-        self._density = _mixture_density(m_x, weights)
+    def __init__(self, m_x: float, m_y: float, bb: float, one_minus_bb: float) -> None:
+        mean = m_x + m_y * bb / one_minus_bb
+        self.start = math.log(mean + 10.0 * math.sqrt(mean) + 50.0)
+        self._density = _mixture_density(m_x, m_y, bb, one_minus_bb)
         self._levels = {}  # level -> (first index held, read-only values)
 
     def nodes(self, level: int, j):

@@ -7,10 +7,12 @@ Each metric comes in three flavours:
 * the exact value, ``aber_exact`` / ``capacity_exact``: the expectation over
   the negative-binomial gamma mixture (``aber_mixture`` /
   ``capacity_mixture``, path ``series-quadrature``), at every alpha, which
-  ``abxs eval`` prints as its ``exact`` column. The paper's closed form, a
-  truncated series of Meijer G terms over the same weights, is kept as its
-  partial sums (``aber_exact_truncation_profile`` /
-  ``capacity_exact_truncation_profile``), and
+  ``abxs eval`` prints as its ``exact`` column. Its mixture density takes
+  each node's NB terms from log-gammas, with no weight table and no cut in
+  NB mass. The paper's closed form, a truncated series of Meijer G terms
+  over the NB weight table, is kept as its partial sums
+  (``aber_exact_truncation_profile`` / ``capacity_exact_truncation_profile``),
+  and
 * the high-SNR asymptote, which also yields diversity order and coding gain.
 
 The Q-function is taken from erfc, never a polynomial fit, so the oracle is
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, erfc, gammaln
+from scipy.special import digamma, erfc
 from scipy.special.cython_special import hyp1f1
 
 from . import channel, specfun
@@ -35,10 +37,6 @@ from .specfun import ConvergenceError, MeijerGSpec
 # evaluate the paper's Meijer-G closed form: past it the parameter count makes
 # each G term too costly, and rationalize_alpha raises ValueError.
 _CLOSED_FORM_MAX_Q = 8
-
-# Largest share of the capacity that capacity_mixture lets the NB weight
-# table leave out.
-_TAIL_REL_TOL = 1e-10
 
 # QUADPACK settings of the quadrature oracle.
 _QUAD_EPSREL = 1e-11
@@ -232,12 +230,14 @@ def cdf_quadrature(params: ChannelParams, gamma: float) -> float:
 
 
 def _mixture_expectation(params: ChannelParams, h):
-    """(E[h(gamma)], weights used) over the negative-binomial gamma mixture.
+    """(E[h(gamma)], trapezoid nodes summed) over the negative-binomial gamma mixture.
 
     gamma = gamma_bar (C u)^(2/alpha) with u ~ sum_k w_k Gamma(m_x + k, 1), so
     E[h] is the integral over t = log u of h(gamma) times the mixture
-    t-density, which leaves out less than e^-46 of its value at each node
-    (``channel._mixture_density``). The integrand is analytic and decays at
+    t-density, which sums at each node the NB rows around that node's
+    largest and leaves out less than e^-46 of its value
+    (``channel._mixture_density``); no weight table is read, and no NB mass
+    is cut at a tolerance. The integrand is analytic and decays at
     both ends, so the trapezoid rule in t converges exponentially (Trefethen
     and Weideman, SIAM Review 56(3), 2014). ``h`` maps an ndarray of log SNRs
     to an ndarray; it is evaluated on every call, only where the density has
@@ -250,6 +250,14 @@ def _mixture_expectation(params: ChannelParams, h):
     ``derived_constants``' cache. A call whose levels do not agree by the
     level cap drops the lattice's refinement levels before it raises, which
     bounds what a failing law keeps (see ``channel._DensityLattice``).
+
+    Raises ConvergenceError when the integrand has not decayed by t = -1e4 or
+    700; when the density is 0 at the first node past the integrand's right
+    end (it underflowed, or lies past the density's Chernoff cut, so the sum
+    would miss part of E[h]); when a node needs NB rows past 10^6; and when
+    the levels do not agree by the level cap. The node count returned covers
+    level 0's live span and every refinement level, so it depends on the law
+    and h alone.
     """
     dc = derived_constants(params)
     lattice = dc.density_lattice
@@ -263,22 +271,26 @@ def _mixture_expectation(params: ChannelParams, h):
         dens[live] *= h(log_scale + two_over_alpha * t[live])
         return dens
 
-    # Level 0, step 1/2: a window of nodes around the last component's upper
-    # tail, doubled at whichever end is not yet below 1e-18 of the peak (h can
-    # move the peak far into that tail, as log2(1 + gamma) does at small
-    # alpha); then the negligible nodes at both ends are dropped.
-    lo, hi = -channel._MIXTURE_BLOCK, channel._MIXTURE_BLOCK
+    # Level 0, step 1/2: nodes from 32 below the lattice's start to just past
+    # it, with the left end doubled and the right end grown by two nodes
+    # until both are below 1e-18 of the peak (h can move the peak far into the
+    # upper tail, as log2(1 + gamma) does at small alpha), so a far node is
+    # requested only while the integrand has not decayed; then the
+    # negligible nodes at both ends are dropped.
+    lo, hi = -channel._MIXTURE_BLOCK, 2
     while True:
         values = integrand(0, lo, hi)
         negligible = values < 1e-18 * values.max()
         if negligible[0] and negligible[-1]:
             break
         lo *= 1 if negligible[0] else 2
-        hi *= 1 if negligible[-1] else 2
+        hi += 0 if negligible[-1] else 2
         if not (-1e4 < lattice.nodes(0, lo) and lattice.nodes(0, hi) < 700.0):
             raise ConvergenceError("mixture integrand does not decay")
     live = np.flatnonzero(~negligible)
     first, last = live[0] - 1, live[-1] + 1
+    if lattice.density(0, lo + last, lo + last + 1)[0] == 0.0:
+        raise ConvergenceError("mixture density underflows where the integrand has not decayed")
     bottom, count = lo + first, last - first
     step = 0.5
     level_sum = values[first:last + 1].sum()
@@ -290,35 +302,9 @@ def _mixture_expectation(params: ChannelParams, h):
         step *= 0.5
         prev, value = value, step * level_sum
         if abs(value - prev) <= 1e-12 * abs(value):
-            return float(value), dc.nb_weights.size
+            return float(value), int(count) * 2 ** level + 1
     lattice.drop_refinements()
     raise ConvergenceError("mixture trapezoid levels did not agree to 1e-12")
-
-
-def _log_mean_snr(params: ChannelParams, dc, count: int):
-    """(log mu_k, magnitude_k) for k < count, from logs so nothing overflows.
-
-    mu_k = E[gamma | K = k] = gamma_bar C^(2/alpha) Gamma(x+s) / Gamma(x),
-    with x = m_x + k and s = 2/alpha. Past x = 100 the log-Pochhammer is taken
-    from Stirling's series as (x - 1/2) log1p(s/x) + s (log(x+s) - 1) plus
-    the difference of the two Stirling corrections (to 1e-17), so no two
-    logs of size x log x cancel as in gammaln(x+s) - gammaln(x); below 100
-    it is that difference, of logs no larger than about gammaln(100 + s).
-    magnitude_k sums the absolute values of the five parts that make up
-    log mu_k, which bounds its rounding (see :func:`_capacity_tail_bound`).
-    """
-    x = params.m_x + np.arange(count)
-    s = 2.0 / params.alpha
-    stirling = x >= 100.0
-
-    def correction(y):
-        return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * y * y)) / (y * y)) / y
-
-    parts = (math.log(params.gamma_bar), s * math.log(dc.c_alpha),
-             np.where(stirling, (x - 0.5) * np.log1p(s / x), gammaln(x + s)),
-             np.where(stirling, s * (np.log(x + s) - 1.0), -gammaln(x)),
-             np.where(stirling, correction(x + s) - correction(x), 0.0))
-    return sum(parts), sum(abs(part) for part in parts)
 
 
 def _e_term(params: ChannelParams, q: int, scale: float, g_term):
@@ -347,7 +333,7 @@ def aber_exact(params: ChannelParams, mod: ModulationScheme) -> AberResult:
     """Exact ABER: the mixture expectation of :func:`aber_mixture`, at every alpha.
 
     The paper's closed form, a k-series of Meijer G terms, is the same
-    expectation summed over the same NB weights, one G term per weight;
+    expectation summed over the same NB terms, one G term per term;
     the G terms are in :func:`aber_exact_truncation_profile`. The
     mixture sums it to 1e-12 at every alpha and beta_bar, where a k-series
     stopped at 1e-7 was off by up to 1.7e-7, in under a third of the time
@@ -380,7 +366,8 @@ def aber_mixture(params: ChannelParams, mod: ModulationScheme) -> AberResult:
     """ABER as the mixture expectation of delta1 sum_j Q(sqrt(2 delta2_j gamma)).
 
     Refined until two trapezoid levels agree to 1e-12 (path
-    ``series-quadrature``); ``terms_used`` is the NB weight count.
+    ``series-quadrature``); ``terms_used`` is the number of trapezoid nodes
+    summed, over level 0 and every refinement level.
     :func:`aber_exact` returns this value.
     """
     value, terms = _mixture_expectation(params, _aber_h(mod))
@@ -448,55 +435,9 @@ def capacity_exact_truncation_profile(params: ChannelParams, k_max: int = 16):
 
 
 def capacity_mixture(params: ChannelParams) -> CapacityResult:
-    """Capacity as the mixture expectation of log2(1 + gamma); see :func:`aber_mixture`.
-
-    Raises ConvergenceError when the capacity the NB weight table leaves out
-    may exceed _TAIL_REL_TOL of the value (:func:`_capacity_tail_bound`), as
-    it does at small alpha with LoS.
-    """
+    """Capacity as the mixture expectation of log2(1 + gamma); see :func:`aber_mixture`."""
     value, terms = _mixture_expectation(params, _capacity_h)
-    bound = _capacity_tail_bound(params, derived_constants(params))
-    if bound > _TAIL_REL_TOL * value:
-        raise ConvergenceError(f"NB weights left out may hold {bound:.3g} of capacity {value:.3g}")
     return CapacityResult(value=value, terms_used=terms, path="series-quadrature")
-
-
-def _capacity_tail_bound(params: ChannelParams, dc) -> float:
-    """Upper bound on the capacity in the NB mass that ``nb_weights`` leaves out.
-
-    That mass P is below channel._NB_TAIL (0 without LoS). log2(1 + gamma)
-    is concave, so by Jensen the left-out components hold at most
-    P log2(1 + M/P) of capacity, with M their share of E[gamma] = gamma_bar,
-    gamma_bar - sum_k w_k mu_k over the table (mu_k of
-    :func:`_log_mean_snr`); the bound grows with P and M. At small alpha
-    mu_k grows as k^(2/alpha), and the left-out tail can hold all but a
-    vanishing part of the capacity.
-
-    M carries a first-order rounding slack: term t_k = exp(log w_k + log mu_k)
-    is off by at most u (6k + 11 L_k + 2 m_y + 2/alpha + 7) relative, u =
-    2^-53, and its share of the sum by n u more, n the table size. Weight k
-    has taken k recurrence steps of 4 roundings, k powers of beta_bar and
-    m_y of 1 - beta_bar, each quotient 2u off, and one pow. L_k sums the
-    magnitudes of the exponent's six parts, log w_k and the five of
-    :func:`_log_mean_snr`. Each part is off by at most 6u of its magnitude
-    plus u: each log, log1p, gammaln and product rounds by u or 2u of its
-    value, and the rounded x + s and s/x move the logs by at most 4u of
-    theirs at x >= 100 (and gammaln by u (4 |gammaln| + 1)); Stirling's
-    correction is below 1e-3. Each of the five additions and the exp round
-    by u of a value no larger than L_k. C^(2/alpha) loses 2/alpha u in its
-    exp/log trip. C is taken as computed: its error moves E[gamma] and every
-    route alike. Where the NB weights centre past k = 10^4 (mean SNR below
-    about -50 dB), the weights' 6k leads the slack.
-    """
-    if dc.beta_bar == 0.0:
-        return 0.0
-    log_w = np.log(dc.nb_weights)
-    log_mu, magnitude = _log_mean_snr(params, dc, log_w.size)
-    terms = np.exp(log_w + log_mu)
-    rounding = (6.0 * np.arange(terms.size) + 11.0 * (np.abs(log_w) + magnitude)
-                + terms.size + 2.0 * params.m_y + 2.0 / params.alpha + 7.0)
-    left = max(params.gamma_bar - terms.sum(), 0.0) + 2.0 ** -53 * (terms @ rounding)
-    return channel._NB_TAIL * math.log2(1.0 + left / channel._NB_TAIL)
 
 
 def capacity_asymptotic(params: ChannelParams) -> float:

@@ -1,8 +1,10 @@
 """Line-of-sight dominated laws, beta_bar -> 1, against mpmath.
 
 The normaliser's 2F1 argument -bb/(1-bb) runs to -inf here. The pdf, the
-quadrature oracles and the normaliser hold at every beta_bar; the routes that
-loop over the negative-binomial weights stop at their cap.
+quadrature oracles and the normaliser hold at every beta_bar. The routes that
+loop over the negative-binomial weight table stop at its cap, and the mixture
+expectations, which sum the NB rows around each node's peak, stop once a node
+needs rows past 10^6.
 """
 
 import math
@@ -76,7 +78,20 @@ def test_oracle_mean_is_gamma_bar(one_minus_bb):
                                                            rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("one_minus_bb", [1e-3, 5e-4, 3e-4])
+def test_mixture_past_the_table_against_quadrature(one_minus_bb):
+    # The NB mass centres near k = 1.2 / (1 - bb), 4,000 rows at 3e-4, where
+    # the weight table would pass its cap; the mixture density needs no table.
+    pars = los_law(one_minus_bb)
+    assert mt.capacity_mixture(pars).value == pytest.approx(mt.capacity_quadrature(pars),
+                                                            rel=1e-11, abs=0.0)
+    assert mt.aber_mixture(pars, QAM16).value == pytest.approx(
+        mt.aber_quadrature(pars, QAM16).value, rel=1e-11, abs=0.0)
+
+
 def test_weight_routes_stop_at_the_cap():
+    # At 1 - bb = 1e-7 the table would pass 100,000 weights, and the mixture
+    # density's nodes would need NB rows past 10^6.
     pars = los_law(1e-7)
     with pytest.raises(ConvergenceError, match="NB weight table"):
         ch.derived_constants(pars).nb_weights
