@@ -114,11 +114,13 @@ _NB_MAX_WEIGHTS = 100_000
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    """Per-parameter-set constants shared by the statistics and metrics.
+    """Constants of a law shared by the statistics and metrics at every SNR.
 
-    ``m_y`` and ``beta_bar`` fix the mixing law of :attr:`nb_weights`, and
-    ``m_x`` with them the mixture density of :attr:`density_lattice`, which
-    takes its NB rows from log-gammas and never reads the weight table.
+    ``derived_constants`` keeps one per (m_x, m_y, omega_x, omega_y, alpha):
+    no field reads gamma_bar, which enters only the argument of h. ``m_y``
+    and ``beta_bar`` fix the mixing law of :attr:`nb_weights`, and ``m_x``
+    with them the mixture density of :attr:`density_lattice`, which takes
+    its NB rows from log-gammas and never reads the weight table.
     ``one_minus_beta_bar`` is 1 - beta_bar from its own quotient, so it keeps
     its digits as beta_bar -> 1.
 
@@ -171,7 +173,7 @@ class DerivedConstants:
         """The mixture t-density at the trapezoid nodes the metrics visit, each computed once.
 
         Every mixture expectation on this law (ABER for any modulation, and
-        capacity) reads its density values from here; see
+        capacity, at any gamma_bar) reads its density values from here; see
         :class:`_DensityLattice` for the nodes and the memory bound.
         """
         return _DensityLattice(self.m_x, self.m_y, self.beta_bar, self.one_minus_beta_bar)
@@ -303,7 +305,8 @@ class _DensityLattice:
     Node j of level 0 is t = start + j/2, and node j of level L >= 1 is the
     midpoint t = start + (2j + 1)/2^(L+1), with start = log(EU + 10 sqrt(EU)
     + 50) at the law's mean EU = m_x + m_y bb / (1 - bb): a law's nodes
-    depend on the law alone, so every expectation on it shares them.
+    depend on the law alone, not on gamma_bar, so every expectation on it
+    at every gamma_bar shares them.
 
     Per level the memo keeps one contiguous index range and its values. A
     request computes only the indices outside the range held (and any gap
@@ -314,16 +317,19 @@ class _DensityLattice:
     a window leaves out only rows below e^-(46 + 8) of the node's largest
     term, which has not been seen to change a bit of a sum.
 
-    Memory: one float per node kept (at most 1,520 nodes, 12 KB, per law of
-    the benchmark's ``domain`` workload), and the density's prefix of at
-    most _NB_MAX_WEIGHTS (100,000) rows. Level 0 holds the nodes of the
-    expectations' decay searches, which raise before they pass t = -1e4 or
-    700, so at most about 21,400. A call whose levels still disagree at the
-    level cap would leave up to 2^12 times its level-0 span, so it calls
-    :meth:`drop_refinements` before it raises: at rest, the levels L >= 1
-    of a law are those of calls that converged since its last failing call,
-    each level the union of their ranges of 2^(L-1) times their level-0
-    spans.
+    Memory: one float per node kept, and the density's prefix of at most
+    _NB_MAX_WEIGHTS (100,000) rows. A lattice keeps the union of the nodes
+    its gamma_bar values visit: on the benchmark's ``domain`` workload, 40
+    lattices serve the 67 laws and hold at most 1,547 nodes (12 KB) each;
+    after ``abxs eval --fig 2 --oracle``, 3 lattices hold 1,583 nodes (at
+    most 732 each), and after ``--fig 4`` 4 lattices hold 958. Level 0
+    holds the nodes of the expectations' decay searches, which raise before
+    they pass t = -1e4 or 700, so at most about 21,400. A call whose levels
+    still disagree at the level cap would leave up to 2^12 times its level-0
+    span, so it calls :meth:`drop_refinements` before it raises: at rest,
+    the levels L >= 1 of a lattice are those of calls, at any gamma_bar,
+    that converged since its last failing call, each level the union of
+    their ranges of 2^(L-1) times their level-0 spans.
     """
 
     def __init__(self, m_x: float, m_y: float, bb: float, one_minus_bb: float) -> None:
@@ -471,19 +477,35 @@ def _log_euler_2f1(m_x: float, m_y: float, one_minus_bb: float, s: float) -> flo
         f"tanh-sinh levels still differ by {abs(est - prev):.3g} at step {2.0 * h:g}")
 
 
-@lru_cache(maxsize=256)
 def derived_constants(params: ChannelParams) -> DerivedConstants:
-    bb = beta_bar(params)
-    one_minus_bb = _one_minus_beta_bar(params)
+    """The law's :class:`DerivedConstants`, one per (m_x, m_y, omega_x, omega_y, alpha).
+
+    No field reads gamma_bar, so every SNR of a law shares one object: its
+    c_alpha, its NB table and its density lattice. The cache is one LRU of
+    256 entries; ``derived_constants.cache_info()`` and ``.cache_clear()``
+    are its own.
+    """
+    return _derived_constants(params.m_x, params.m_y, params.omega_x, params.omega_y,
+                              params.alpha)
+
+
+@lru_cache(maxsize=256)
+def _derived_constants(m_x, m_y, omega_x, omega_y, alpha) -> DerivedConstants:
+    law = ChannelParams(m_x, m_y, omega_x, omega_y, alpha, gamma_bar=1.0)  # no gamma_bar is read
+    bb = beta_bar(law)
+    one_minus_bb = _one_minus_beta_bar(law)
     if bb == 1.0:
         raise specfun.ConvergenceError(
             f"1 - beta_bar = {one_minus_bb:.3g} is below the resolution of a double")
-    two_over_alpha = 2.0 / params.alpha
-    log_c = (math.lgamma(params.m_x) - math.lgamma(params.m_x + two_over_alpha)
-             - _log_los_2f1(params.m_x, params.m_y, bb, one_minus_bb, two_over_alpha)
-             ) / two_over_alpha
+    two_over_alpha = 2.0 / alpha
+    log_c = (math.lgamma(m_x) - math.lgamma(m_x + two_over_alpha)
+             - _log_los_2f1(m_x, m_y, bb, one_minus_bb, two_over_alpha)) / two_over_alpha
     return DerivedConstants(c_alpha=math.exp(log_c), beta_bar=bb,
-                            one_minus_beta_bar=one_minus_bb, m_y=params.m_y, m_x=params.m_x)
+                            one_minus_beta_bar=one_minus_bb, m_y=m_y, m_x=m_x)
+
+
+derived_constants.cache_info = _derived_constants.cache_info
+derived_constants.cache_clear = _derived_constants.cache_clear
 
 
 def envelope_moment(params: ChannelParams, k: float) -> float:

@@ -42,6 +42,12 @@ _CLOSED_FORM_MAX_Q = 8
 _QUAD_EPSREL = 1e-11
 _QUAD_LIMIT = 200
 
+# The oracle takes its integrand as 0 where the log density is below -745.
+# The oracles' h stay below e^22 at t <= 700 (capacity at alpha = 1e-6), so
+# below -745 - _HIDDEN_BAND h times the density is below _QUAD_EPSREL of
+# every nonzero double; only the points in the band are checked.
+_HIDDEN_BAND = 60.0
+
 @dataclass(frozen=True)
 class ModulationScheme:
     """Coefficient triple {delta1, delta2_j, delta3} of the Q-function ABER sum."""
@@ -157,8 +163,14 @@ def _snr_integral(params: ChannelParams, h, t_hi: float = math.inf) -> float:
     and the pdf share that expansion and its error. Where that expansion
     would be needed at x < 6 m_x it raises ConvergenceError, so the oracle
     never returns its wrong value. It shares no code with
-    the NB weights or Meijer G. ``h`` runs
-    only where the density has not underflowed. Only this function imports
+    the NB weights or Meijer G. ``h`` runs only where the density has not
+    underflowed, and once more after the quadrature, at the sampled points
+    where the density underflowed by less than _HIDDEN_BAND: there ``h``
+    times the density (in logs) must be below _QUAD_EPSREL of the result,
+    and the result must not be 0, or the underflow may hide the integral
+    and ConvergenceError is raised: at ``capacity_quadrature(ChannelParams(2,
+    0.5, 1, 3, 0.003, 1e-300))`` QUADPACK samples only such points, where
+    the capacity is about 1.2e-300. Only this function imports
     scipy.integrate, which loads scipy.optimize, scipy.sparse and scipy.linalg,
     so only the oracles pay for that import.
     """
@@ -171,14 +183,19 @@ def _snr_integral(params: ChannelParams, h, t_hi: float = math.inf) -> float:
     two_over_alpha = 2.0 / params.alpha
     log_scale = math.log(params.gamma_bar) + two_over_alpha * math.log(dc.c_alpha)
 
+    hidden = []  # (log gamma, log density) where the density underflowed, in the band
+
     def integrand(t: float) -> float:
         if t > 700.0:
             return 0.0
         u = math.exp(t)
         log_dens = log_norm + m_x * t - one_minus_bb * u + _log_scaled_1f1(m_y, m_x, bb * u)
+        log_g = log_scale + two_over_alpha * t
         if log_dens < -745.0:
+            if log_dens > -745.0 - _HIDDEN_BAND:
+                hidden.append((log_g, log_dens))
             return 0.0
-        return h(log_scale + two_over_alpha * t) * math.exp(log_dens)
+        return h(log_g) * math.exp(log_dens)
 
     mid = math.log(m_x + m_y * bb / one_minus_bb)
     cuts = [c for c in (mid - 5.0, mid + 5.0) if c < t_hi]
@@ -193,6 +210,15 @@ def _snr_integral(params: ChannelParams, h, t_hi: float = math.inf) -> float:
     gate = max(10.0 * _QUAD_EPSREL * abs(total), 1e-6 * abs(total), 1e-13)
     if err > gate:
         raise ConvergenceError(f"quadrature error estimate too large: {err:g} on {total:g}")
+    lost = -math.inf
+    with np.errstate(over="ignore"):  # the ABER h is 0 where exp(log gamma) overflows
+        for log_g, log_dens in hidden:
+            value = h(log_g)
+            if value > 0.0:
+                lost = max(lost, log_dens + math.log(value))
+    if total == 0.0 or lost >= math.log(_QUAD_EPSREL) + math.log(abs(total)):
+        raise ConvergenceError(
+            f"SNR density underflows where the integrand may not be negligible: {total:g}")
     return total
 
 
@@ -243,13 +269,15 @@ def _mixture_expectation(params: ChannelParams, h):
     to an ndarray; it is evaluated on every call, only where the density has
     not underflowed.
 
-    The density depends on the law alone, so it is read, node by node, from
-    the law's ``DerivedConstants.density_lattice``: this call's level-0
-    search and refinement levels, and every other expectation on the law,
-    evaluate each node at most once for as long as the law stays in
-    ``derived_constants``' cache. A call whose levels do not agree by the
-    level cap drops the lattice's refinement levels before it raises, which
-    bounds what a failing law keeps (see ``channel._DensityLattice``).
+    The density does not depend on gamma_bar, so it is read, node by node,
+    from ``DerivedConstants.density_lattice``, which every gamma_bar of the
+    law shares: this call's level-0 search and refinement levels, and every
+    other expectation on the law at any gamma_bar, evaluate each node at
+    most once for as long as that object stays in ``derived_constants``'
+    cache, keyed by (m_x, m_y, omega_x, omega_y, alpha). A call whose levels
+    do not agree by the level cap drops the lattice's refinement levels
+    before it raises, which bounds what a failing law keeps (see
+    ``channel._DensityLattice``); later calls evaluate those nodes again.
 
     Raises ConvergenceError when the integrand has not decayed by t = -1e4 or
     700; when the density is 0 at the first node past the integrand's right

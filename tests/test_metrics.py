@@ -7,6 +7,7 @@ import sys
 import textwrap
 import threading
 import weakref
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -18,8 +19,8 @@ from abxs import metrics as mt
 from abxs import specfun as sf
 from abxs.channel import ChannelParams, derived_constants
 from oracles import (nakagami_bpsk_aber, rayleigh_bpsk_aber, rayleigh_capacity)
-from paramsets import (FIG4_SETS, FIG4_SNR_DB, SMALL_ALPHA_LAWS, db, fig2_params, fig3_params,
-                       fig4_params, nakagami, rayleigh)
+from paramsets import (FIG2_ALPHAS, FIG2_SNR_DB, FIG4_SETS, FIG4_SNR_DB, SMALL_ALPHA_LAWS, db,
+                       fig2_params, fig3_params, fig4_params, nakagami, rayleigh)
 
 QAM16 = mt.modulation_coeffs("mqam", 16)
 BPSK = mt.modulation_coeffs("bpsk")
@@ -178,6 +179,14 @@ class TestOracleAgainstMpmath:
         for g in (0.01, 1.0, 10.0, 100.0):
             assert mt.cdf_quadrature(pars, g) == pytest.approx(
                 -math.expm1(-g / pars.gamma_bar), rel=1e-10)
+
+    def test_cdf_below_the_density_underflow_raises(self):
+        # Near 1e-321 the density at the cut is within 1e-11 of the cdf, so
+        # what underflowed may count; at 1e-310 it cannot.
+        pars = rayleigh(gamma_bar=db(10.0))
+        assert mt.cdf_quadrature(pars, 1e-310) == pytest.approx(1e-311, rel=1e-10)
+        with pytest.raises(sf.ConvergenceError, match="underflows"):
+            mt.cdf_quadrature(pars, 1e-320)
 
 
 class TestAberExact:
@@ -367,6 +376,24 @@ class TestCapacityQuadrature:
         pars = fig2_params(alpha, 15.0)
         assert mt.capacity_quadrature(pars) < math.log2(1.0 + pars.gamma_bar)
 
+    @pytest.mark.parametrize("law", [(2, 0.5, 1, 3, 0.003, 1e-300), (1, 1, 1, 1, 0.001, 1e-300)])
+    def test_underflowed_density_raises(self, law):
+        # The integrand peaks at the density's underflow: QUADPACK saw only
+        # points where the density underflowed and returned 0.0, where the
+        # capacity of the first law is about 1.2e-300. The mixture raises too.
+        pars = ChannelParams(*law)
+        with pytest.raises(sf.ConvergenceError, match="underflows"):
+            mt.capacity_quadrature(pars)
+        with pytest.raises(sf.ConvergenceError):
+            mt.capacity_mixture(pars)
+
+    def test_low_snr_small_alpha_returns(self):
+        # The density also underflows inside the integrand's range here, but
+        # only where h times it is far below the value.
+        pars = ChannelParams(1, 1, 1, 1, 0.01, 1e-200)
+        assert mt.capacity_quadrature(pars) == pytest.approx(mt.capacity_mixture(pars).value,
+                                                              rel=1e-10, abs=0.0)
+
 
 class TestCapacityExact:
     def test_rayleigh(self):
@@ -554,10 +581,11 @@ class TestMixtureWindow:
 
         mp = pytest.MonkeyPatch()
         mp.setattr(ch, "_window_sum", recording)
-        # A law whose lattice an earlier test built would record no node.
-        derived_constants.cache_clear()
         try:
             for i, pars in enumerate(laws):
+                # A law whose lattice an earlier law or test built (the same
+                # law at another gamma_bar shares it) would record no node.
+                derived_constants.cache_clear()
                 dc = derived_constants(pars)
                 source[:] = i, (pars.m_x, pars.m_y, dc.beta_bar, dc.one_minus_beta_bar)
                 mt.aber_mixture(pars, BPSK)
@@ -606,8 +634,8 @@ class TestMixtureWindow:
 
 class TestDensityLattice:
     """Each law's mixture density is evaluated at most once per trapezoid
-    node, shared by every expectation on the law, and freed with the law's
-    DerivedConstants."""
+    node, shared by every expectation on the law at every gamma_bar, and
+    freed with the law's DerivedConstants."""
 
     CALLS = (("aber_qam16", lambda pars: mt.aber_mixture(pars, QAM16).value),
              ("aber_bpsk", lambda pars: mt.aber_mixture(pars, BPSK).value),
@@ -658,18 +686,46 @@ class TestDensityLattice:
         for name, call in self.CALLS:
             assert run(((name, call),)) == {key: v for key, v in forward.items() if key[1] == name}
 
+    def test_gamma_bar_shares_the_constants(self):
+        pars = ChannelParams(1.5, 2.0, 1.0, 0.5, 2.5, 100.0)
+        dc = derived_constants(pars)
+        assert derived_constants(replace(pars, gamma_bar=1e-3)) is dc
+        for field, value in (("alpha", 2.0), ("omega_x", 2.0), ("omega_y", 1.0)):
+            assert derived_constants(replace(pars, **{field: value})) is not dc
+
+    def test_values_independent_of_snr_order(self):
+        # A sweep's SNRs share one lattice, so a node may be computed by any
+        # of them; every value must equal the law's value when made alone.
+        sweeps = ([[fig2_params(alpha, snr_db) for snr_db in FIG2_SNR_DB] for alpha in FIG2_ALPHAS]
+                  + [[fig4_params(*law, snr_db) for snr_db in FIG4_SNR_DB] for law in FIG4_SETS])
+
+        def alone(pars, call):
+            derived_constants.cache_clear()
+            return call(pars)
+
+        want = {(pars, name): alone(pars, call)
+                for sweep in sweeps for pars in sweep for name, call in self.CALLS}
+        for direction in (1, -1):
+            derived_constants.cache_clear()
+            got = {(pars, name): call(pars)
+                   for sweep in sweeps for pars in sweep[::direction] for name, call in self.CALLS}
+            assert got == want
+
     def test_threads_share_a_lattice(self):
-        # Four threads on two cores, switching every microsecond, share each
-        # law's lattice: a torn (lo, values) pair would move a value.
+        # Four threads on two cores, switching every microsecond, each at its
+        # own gamma_bar, share each law's lattice: a torn (lo, values) pair
+        # would move a value.
         laws = [ChannelParams(*law["law"])
                 for law in json.loads(DOMAIN_REFERENCE.read_text())["laws"][:12]]
         derived_constants.cache_clear()
         calls = [call for _, call in self.CALLS + self.CALLS[:1]]
-        want = [[call(pars) for pars in laws] for call in calls]
+        sweeps = [[replace(pars, gamma_bar=pars.gamma_bar * 10.0 ** (i - 1)) for pars in laws]
+                  for i in range(len(calls))]
+        want = [[call(pars) for pars in sweep] for call, sweep in zip(calls, sweeps)]
         got = [None] * len(calls)
 
         def run(i):
-            got[i] = [calls[i](pars) for pars in laws]
+            got[i] = [calls[i](pars) for pars in sweeps[i]]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
