@@ -7,14 +7,16 @@ log-uniform: m_y in [0.1, 50], m_x - m_y in [1e-6, 50], 1 - beta_bar in
 [1e-8, 1] (omega_x = 1, omega_y set to give it), and alpha over its set.
 
 One line per law: set and index, the law as ``ChannelParams`` fields, the
-check's decision (``pass``, or ``raise`` when ``derived_constants`` raises
-``ConvergenceError``), and the errors in log 2F1 against 30-digit mpmath, per
-unit of max(2/alpha, 1), of ``channel._log_euler_2f1`` and of scipy's
-``hyp2f1`` (``specfun.gauss_2f1``). The Euler error prints as ``ok`` within
-1e-13, the hyp2f1 error within the check's tolerance, and each as its value
-past that. A decision is wrong when the check raises on a hyp2f1 value within
-its tolerance or passes one outside it. The last line of each set counts the
-raises and the wrong decisions and gives the worst Euler error.
+value the normaliser took (``hyp2f1``, ``euler`` where hyp2f1 missed Euler's
+integral, or ``raise`` when ``derived_constants`` raises ``ConvergenceError``),
+and the errors in log 2F1 against 30-digit mpmath, per unit of
+max(2/alpha, 1), of ``channel._log_euler_2f1`` and of scipy's ``hyp2f1``
+(``specfun.gauss_2f1``). The Euler error prints as ``ok`` within 1e-13, the
+hyp2f1 error within the check's tolerance, and each as its value past that.
+A choice is wrong when it takes Euler's value over a hyp2f1 value within the
+check's tolerance, or hyp2f1's value outside it. The last line of each set
+counts the laws that take Euler's value, the raises and the wrong choices,
+and gives the worst Euler error.
 
 Comparing two versions of the code is one ``diff`` of this script's output
 run on each checkout:
@@ -74,30 +76,40 @@ def errors(params):
     return err(got, 1 - mpmath.mpf(one_minus_bb)), hyp_err
 
 
+def taken(params) -> str:
+    """Which value of log 2F1 the normaliser took: "hyp2f1", "euler" or "raise"."""
+    s = 2.0 / params.alpha
+    bb, one_minus_bb = channel.beta_bar(params), channel._one_minus_beta_bar(params)
+    try:
+        channel.derived_constants(params)
+        log_los = channel._log_los_2f1(params.m_x, params.m_y, bb, one_minus_bb, s)
+    except ConvergenceError:
+        return "raise"
+    hyp = specfun.gauss_2f1(params.m_x - params.m_y, -s, params.m_x, bb)
+    kept = 0.0 < hyp < math.inf and log_los == math.log(hyp) - s * math.log(one_minus_bb)
+    return "hyp2f1" if kept else "euler"
+
+
 def main() -> int:
     mpmath.mp.dps = 30
     for name, alpha_lo, alpha_hi, seed in SETS:
         rng = np.random.default_rng(seed)
-        raises = wrong = 0
+        counts = {"hyp2f1": 0, "euler": 0, "raise": 0}
+        wrong = 0
         worst = 0.0
         for i, params in enumerate(draw_laws(rng, alpha_lo, alpha_hi)):
-            try:
-                channel.derived_constants(params)
-                raised = False
-            except ConvergenceError:
-                raised = True
+            took = taken(params)
             euler_err, hyp_err = errors(params)
-            raises += raised
-            wrong += raised != (hyp_err > channel._LOS_CHECK_TOL)
+            counts[took] += 1
+            wrong += took != "raise" and (took == "euler") != (hyp_err > channel._LOS_CHECK_TOL)
             if euler_err != "raise":
                 worst = max(worst, euler_err)
                 euler_err = "ok" if euler_err <= EULER_BOUND else f"{euler_err:.2e}"
             hyp_err = "ok" if hyp_err <= channel._LOS_CHECK_TOL else f"{hyp_err:.2e}"
             print(f"{name} {i} m_x={params.m_x!r} m_y={params.m_y!r} omega_y={params.omega_y!r} "
-                  f"alpha={params.alpha!r} check={'raise' if raised else 'pass'} "
-                  f"euler={euler_err} hyp2f1={hyp_err}")
-        print(f"{name}: {raises} of {LAWS_PER_SET} raise, {wrong} wrongly; "
-              f"worst Euler error {worst:.1e}")
+                  f"alpha={params.alpha!r} took={took} euler={euler_err} hyp2f1={hyp_err}")
+        print(f"{name}: {counts['euler']} of {LAWS_PER_SET} take Euler's value, "
+              f"{counts['raise']} raise, {wrong} wrongly; worst Euler error {worst:.1e}")
     return 0
 
 

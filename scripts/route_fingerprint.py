@@ -11,7 +11,11 @@ far from k = 0 and gives the mixture density its widest windows. Then, on each `
 ``PINNED`` and on ``LARGE_B``, one line each for ``c_alpha`` and for
 ``snr_pdf``, ``snr_cdf_phi2`` and ``bxs_envelope_pdf`` at gamma/gamma_bar
 in ``RATIOS``: the value's hex or the exception's name. ``LARGE_B`` adds
-``snr_pdf`` at ``LARGE_B_RATIOS``. Then one line per truncation profile of
+``snr_pdf`` at ``LARGE_B_RATIOS``. Then, on each ``domain`` law, on
+``PINNED`` and on ``LONG_TABLES``, one line each for ``snr_cdf`` and
+``snr_ccdf`` at gamma/gamma_bar in ``RATIOS`` and at 20, where the ccdf's
+upper tail lies in NB weights far past the cdf's table, so a change to the
+weight table or to the ccdf shows. Then one line per truncation profile of
 the paper's Meijer-G k-series, its partial sums' hex (or the exception's
 name): ``aber_exact_truncation_profile`` for QAM-16 at k_max 40 on the fig-2
 and fig-3 laws, and ``capacity_exact_truncation_profile`` at k_max 48 on the
@@ -38,7 +42,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 from abxs import channel, metrics  # noqa: E402
 from abxs.channel import (ChannelParams, bxs_envelope_pdf, derived_constants,  # noqa: E402
-                          snr_cdf_phi2, snr_pdf)
+                          snr_ccdf, snr_cdf, snr_cdf_phi2, snr_pdf)
 from paramsets import (FIG2_ALPHAS, FIG2_SNR_DB, FIG3_SETS, FIG4_SETS,  # noqa: E402
                        FIG4_SNR_DB, SMALL_ALPHA_LAWS, fig2_params, fig3_params,
                        fig4_params, grid72)
@@ -89,6 +93,14 @@ def density_lines(name, i, params):
                             ("snr_cdf_phi2", lambda: snr_cdf_phi2(params, gamma)),
                             ("bxs_envelope_pdf", lambda: bxs_envelope_pdf(params, r))):
             yield f"{name}[{i}] {fname}@{ratio:g} {outcome(call, float.hex)}"
+
+
+def mixture_lines(name, i, params):
+    for ratio in RATIOS + (20.0,):
+        gamma = ratio * params.gamma_bar
+        for fname, call in (("snr_cdf", snr_cdf), ("snr_ccdf", snr_ccdf)):
+            value = outcome(lambda: call(params, gamma), float.hex)
+            yield f"{name}[{i}] {fname}@{ratio:g} {value}"
 
 
 def profile_lines(mod):
@@ -148,6 +160,10 @@ def main() -> int:
     for ratio in LARGE_B_RATIOS:
         pdf = outcome(lambda: snr_pdf(LARGE_B, ratio * LARGE_B.gamma_bar), float.hex)
         print(f"largeb[0] snr_pdf@{ratio:g} {pdf}")
+    for name, laws in (("domain", domain), ("pinned", [PINNED]), ("longtables", LONG_TABLES)):
+        for i, params in enumerate(laws):
+            for line in mixture_lines(name, i, params):
+                print(line)
     for line in profile_lines(qam16):
         print(line)
     print(f"density nodes evaluated: {work[0]}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln, xlogy
+from scipy.special import btdtria, gammainc, gammaincc, gammaln, xlogy
 
 from . import specfun
 
@@ -112,6 +112,29 @@ _NB_TAIL = 1e-14
 _NB_MAX_WEIGHTS = 100_000
 
 
+def _nb_weights(m_y: float, bb: float, one_minus_bb: float, tail: float) -> np.ndarray:
+    """NB(m_y, bb) probabilities w_k = (1-bb)^m_y (m_y)_k bb^k / k!, leaving out at most ``tail``.
+
+    The mass past entry K is the regularized incomplete beta P(k > K) =
+    I_bb(K + 1, m_y) (DLMF 8.17), so the table holds ceil(a) entries, where
+    scipy's ``btdtria`` solves I_bb(a, m_y) = tail; a single entry when
+    P(k > 0) = 1 - (1-bb)^m_y is at most ``tail`` already. The entries are
+    w_0 times the running products of the ratios w_{k+1}/w_k = (m_y + k) bb
+    / (k + 1). Raises ConvergenceError, before building, when the length
+    passes _NB_MAX_WEIGHTS or is not finite (a ``tail`` of 0). Read-only.
+    """
+    size = float(btdtria(tail, m_y, bb)) if -math.expm1(m_y * math.log1p(-bb)) > tail else 1.0
+    if not size <= _NB_MAX_WEIGHTS:
+        raise specfun.ConvergenceError(
+            f"NB weight table would pass {_NB_MAX_WEIGHTS} entries "
+            f"(1 - beta_bar = {one_minus_bb:.3g}, tail {tail:.3g})")
+    k = np.arange(math.ceil(size) - 1, dtype=float)
+    ratios = (m_y + k) * bb / (k + 1.0)
+    weights = np.multiply.accumulate(np.concatenate(([one_minus_bb ** m_y], ratios)))
+    weights.flags.writeable = False
+    return weights
+
+
 @dataclass(frozen=True)
 class DerivedConstants:
     """Constants of a law shared by the statistics and metrics at every SNR.
@@ -137,36 +160,14 @@ class DerivedConstants:
 
     @cached_property
     def nb_weights(self) -> np.ndarray:
-        """NB(m_y, beta_bar) probabilities w_k = (1-bb)^m_y (m_y)_k bb^k / k!.
+        """The law's NB table, :func:`_nb_weights` leaving out a mass of at most _NB_TAIL.
 
         U = (gamma/gamma_bar)^(alpha/2) / C is the mixture sum_k w_k Gamma(m_x+k, 1),
         so these weights drive the cdf, the ccdf, the KS cdf, the capacity
-        asymptote and the Meijer-G k-series. The list
-        stops once, past the mode, the geometric bound w_{k+1} / (1 - max(r_k,
-        bb)) on the mass left out falls below 1e-14; r_k = w_{k+1}/w_k, and
-        max(r_k, bb) bounds every later ratio. Built on first use: the pdf never
-        needs the weights, and their count grows as 1/(1 - bb). Raises
-        ConvergenceError once the list would pass _NB_MAX_WEIGHTS entries.
+        asymptote and the Meijer-G k-series. Built on first use: the pdf never
+        needs the weights, and their count grows as 1/(1 - bb).
         """
-        m_y, bb = self.m_y, self.beta_bar
-        w = self.one_minus_beta_bar ** m_y
-        out = [w]
-        k = 0
-        while bb > 0.0:
-            r = (m_y + k) * bb / (k + 1.0)
-            w *= r
-            rho = max(r, bb)
-            if rho < 1.0 and w < _NB_TAIL * (1.0 - rho):
-                break
-            if len(out) == _NB_MAX_WEIGHTS:
-                raise specfun.ConvergenceError(
-                    f"NB weight table would pass {_NB_MAX_WEIGHTS} entries "
-                    f"(1 - beta_bar = {self.one_minus_beta_bar:.3g})")
-            out.append(w)
-            k += 1
-        weights = np.array(out)
-        weights.flags.writeable = False
-        return weights
+        return _nb_weights(self.m_y, self.beta_bar, self.one_minus_beta_bar, _NB_TAIL)
 
     @cached_property
     def density_lattice(self) -> _DensityLattice:
@@ -376,19 +377,20 @@ def _log_los_2f1(m_x: float, m_y: float, bb: float, one_minus_bb: float, s: floa
     z = -bb/(1-bb) scipy's hyp2f1 loses up to 2e-7 when m_y + s is an integer
     (m_y = 1.2, alpha = 2.5, 1 - bb from 6e-7 to 8e-4); on this form it stays within 1e-15
     there. For m_x > m_y scipy can still be far off (1.5e-4 in C at m_x = 21.12,
-    m_y = 1.385, alpha = 0.0905, bb = 0.84), so there the value must agree with
-    Euler's integral to _LOS_CHECK_TOL * max(s, 1) in the log, or ConvergenceError is raised.
+    m_y = 1.385, alpha = 0.0905, bb = 0.84), so there hyp2f1's value is kept only
+    where it agrees with Euler's integral to _LOS_CHECK_TOL * max(s, 1) in the log,
+    and Euler's value, which has a check of its own, is taken instead.
+    For m_x <= m_y a hyp2f1 value that is not positive and finite raises
+    ConvergenceError.
     """
     hyp = specfun.gauss_2f1(m_x - m_y, -s, m_x, bb)
-    if not 0.0 < hyp < math.inf:
-        raise specfun.ConvergenceError(f"hyp2f1 returned {hyp} for a positive 2F1")
-    log_hyp = math.log(hyp)
+    log_hyp = math.log(hyp) if 0.0 < hyp < math.inf else math.nan
     if m_x > m_y:
         log_euler = _log_euler_2f1(m_x, m_y, one_minus_bb, s)
         if not abs(log_hyp - log_euler) <= _LOS_CHECK_TOL * max(s, 1.0):
-            raise specfun.ConvergenceError(
-                f"hyp2f1 and Euler's integral disagree on log 2F1({m_x - m_y:g}, {-s:g}; "
-                f"{m_x:g}; {bb:g}): {log_hyp!r} against {log_euler!r}")
+            log_hyp = log_euler
+    elif math.isnan(log_hyp):
+        raise specfun.ConvergenceError(f"hyp2f1 returned {hyp} for a positive 2F1")
     return log_hyp - s * math.log(one_minus_bb)
 
 
@@ -580,16 +582,17 @@ def snr_pdf(params: ChannelParams, gamma: float) -> float:
     return _snr_density(params, gamma, lambda v: _log_scaled_1f1(params.m_y, params.m_x, v))
 
 
-def _gamma_mixture(params: ChannelParams, gamma, inc_gamma):
+def _gamma_mixture(params: ChannelParams, gamma, inc_gamma, weights=None):
     """sum_k w_k inc_gamma(m_x + k, u) at u = (gamma/gamma_bar)^(alpha/2) / C, capped at 1.
 
+    ``weights`` is the NB table summed, the law's ``nb_weights`` when None.
     ``gamma`` may be an ndarray; one pass per weight keeps the memory
     proportional to it.
     """
     dc = derived_constants(params)
     u = (np.asarray(gamma, dtype=float) / params.gamma_bar) ** (params.alpha / 2.0) / dc.c_alpha
     total = np.zeros_like(u)
-    for k, w in enumerate(dc.nb_weights):
+    for k, w in enumerate(dc.nb_weights if weights is None else weights):
         total += w * inc_gamma(params.m_x + k, u)
     return np.minimum(total, 1.0)
 
@@ -602,12 +605,26 @@ def snr_cdf(params: ChannelParams, gamma: float) -> float:
 
 
 def snr_ccdf(params: ChannelParams, gamma: float) -> float:
-    """Complementary cdf: the NB mixture of regularized upper incomplete gammas."""
+    """Complementary cdf: the NB mixture of regularized upper incomplete gammas.
+
+    Its upper tail lies in the weights past the table's cut, so a sum whose
+    _NB_TAIL could pass specfun._REL_TOL of it is summed once more on a
+    table that leaves out at most _REL_TOL of that sum. The first sum is
+    below the value, so the second leaves out at most _REL_TOL of the value.
+    Raises ConvergenceError where that table would pass _NB_MAX_WEIGHTS
+    entries, or where the first sum underflows to 0.
+    """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     if gamma == 0.0:
         return 1.0
-    return float(_gamma_mixture(params, gamma, gammaincc))
+    value = float(_gamma_mixture(params, gamma, gammaincc))
+    if _NB_TAIL > specfun._REL_TOL * value:
+        dc = derived_constants(params)
+        weights = _nb_weights(params.m_y, dc.beta_bar, dc.one_minus_beta_bar,
+                              specfun._REL_TOL * value)
+        value = float(_gamma_mixture(params, gamma, gammaincc, weights))
+    return value
 
 
 def snr_cdf_phi2(params: ChannelParams, gamma: float) -> float:

@@ -138,26 +138,32 @@ def _log_scaled_1f1_large_x(a: float, b: float, x: float) -> float:
     the e^x is left out, so a caller's -x does not cancel against it.
     Below x = 6b it can converge to a wrong value (0.86 off in the log at
     (70, 300, 800), against 40-digit mpmath), so there it raises
-    ConvergenceError without summing. Its terms can also cancel to a sum
-    that is not positive (at (200, 1000, 6000)), which raises too.
+    ConvergenceError without summing. Its terms can also cancel: to a sum
+    that is not positive (at (200, 1000, 6000)), or to one below 1e-5 of
+    sum_k |term_k|, which loses more than about 1e-12 in the log; both
+    raise. That ratio was at most 6.9e3 on a in [0.1, 400], b in [0.1, 200]
+    and max(200, 6b) <= x <= 650; it is 8.5e5 at (50, 300, 1800), 1.8e7 at
+    (70, 2000, 16000) and 5.2e9 at (70, 2000, 12000), where the log was off
+    by 7.7e-12, 4.5e-11 and 7.2e-8 against 50-digit mpmath.
     """
     if x < 6.0 * b:
         raise ConvergenceError(f"large-x 1F1 expansion refused at x = {x:g} < 6b = {6.0 * b:g}")
-    s = term = 1.0
+    s = term = size = 1.0
     shrunk = False
     k = 0
     while True:
         prev = abs(term)
         term *= (b - a + k) * (1.0 - a + k) / ((k + 1.0) * x)
         s += term
+        size += abs(term)
         if abs(term) <= 1e-16 * abs(s):
             break
         if not math.isfinite(term) or (shrunk and abs(term) > prev):
             raise ConvergenceError("large-x 1F1 expansion diverges before it converges")
         shrunk = shrunk or abs(term) < prev
         k += 1
-    if not s > 0.0:
-        raise ConvergenceError(f"large-x 1F1 expansion cancelled to {s:g}")
+    if not (s > 0.0 and size <= 1e5 * s):
+        raise ConvergenceError(f"large-x 1F1 expansion cancelled to {s:g} from {size:g}")
     return math.lgamma(b) - math.lgamma(a) + (a - b) * math.log(x) + math.log(s)
 
 

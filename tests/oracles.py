@@ -165,6 +165,27 @@ class MpSnrLaw:
             u = self._u(g)
             return float(mp.exp(self._log_density_u(u)) * u * self.a / (2 * g))
 
+    def ccdf(self, gamma: float) -> float:
+        """P(SNR > gamma) as the NB mixture sum_k w_k Q(m_x + k, u).
+
+        Q comes from mpmath at k = 0 and then from its recurrence Q(a + 1, u)
+        = Q(a, u) + u^a e^-u / Gamma(a + 1) (DLMF 8.8.6), which only adds
+        positive terms; w_k from the ratio (m_y + k) bb / (k + 1). The sum
+        stops once k passes u and w_k is below 10^-dps of it.
+        """
+        with mp.workdps(self.dps):
+            u = self._u(mp.mpf(gamma))
+            q = mp.gammainc(self.mx, u, regularized=True)
+            step = mp.exp(self.mx * mp.log(u) - u - mp.loggamma(self.mx + 1))
+            w, total, k = self.omb ** self.my, mp.mpf(0), 0
+            while not (k > u and w < mp.mpf(10) ** -self.dps * total):
+                total += w * q
+                q += step
+                step *= u / (self.mx + k + 1)
+                w *= (self.my + k) * self.bb / (k + 1)
+                k += 1
+            return float(total)
+
     def expect(self, h, gamma_hi: float | None = None) -> float:
         """E[h(gamma)] (over gamma < gamma_hi when given); h maps an mpf SNR."""
         with mp.workdps(self.dps):

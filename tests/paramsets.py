@@ -59,6 +59,14 @@ def grid72():
                             alpha=alpha, gamma_bar=db(2.0))
 
 
+# The benchmark's montecarlo laws (beta_bar 0.5, 0.44, 0.16 and 0).
+MONTECARLO_LAWS = (
+    (1.2, 1.2, db(1.0), db(1.0), 2.0, db(10.0)),
+    (0.5, 2.5, db(-3.0), db(3.0), 0.8, db(30.0)),
+    (0.7, 1.8, db(0.0), db(-3.0), 4.0, db(40.0)),
+    (2.0, 1.0, db(0.0), 0.0, 2.5, db(20.0)),
+)
+
 # Small-alpha laws with LoS, as (m_x, m_y, omega_x, omega_y, alpha, gamma_bar),
 # whose capacity lies in the NB mass that the weight table leaves out.
 SMALL_ALPHA_LAWS = (

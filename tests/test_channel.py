@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -11,7 +12,8 @@ from abxs import metrics
 from abxs import specfun
 from abxs.channel import ChannelParams
 from oracles import MpSnrLaw
-from paramsets import FIG1, FIG1_ALPHAS, db, grid72, nakagami, rayleigh
+from paramsets import (FIG1, FIG1_ALPHAS, FIG4_SETS, MONTECARLO_LAWS, SMALL_ALPHA_LAWS, db,
+                       fig4_params, grid72, nakagami, rayleigh)
 
 
 def fig1_params(alpha):
@@ -113,13 +115,60 @@ class TestDerivedConstants:
 
 
 class TestNbWeights:
-    """The NB table stops at _NB_MAX_WEIGHTS entries with ConvergenceError."""
+    """The NB table: its entries, the mass it leaves out and its cap."""
+
+    @pytest.mark.parametrize("m_y", [0.1, 1.0, 50.0])
+    @pytest.mark.parametrize("bb", [0.0, 5e-324, 0.5, 0.995])
+    def test_entries_are_the_ratio_recurrence(self, m_y, bb):
+        w = ch._nb_weights(m_y, bb, 1.0 - bb, 1e-14)
+        want = [(1.0 - bb) ** m_y]
+        for k in range(w.size - 1):
+            want.append(want[-1] * ((m_y + k) * bb / (k + 1.0)))
+        assert w.tolist() == want
+        assert not w.flags.writeable
+
+    @pytest.mark.parametrize("tail", [1e-14, 1e-40])
+    @pytest.mark.parametrize("m_y", [0.1, 1.0, 50.0])
+    @pytest.mark.parametrize("bb", [0.0, 5e-324, 0.5, 0.995])
+    def test_left_out_mass_is_within_the_tail(self, m_y, bb, tail):
+        # P(k >= n) = I_bb(n, m_y) for a table of n entries
+        n = ch._nb_weights(m_y, bb, 1.0 - bb, tail).size
+        with mpmath.workdps(40):
+            left = mpmath.betainc(n, m_y, 0, bb, regularized=True)
+        assert left <= tail
+
+    def test_table_lengths_on_the_figure_laws(self):
+        # the lengths the geometric-bound loop built, so these tables are its own
+        lengths = [ch.derived_constants(fig4_params(m_x, m_y, a, 10.0)).nb_weights.size
+                   for m_x, m_y, a in FIG4_SETS]
+        assert lengths == [44, 44, 54, 54]
+        assert ch.derived_constants(fig1_params(2.0)).nb_weights.size == 52
+        assert [ch.derived_constants(ChannelParams(*law)).nb_weights.size
+                for law in MONTECARLO_LAWS] == [48, 46, 20, 1]
 
     def test_raises_at_the_cap(self):
         # 1 - beta_bar = 1e-5 needs about 3.2 million weights.
         dc = ch.derived_constants(ChannelParams(1, 1, 1, 1e5, 2, 10))
         with pytest.raises(specfun.ConvergenceError, match="100000 entries"):
             dc.nb_weights
+
+    def test_raises_past_the_cap_without_building(self):
+        # about 3e13 entries at 1 - beta_bar = 1e-12: building them would run out of memory
+        with pytest.raises(specfun.ConvergenceError, match="100000 entries"):
+            ch._nb_weights(1.0, 1.0 - 1e-12, 1e-12, 1e-14)
+        tracemalloc.start()
+        try:
+            with pytest.raises(specfun.ConvergenceError):
+                ch._nb_weights(1.0, 1.0 - 1e-5, 1e-5, 1e-14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # the 100,000 weights alone take 800 KB
+
+    def test_no_tail_raises(self):
+        # btdtria(0, ...) is inf: no length fits
+        with pytest.raises(specfun.ConvergenceError, match="entries"):
+            ch._nb_weights(1.0, 0.5, 0.5, 0.0)
 
 
 # Small alpha with m_x well above m_y, where scipy's hyp2f1 can be far off on
@@ -139,24 +188,37 @@ NORMALISER_CORNER = [
 class TestNormaliserCheck:
     @pytest.mark.parametrize("law", NORMALISER_CORNER)
     def test_right_or_raises(self, law):
-        # a C that comes back is right; a raise means hyp2f1 really is off
+        # a C that comes back is right; a raise can only be Euler's own check
         pars = ChannelParams(*law, 10.0)
         try:
             got = ch.c_alpha(pars)
         except specfun.ConvergenceError as err:
             assert "Euler's integral" in str(err)
-            s = 2.0 / pars.alpha
-            bb = ch.beta_bar(pars)
-            with mpmath.workdps(30):
-                want = mpmath.log(mpmath.hyp2f1(pars.m_x - pars.m_y, -s, pars.m_x, bb))
-            log_hyp = math.log(specfun.gauss_2f1(pars.m_x - pars.m_y, -s, pars.m_x, bb))
-            assert abs(log_hyp - float(want)) > ch._LOS_CHECK_TOL * max(s, 1.0)
         else:
             assert got == pytest.approx(MpSnrLaw(pars).c_alpha(), rel=1e-11, abs=0.0)
 
-    def test_reproducer_raises(self):
-        with pytest.raises(specfun.ConvergenceError, match="disagree"):
-            ch.c_alpha(ChannelParams(*NORMALISER_CORNER[0], 10.0))
+    @pytest.mark.parametrize("law", NORMALISER_CORNER)
+    def test_corner_laws_return_mpmath_c(self, law):
+        # where hyp2f1 misses Euler's integral (four of these laws), Euler's value is taken
+        pars = ChannelParams(*law, 10.0)
+        s = 2.0 / pars.alpha
+        bb, one_minus_bb = ch.beta_bar(pars), ch._one_minus_beta_bar(pars)
+        log_euler = ch._log_euler_2f1(pars.m_x, pars.m_y, one_minus_bb, s)
+        log_hyp = math.log(specfun.gauss_2f1(pars.m_x - pars.m_y, -s, pars.m_x, bb))
+        taken = (ch._log_los_2f1(pars.m_x, pars.m_y, bb, one_minus_bb, s)
+                 + s * math.log(one_minus_bb))
+        if abs(log_hyp - log_euler) <= ch._LOS_CHECK_TOL * max(s, 1.0):
+            assert taken == log_hyp
+        else:
+            assert taken == log_euler
+        assert ch.c_alpha(pars) == pytest.approx(MpSnrLaw(pars).c_alpha(), rel=1e-12, abs=0.0)
+
+    def test_reproducer_pdf_against_mpmath(self):
+        # hyp2f1 alone put C off by 1.5e-4 here
+        pars = ChannelParams(*NORMALISER_CORNER[0], 10.0)
+        oracle = MpSnrLaw(pars)
+        for gamma in (1.0, 10.0, 30.0):
+            assert ch.snr_pdf(pars, gamma) == pytest.approx(oracle.pdf(gamma), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("law", NORMALISER_CORNER[4:])
     def test_corner_laws_where_hyp2f1_holds_return(self, law):
@@ -329,12 +391,61 @@ class TestLogScaled1F1:
             want = float(mpmath.log(mpmath.hyp1f1(200, 1000, 6000)) - 6000)
         assert abs(ch._log_scaled_1f1(200.0, 1000.0, 6000.0) - want) <= 1e-12
 
+    @pytest.mark.parametrize("a, b, x", [(70.0, 2000.0, 12000.0), (70.0, 2000.0, 16000.0),
+                                         (50.0, 300.0, 1800.0)])
+    def test_cancelling_expansion_is_right_or_raises(self, a, b, x):
+        # Its terms cancel to 5.2e9, 1.8e7 and 8.5e5 times below their size here,
+        # and it was 7.2e-8 off in the log at the first point.
+        with pytest.raises(specfun.ConvergenceError, match="cancelled"):
+            specfun._log_scaled_1f1_large_x(a, b, x)
+        with mpmath.workdps(40):
+            want = float(mpmath.log(mpmath.hyp1f1(a, b, x)) - x)
+        try:
+            got = ch._log_scaled_1f1(a, b, x)
+        except specfun.ConvergenceError:
+            return
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
     def test_series_past_its_term_cap_raises(self):
         # At x = 5b the series needs about x - b = 80,000 terms, past its
         # cap, and the expansion is refused below 6b. The expansion alone
         # gave -51628.40611 here, where 50-digit mpmath gives -51628.40608.
         with pytest.raises(specfun.ConvergenceError, match="max_terms"):
             ch._log_scaled_1f1(70.0, 20000.0, 1e5)
+
+
+class TestSnrCcdf:
+    """The ccdf's upper tail lies in NB weights past the shared table's cut."""
+
+    @pytest.mark.parametrize("law", [ChannelParams(*law) for law in MONTECARLO_LAWS]
+                             + [fig4_params(m_x, m_y, a, 10.0) for m_x, m_y, a in FIG4_SETS])
+    def test_against_mpmath(self, law):
+        # down to 2.2e-88 (fig-4 law (2.5, 2.5, 3) at 20): the shared table gave 4.1e-126
+        oracle = MpSnrLaw(law)
+        for ratio in (1.0, 3.0, 10.0, 20.0):
+            gamma = ratio * law.gamma_bar
+            want = oracle.ccdf(gamma)
+            assert ch.snr_ccdf(law, gamma) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_small_alpha_law_against_mpmath(self):
+        # 4,000 weights at beta_bar = 0.9947; the shared table was off by up to 6.3e-6
+        law = ChannelParams(*SMALL_ALPHA_LAWS[3])
+        oracle = MpSnrLaw(law)
+        for ratio in (1.0, 3.0, 10.0, 20.0):
+            gamma = ratio * law.gamma_bar
+            want = oracle.ccdf(gamma)
+            assert ch.snr_ccdf(law, gamma) == pytest.approx(want, rel=1e-11, abs=0.0)
+
+    def test_raises_where_its_table_passes_the_cap(self):
+        # m_x = m_y = 1 at alpha = 2 is the exponential law, ccdf e^-gamma at gamma_bar = 1.
+        # 1 - beta_bar = 4e-4: the shared table has 80,575 weights, but e^-10 needs
+        # them past 100,000, and at gamma = 100 the sum over the shared table
+        # underflows to 0
+        law = ChannelParams(1, 1, 1, 2499, 2, 1)
+        assert ch.snr_ccdf(law, 5.0) == pytest.approx(math.exp(-5.0), rel=1e-12, abs=0.0)
+        for gamma in (10.0, 100.0):
+            with pytest.raises(specfun.ConvergenceError, match="100000 entries"):
+                ch.snr_ccdf(law, gamma)
 
 
 class TestSnrCdf:
