@@ -142,8 +142,9 @@ class DerivedConstants:
     ``derived_constants`` keeps one per (m_x, m_y, omega_x, omega_y, alpha):
     no field reads gamma_bar, which enters only the argument of h. ``m_y``
     and ``beta_bar`` fix the mixing law of :attr:`nb_weights`, and ``m_x``
-    with them the mixture density of :attr:`density_lattice`, which takes
-    its NB rows from log-gammas and never reads the weight table.
+    with them the mixture density of :attr:`density_lattice`, which the pdf
+    and the mixture expectations read; it takes its NB rows from log-gammas
+    and never reads the weight table.
     ``one_minus_beta_bar`` is 1 - beta_bar from its own quotient, so it keeps
     its digits as beta_bar -> 1.
 
@@ -174,7 +175,8 @@ class DerivedConstants:
         """The mixture t-density at the trapezoid nodes the metrics visit, each computed once.
 
         Every mixture expectation on this law (ABER for any modulation, and
-        capacity, at any gamma_bar) reads its density values from here; see
+        capacity, at any gamma_bar) reads its density values from here, and
+        the pdf calls its kernel at its own nodes; see
         :class:`_DensityLattice` for the nodes and the memory bound.
         """
         return _DensityLattice(self.m_x, self.m_y, self.beta_bar, self.one_minus_beta_bar)
@@ -194,12 +196,21 @@ _MAX_ROWS = 1_000_000
 
 def _window_sum(m_x: float, a: np.ndarray, lo: int, t: np.ndarray) -> np.ndarray:
     """sum_k e^(a_k + (m_x + k) t - e^t) over the rows k = lo..lo + a.size - 1, at each node t."""
-    shapes = (m_x + np.arange(lo, lo + a.size))[:, None]
-    return np.exp(a[:, None] + shapes * t - np.exp(t)).sum(axis=0)
+    shapes = m_x + np.arange(lo, lo + a.size)
+    if t.size == 1:  # the same sum as below, to the bit, without the 2-D broadcast
+        return np.exp(a + shapes * t[0] - np.exp(t[0])).sum()
+    return np.exp(a[:, None] + shapes[:, None] * t - np.exp(t)).sum(axis=0)
 
 
 def _mixture_density(m_x: float, m_y: float, bb: float, one_minus_bb: float):
     """The t-density of log u, t -> sum_k w_k e^((m_x+k) t - e^t) / Gamma(m_x + k).
+
+    That is (1-bb)^m_y e^(m_x t - (1-bb) e^t) L / Gamma(m_x), L = e^-x
+    1F1(m_y; m_x; x) at x = bb e^t. At the nodes where x >= max(200, 6 m_x),
+    a suffix of the increasing nodes found with one bisect, log L is
+    ``specfun._log_scaled_1f1_large_x``; a node where that raises
+    ConvergenceError (it diverges or cancels) sums its rows alone, and
+    every other node sums its rows as below.
 
     Row k is a_k = log w_k - lgamma(m_x + k), taken from log-gammas (xlogy
     makes beta_bar = 0 a single row); no weight table is read. Term k at t
@@ -211,11 +222,11 @@ def _mixture_density(m_x: float, m_y: float, bb: float, one_minus_bb: float):
     and below it they rise, apart from a fall from row 0 below the smaller
     crossing.
 
-    The returned function takes an increasing ndarray of nodes and sums it
-    in blocks: consecutive nodes while k* moves less than two half-widths
-    10.4 sqrt(5 (k + 1)) + 4 (5 (k + 1) bounds the rows' local variance
-    where they curve, 1 / (1/(k + 1) + 1/(m_x + k) - 1/(m_y + k))), and at
-    most _MIXTURE_BLOCK of them. Each block sums the rows within
+    The returned function takes an increasing ndarray of nodes and sums
+    their rows in blocks: consecutive nodes while k* moves less than two
+    half-widths 10.4 sqrt(5 (k + 1)) + 4 (5 (k + 1) bounds the rows' local
+    variance where they curve, 1 / (1/(k + 1) + 1/(m_x + k) - 1/(m_y + k))),
+    and at most _MIXTURE_BLOCK of them. Each block sums the rows within
     e^-_WINDOW_MARGIN of the largest row at its first node t0 (for the rows
     below k*) and at its last node t1 (above it): the window starts a
     half-width past k* on each side, doubles until its edge rows are below
@@ -236,6 +247,8 @@ def _mixture_density(m_x: float, m_y: float, bb: float, one_minus_bb: float):
     not a tolerance.
     """
     log_head = m_y * math.log(one_minus_bb) - math.lgamma(m_y)
+    log_norm = m_y * math.log(one_minus_bb) - math.lgamma(m_x)
+    edge = max(200.0, 6.0 * m_x)
     log_bb = math.log(bb) if bb > 0.0 else -math.inf
     s = 0.9 * one_minus_bb
     t_max = math.log((745.0 + m_y * math.log(10.0) + (m_y - m_x) * math.log1p(-s)) / s)
@@ -267,16 +280,30 @@ def _mixture_density(m_x: float, m_y: float, bb: float, one_minus_bb: float):
         return k, 10.4 * math.sqrt(5.0 * (k + 1.0)) + 4.0
 
     def density(t: np.ndarray) -> np.ndarray:
-        dens = np.zeros_like(t)
+        dens = np.zeros(t.shape)
         nodes = t.tolist()
         stop = bisect.bisect_right(nodes, t_max)
-        i = 0
+        first = bisect.bisect_left(nodes, edge, 0, stop, key=lambda v: bb * math.exp(v))
+        sum_rows(t, nodes, 0, first, dens)
+        for i in range(first, stop):
+            u = math.exp(nodes[i])
+            try:
+                log_f = specfun._log_scaled_1f1_large_x(m_y, m_x, bb * u)
+            except specfun.ConvergenceError:
+                sum_rows(t, nodes, i, i + 1, dens)
+            else:
+                dens[i] = math.exp(log_norm + m_x * nodes[i] - one_minus_bb * u + log_f)
+        return dens
+
+    def sum_rows(t: np.ndarray, nodes: list, i: int, stop: int, dens: np.ndarray) -> None:
         while i < stop:
             (k0, half0), t0 = peak(nodes[i]), nodes[i]
-            reach = k0 + 2.0 * half0
-            t_reach = math.log((reach + 1.0) * (reach + m_x) / (reach + m_y)) - log_bb
-            j = bisect.bisect_left(nodes, t_reach, i + 1, min(stop, i + _MIXTURE_BLOCK))
-            (k1, half1), t1 = peak(nodes[j - 1]), nodes[j - 1]
+            j = i + 1
+            if j < stop:
+                reach = k0 + 2.0 * half0
+                t_reach = math.log((reach + 1.0) * (reach + m_x) / (reach + m_y)) - log_bb
+                j = bisect.bisect_left(nodes, t_reach, j, min(stop, i + _MIXTURE_BLOCK))
+            (k1, half1), t1 = ((k0, half0), t0) if j == i + 1 else (peak(nodes[j - 1]), nodes[j - 1])
             top0, top1 = math.ceil(k0), math.ceil(k1)  # the largest rows, as the ratio crosses 1
             lo, hi = max(math.floor(k0 - half0), 0), math.ceil(k1 + half1) + 1
             while True:
@@ -296,7 +323,6 @@ def _mixture_density(m_x: float, m_y: float, bb: float, one_minus_bb: float):
                 range(hi), True, top1, key=lambda k: row(k - lo) + k * t1 < cut1)
             dens[i:j] = _window_sum(m_x, a[start - lo:end - lo], start, t[i:j])
             i = j
-        return dens
     return density
 
 
@@ -318,8 +344,10 @@ class _DensityLattice:
     a window leaves out only rows below e^-(46 + 8) of the node's largest
     term, which has not been seen to change a bit of a sum.
 
-    Memory: one float per node kept, and the density's prefix of at most
-    _NB_MAX_WEIGHTS (100,000) rows. A lattice keeps the union of the nodes
+    The kernel itself, :attr:`mixture_density`, also serves nodes off the
+    lattice (the pdf's), with no memo. Memory: one float per node kept, and
+    the density's prefix of at most _NB_MAX_WEIGHTS (100,000) rows, which
+    every caller of the kernel shares. A lattice keeps the union of the nodes
     its gamma_bar values visit: on the benchmark's ``domain`` workload, 40
     lattices serve the 67 laws and hold at most 1,547 nodes (12 KB) each;
     after ``abxs eval --fig 2 --oracle``, 3 lattices hold 1,583 nodes (at
@@ -336,7 +364,7 @@ class _DensityLattice:
     def __init__(self, m_x: float, m_y: float, bb: float, one_minus_bb: float) -> None:
         mean = m_x + m_y * bb / one_minus_bb
         self.start = math.log(mean + 10.0 * math.sqrt(mean) + 50.0)
-        self._density = _mixture_density(m_x, m_y, bb, one_minus_bb)
+        self.mixture_density = _mixture_density(m_x, m_y, bb, one_minus_bb)
         self._levels = {}  # level -> (first index held, read-only values)
 
     def nodes(self, level: int, j):
@@ -363,7 +391,7 @@ class _DensityLattice:
         self._levels = {0: self._levels[0]}
 
     def _evaluate(self, level: int, a: int, b: int) -> np.ndarray:
-        return self._density(self.nodes(level, np.arange(a, b)))
+        return self.mixture_density(self.nodes(level, np.arange(a, b)))
 
 
 # Agreement asked of scipy's hyp2f1 and Euler's integral, in log 2F1 per unit of s.
@@ -520,53 +548,29 @@ def envelope_moment(params: ChannelParams, k: float) -> float:
     return math.exp(log_hyp + log_ratio) * (params.omega_x / params.m_x) ** (k / 2.0)
 
 
-def _log_scaled_1f1(a: float, b: float, x: float) -> float:
-    """log(e^-x 1F1(a; b; x)) for x >= 0, from the large-x asymptotic form
-    (which never adds x) at x >= max(200, 6b), else from the power series.
+def _snr_density(params: ChannelParams, gamma: float) -> float:
+    """The high-SNR density, (1-bb)^m_y u^m_x e^-u alpha / (2 gamma Gamma(m_x)), in logs.
 
-    Where the switch rule holds the expansion takes tens of terms and about
-    10 us, where the series takes hundreds and 75-230 us. Measured against
-    50-digit mpmath on 1,338 random points with a in [0.1, 400] and b in
-    [0.1, 200] at x from 200 to 650 and x >= 5b, it was within 6e-15 of
-    max(1, |value|); at x = 4b it missed by up to 7e-12, and below x = 2b
-    by up to 0.37. Where the expansion diverges first it raises
-    ConvergenceError and the series is summed instead. The series
-    (``specfun._log_scaled_1f1_series``) scales its terms by powers of two,
-    so it never overflows; it needs about x - b terms, and raises
-    ConvergenceError once that passes its term cap (x beyond about 10^4).
-    """
-    if x >= 200.0 and x >= 6.0 * b:
-        try:
-            return specfun._log_scaled_1f1_large_x(a, b, x)
-        except specfun.ConvergenceError:
-            pass
-    return specfun._log_scaled_1f1_series(a, b, x)
-
-
-def _snr_density(params: ChannelParams, gamma: float, log_confluent) -> float:
-    """The SNR density, log(e^-v 1F1(m_y; m_x; v)) given as log_confluent(v) at v = bb * u.
-
-    Its e^-u 1F1(m_y; m_x; bb u) is e^-((1-bb) u) times that, so no u * eps cancels as bb -> 1.
+    At gamma = 0 it is also the density: 0 for alpha*m_x > 2, inf for
+    alpha*m_x < 2, and at alpha*m_x = 2 its finite limit, or inf past the
+    largest double.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     dc = derived_constants(params)
     exponent = params.alpha * params.m_x / 2.0 - 1.0
-    if gamma == 0.0:
-        if exponent != 0.0:
-            return 0.0 if exponent > 0.0 else math.inf
-        return (params.alpha * dc.one_minus_beta_bar ** params.m_y
-                / (2.0 * dc.c_alpha ** params.m_x * math.gamma(params.m_x) * params.gamma_bar))
-    ratio = gamma / params.gamma_bar
-    u = ratio ** (params.alpha / 2.0) / dc.c_alpha
+    if gamma == 0.0 and exponent != 0.0:
+        return 0.0 if exponent > 0.0 else math.inf
     log_f = (math.log(params.alpha / 2.0)
              + params.m_y * math.log(dc.one_minus_beta_bar)
              - params.m_x * math.log(dc.c_alpha)
              - math.lgamma(params.m_x)
-             - math.log(params.gamma_bar)
-             + exponent * math.log(ratio)
-             - dc.one_minus_beta_bar * u
-             + log_confluent(dc.beta_bar * u))
+             - math.log(params.gamma_bar))
+    if gamma != 0.0:
+        ratio = gamma / params.gamma_bar
+        u = ratio ** (params.alpha / 2.0) / dc.c_alpha
+        log_f = (log_f + exponent * math.log(ratio)
+                 - dc.one_minus_beta_bar * u - dc.beta_bar * u)
     if log_f > 709.0:
         return math.inf
     return math.exp(log_f)
@@ -575,24 +579,32 @@ def _snr_density(params: ChannelParams, gamma: float, log_confluent) -> float:
 def snr_pdf(params: ChannelParams, gamma: float) -> float:
     """Instantaneous-SNR density f(gamma).
 
-    At gamma = 0 the density is 0 for alpha*m_x > 2, finite for
-    alpha*m_x = 2, and unbounded for alpha*m_x < 2 (reported as inf so
-    downstream integrals keep working).
+    The mixture t-density of the law's :class:`_DensityLattice` kernel at
+    t = log u, u = (gamma/gamma_bar)^(alpha/2) / C, times dt/dgamma =
+    alpha / (2 gamma). At gamma = 0 the density is 0 for alpha*m_x > 2,
+    finite for alpha*m_x = 2, and unbounded for alpha*m_x < 2 (reported as
+    inf so downstream integrals keep working).
     """
-    return _snr_density(params, gamma, lambda v: _log_scaled_1f1(params.m_y, params.m_x, v))
+    if not gamma > 0.0:
+        return _snr_density(params, gamma)
+    dc = derived_constants(params)
+    t = 0.5 * params.alpha * math.log(gamma / params.gamma_bar) - math.log(dc.c_alpha)
+    return dc.density_lattice.mixture_density(np.array([t])).item(0) * (0.5 * params.alpha) / gamma
 
 
-def _gamma_mixture(params: ChannelParams, gamma, inc_gamma, weights=None):
+def _gamma_mixture(params: ChannelParams, gamma, inc_gamma, tail: float = _NB_TAIL):
     """sum_k w_k inc_gamma(m_x + k, u) at u = (gamma/gamma_bar)^(alpha/2) / C, capped at 1.
 
-    ``weights`` is the NB table summed, the law's ``nb_weights`` when None.
-    ``gamma`` may be an ndarray; one pass per weight keeps the memory
-    proportional to it.
+    The weights are :func:`_nb_weights` leaving out at most ``tail``, the
+    law's ``nb_weights`` at _NB_TAIL. ``gamma`` may be an ndarray; one pass
+    per weight keeps the memory proportional to it.
     """
     dc = derived_constants(params)
+    weights = dc.nb_weights if tail == _NB_TAIL else _nb_weights(
+        params.m_y, dc.beta_bar, dc.one_minus_beta_bar, tail)
     u = (np.asarray(gamma, dtype=float) / params.gamma_bar) ** (params.alpha / 2.0) / dc.c_alpha
     total = np.zeros_like(u)
-    for k, w in enumerate(dc.nb_weights if weights is None else weights):
+    for k, w in enumerate(weights):
         total += w * inc_gamma(params.m_x + k, u)
     return np.minimum(total, 1.0)
 
@@ -611,19 +623,20 @@ def snr_ccdf(params: ChannelParams, gamma: float) -> float:
     _NB_TAIL could pass specfun._REL_TOL of it is summed once more on a
     table that leaves out at most _REL_TOL of that sum. The first sum is
     below the value, so the second leaves out at most _REL_TOL of the value.
-    Raises ConvergenceError where that table would pass _NB_MAX_WEIGHTS
-    entries, or where the first sum underflows to 0.
+    While a sum is 0 the tail is squared (1e-28, 1e-56, ... down to the
+    smallest double) and the sum taken again; one that stays 0 is returned.
+    Raises ConvergenceError where a table would pass _NB_MAX_WEIGHTS entries.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     if gamma == 0.0:
         return 1.0
-    value = float(_gamma_mixture(params, gamma, gammaincc))
-    if _NB_TAIL > specfun._REL_TOL * value:
-        dc = derived_constants(params)
-        weights = _nb_weights(params.m_y, dc.beta_bar, dc.one_minus_beta_bar,
-                              specfun._REL_TOL * value)
-        value = float(_gamma_mixture(params, gamma, gammaincc, weights))
+    tail, value = _NB_TAIL, float(_gamma_mixture(params, gamma, gammaincc))
+    while value == 0.0 and tail > math.ulp(0.0):
+        tail = max(tail * tail, math.ulp(0.0))
+        value = float(_gamma_mixture(params, gamma, gammaincc, tail))
+    if 0.0 < specfun._REL_TOL * value < _NB_TAIL:
+        value = float(_gamma_mixture(params, gamma, gammaincc, specfun._REL_TOL * value))
     return value
 
 
@@ -649,7 +662,7 @@ def snr_cdf_phi2(params: ChannelParams, gamma: float) -> float:
 
 def snr_pdf_asymptotic(params: ChannelParams, gamma: float) -> float:
     """High-mean-SNR density approximation (confluent factor dropped)."""
-    return _snr_density(params, gamma, lambda v: -v)  # log(e^-v * 1)
+    return _snr_density(params, gamma)
 
 
 def snr_cdf_asymptotic(params: ChannelParams, gamma: float) -> float:
@@ -690,7 +703,7 @@ def bxs_envelope_pdf(params: ChannelParams, r: float) -> float:
              + params.m_y * math.log(one_minus_bb)
              + params.m_x * math.log(params.m_x / params.omega_x)
              - one_minus_bb * t
-             + _log_scaled_1f1(params.m_y, params.m_x, bb * t))
+             + specfun._log_scaled_1f1(params.m_y, params.m_x, bb * t))
     if log_f > 709.0:
         return math.inf
     return math.exp(log_f)

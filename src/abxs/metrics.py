@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import digamma, erfc
-from scipy.special.cython_special import hyp1f1
 
 from . import channel, specfun
 from .channel import ChannelParams, derived_constants
@@ -135,21 +134,6 @@ def _make_aber(value: float, terms_used: int, path: str,
     return AberResult(value=min(value, bound), terms_used=terms_used, path=path)
 
 
-def _log_scaled_1f1(a: float, b: float, x: float) -> float:
-    """log(e^-x 1F1(a; b; x)) for x >= 0 from scipy's hyp1f1, asymptotic past its range.
-
-    hyp1f1 is taken from ``scipy.special.cython_special``: the same routine
-    as the ``scipy.special.hyp1f1`` ufunc, without the ufunc's per-call
-    overhead on a Python float (0.2 us against 0.9 us). Past x = 650, or
-    where hyp1f1 overflows, the large-x expansion raises ConvergenceError at
-    x < 6b, where it can converge to a wrong value.
-    """
-    value = hyp1f1(a, b, x) if x <= 650.0 else math.inf
-    if math.isfinite(value):
-        return math.log(value) - x
-    return specfun._log_scaled_1f1_large_x(a, b, x)
-
-
 def _snr_integral(params: ChannelParams, h, t_hi: float = math.inf) -> float:
     """E[h(log gamma); t < t_hi] by QUADPACK over t = log u, u = (gamma/gamma_bar)^(alpha/2) / C.
 
@@ -157,10 +141,11 @@ def _snr_integral(params: ChannelParams, h, t_hi: float = math.inf) -> float:
     is smooth and decays at both ends, so three pieces split at log E[U] +- 5
     need no breaks, endpoint weight or tail scale. Its exponent is taken as
     -(1-bb) e^t plus log(e^-x 1F1) at x = bb e^t, so nothing cancels as bb -> 1.
-    The 1F1 is scipy's ``hyp1f1``, not the pdf's series, but past x = 650,
-    and where hyp1f1 overflows, it takes ``specfun._log_scaled_1f1_large_x``,
-    which the pdf takes from x = 200 on (at x >= 6 m_x), so there the oracle
-    and the pdf share that expansion and its error. Where that expansion
+    The 1F1 is ``specfun._log_scaled_1f1``: scipy's ``hyp1f1``, not the
+    mixture density's NB rows, but past x = 650, and where hyp1f1
+    overflows, ``specfun._log_scaled_1f1_large_x``, which the mixture
+    density takes from x = max(200, 6 m_x) on, so there the oracle and the
+    pdf share that expansion and its error. Where that expansion
     would be needed at x < 6 m_x it raises ConvergenceError, so the oracle
     never returns its wrong value. It shares no code with
     the NB weights or Meijer G. ``h`` runs only where the density has not
@@ -189,7 +174,8 @@ def _snr_integral(params: ChannelParams, h, t_hi: float = math.inf) -> float:
         if t > 700.0:
             return 0.0
         u = math.exp(t)
-        log_dens = log_norm + m_x * t - one_minus_bb * u + _log_scaled_1f1(m_y, m_x, bb * u)
+        log_dens = (log_norm + m_x * t - one_minus_bb * u
+                    + specfun._log_scaled_1f1(m_y, m_x, bb * u))
         log_g = log_scale + two_over_alpha * t
         if log_dens < -745.0:
             if log_dens > -745.0 - _HIDDEN_BAND:

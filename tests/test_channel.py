@@ -304,6 +304,19 @@ class TestSnrPdf:
         pars = fig1_params(4.0)
         assert ch.snr_pdf(pars, 1e9) == 0.0
 
+    def test_origin_on_the_boundary_in_logs(self):
+        # alpha m_x = 2: Gamma(200) and C^200 pass the double range, the value does not
+        pars = ChannelParams(200, 1, 1, 0, 0.01, 1)
+        ref = MpSnrLaw(pars)
+        with mpmath.workdps(30):
+            want = float(ref.a / 2 * ref.omb ** ref.my / (ref.c ** ref.mx * mpmath.gamma(ref.mx)
+                                                         * ref.gb))
+        assert want == pytest.approx(5.1476e118, rel=1e-4)
+        for pdf in (ch.snr_pdf, ch.snr_pdf_asymptotic):
+            assert pdf(pars, 0.0) == pytest.approx(want, rel=1e-12, abs=0.0)
+            # 7.6e1107 by 30-digit mpmath: past the largest double
+            assert pdf(ChannelParams(400, 2, 1, 3, 0.005, 10), 0.0) == math.inf
+
 
 class TestSeriesOverflowLaw:
     """A law whose 1F1(m_y; m_x; bb u) power series overflows below x = 650.
@@ -341,77 +354,108 @@ class TestSeriesOverflowLaw:
 
 
 class TestLogScaled1F1:
-    """The density's log(e^-x 1F1(a; b; x)): the large-x expansion where
-    x >= max(200, 6b), the power series below."""
+    """The density kernel's log(e^-x 1F1(a; b; x)): the large-x expansion where
+    x >= max(200, 6b) and it does not refuse, the NB rows (the power series'
+    terms, in logs) everywhere else.
+
+    The kernel's L is read off its t-density for the law m_x = b, m_y = a at
+    1 - bb = 0.01, where the rest of the density's exponent costs no digits.
+    """
+
+    OMB = 0.01
+
+    @classmethod
+    def kernel(cls, a, b, t):
+        return ch._mixture_density(b, a, 1.0 - cls.OMB, cls.OMB)(np.asarray(t, dtype=float))
+
+    @classmethod
+    def kernel_log(cls, a, b, x):
+        """(the kernel's L at x' = bb e^t, x'), at the node t = log(x / bb)."""
+        bb = 1.0 - cls.OMB
+        t = math.log(x / bb)
+        u = math.exp(t)
+        dens = cls.kernel(a, b, [t]).item(0)
+        with mpmath.workdps(40):
+            rest = a * mpmath.log(cls.OMB) - mpmath.loggamma(b) + b * t - cls.OMB * mpmath.exp(t)
+            return float(mpmath.log(dens) - rest), bb * u
+
+    @staticmethod
+    def mp_log(a, b, x, dps=40):
+        with mpmath.workdps(dps):
+            return float(mpmath.log(mpmath.hyp1f1(a, b, x)) - x)
 
     @pytest.mark.parametrize("x", [200.0, 300.0, 400.0, 500.0, 600.0])
     def test_against_mpmath(self, x):
-        with mpmath.workdps(40):
-            for a in (0.1, 0.7, 3.0, 10.0, 25.0, 50.0):
-                for b in (0.15, 1.5, 8.0, 20.0, 50.0):
-                    want = float(mpmath.log(mpmath.hyp1f1(a, b, x)) - x)
-                    got = ch._log_scaled_1f1(a, b, x)
-                    assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (a, b)
+        for a in (0.1, 0.7, 3.0, 10.0, 25.0, 50.0):
+            for b in (0.15, 1.5, 8.0, 20.0, 50.0):
+                got, at = self.kernel_log(a, b, x)
+                want = self.mp_log(a, b, at)
+                assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (a, b)
 
     def test_switch_rule(self, monkeypatch):
-        # The pinned law's a = m_y, b = m_x: no series term from x = 200 on.
-        calls = []
-        real = specfun._log_scaled_1f1_series
-        monkeypatch.setattr(specfun, "_log_scaled_1f1_series",
-                            lambda *args: calls.append(args) or real(*args))
+        # The expansion is tried at exactly the nodes whose x = bb e^t reaches
+        # max(200, 6b), a suffix of the increasing nodes; the pinned law's
+        # a = m_y, b = m_x take it at every such node.
+        seen = []
+        real = specfun._log_scaled_1f1_large_x
+        monkeypatch.setattr(specfun, "_log_scaled_1f1_large_x",
+                            lambda a, b, x: seen.append(x) or real(a, b, x))
+        bb = 1.0 - self.OMB
         a, b = TestSeriesOverflowLaw.PARAMS.m_y, TestSeriesOverflowLaw.PARAMS.m_x
-        for x in (200.0, 400.0, 640.0):
-            ch._log_scaled_1f1(a, b, x)
-        assert not calls
-        ch._log_scaled_1f1(a, b, 199.0)
-        ch._log_scaled_1f1(a, 50.0, 299.0)
-        assert len(calls) == 2
+        for bb_a, bb_b, edge in ((a, b, 200.0), (a, 50.0, 300.0)):
+            t_edge = math.log(edge / bb)
+            nodes = [math.log(199.0 / bb)] + [t_edge + k * 2e-16 * t_edge for k in range(-3, 4)]
+            nodes += [math.log(400.0 / bb), math.log(640.0 / bb)]
+            seen.clear()
+            dens = self.kernel(bb_a, bb_b, nodes)
+            want = [bb * math.exp(t) for t in nodes if bb * math.exp(t) >= edge]
+            assert seen == want and 0 < len(want) < len(nodes) - 1
+            assert np.all(dens > 0.0)
 
     @pytest.mark.parametrize("x", [660.0, 800.0])
     def test_past_650_below_6b(self, x):
         # The large-x expansion converged to a wrong value here (-329.955
-        # for -337.286 at x = 660); the pdf now sums the power series with
-        # its terms scaled, and the oracle's 1F1 raises instead.
-        with mpmath.workdps(40):
-            want = float(mpmath.log(mpmath.hyp1f1(70, 300, x)) - x)
-        assert abs(ch._log_scaled_1f1(70.0, 300.0, x) - want) <= 1e-13
-        from abxs import metrics
+        # for -337.286 at x = 660); the kernel sums the rows (3.4e-13 off in
+        # the log at x = 800), and the oracle's reference 1F1 raises instead.
+        got, at = self.kernel_log(70.0, 300.0, x)
+        want = self.mp_log(70.0, 300.0, at)
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
         try:
-            got = metrics._log_scaled_1f1(70.0, 300.0, x)
+            ref = specfun._log_scaled_1f1(70.0, 300.0, at)
         except specfun.ConvergenceError:
             return
-        assert abs(got - want) <= 1e-13
+        assert abs(ref - want) <= 1e-13
 
     def test_cancelled_expansion_falls_back_to_the_series(self):
         # At x = 6b the expansion's terms cancel to a negative sum here,
-        # whose log raised ValueError; the series is summed instead.
+        # whose log raised ValueError; the kernel sums the rows instead.
         with pytest.raises(specfun.ConvergenceError, match="cancelled"):
             specfun._log_scaled_1f1_large_x(200.0, 1000.0, 6000.0)
-        with mpmath.workdps(40):
-            want = float(mpmath.log(mpmath.hyp1f1(200, 1000, 6000)) - 6000)
-        assert abs(ch._log_scaled_1f1(200.0, 1000.0, 6000.0) - want) <= 1e-12
+        got, at = self.kernel_log(200.0, 1000.0, 6000.0)
+        assert abs(got - self.mp_log(200.0, 1000.0, at)) <= 1e-12
 
     @pytest.mark.parametrize("a, b, x", [(70.0, 2000.0, 12000.0), (70.0, 2000.0, 16000.0),
                                          (50.0, 300.0, 1800.0)])
     def test_cancelling_expansion_is_right_or_raises(self, a, b, x):
         # Its terms cancel to 5.2e9, 1.8e7 and 8.5e5 times below their size here,
-        # and it was 7.2e-8 off in the log at the first point.
+        # and it was 7.2e-8 off in the log at the first point; the kernel
+        # refuses it and sums the rows.
         with pytest.raises(specfun.ConvergenceError, match="cancelled"):
             specfun._log_scaled_1f1_large_x(a, b, x)
-        with mpmath.workdps(40):
-            want = float(mpmath.log(mpmath.hyp1f1(a, b, x)) - x)
-        try:
-            got = ch._log_scaled_1f1(a, b, x)
-        except specfun.ConvergenceError:
-            return
+        got, at = self.kernel_log(a, b, x)
+        want = self.mp_log(a, b, at)
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
-    def test_series_past_its_term_cap_raises(self):
-        # At x = 5b the series needs about x - b = 80,000 terms, past its
-        # cap, and the expansion is refused below 6b. The expansion alone
-        # gave -51628.40611 here, where 50-digit mpmath gives -51628.40608.
-        with pytest.raises(specfun.ConvergenceError, match="max_terms"):
-            ch._log_scaled_1f1(70.0, 20000.0, 1e5)
+    @pytest.mark.parametrize("a, b, x", [(70.0, 20000.0, 1e5), (70.0, 2000.0, 12000.0),
+                                         (70.0, 2000.0, 16000.0), (0.5, 2000.0, 1e4)])
+    def test_long_series_against_mpmath(self, a, b, x):
+        # The power series needs about x - b terms here, up to 80,000, and the
+        # expansion is refused below 6b or cancels; the rows around the
+        # largest term sum them. The expansion alone gave -51628.40611 at
+        # the first point, where 50-digit mpmath gives -51628.40608.
+        got, at = self.kernel_log(a, b, x)
+        want = self.mp_log(a, b, at, dps=50)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
 class TestSnrCcdf:
@@ -435,6 +479,19 @@ class TestSnrCcdf:
             gamma = ratio * law.gamma_bar
             want = oracle.ccdf(gamma)
             assert ch.snr_ccdf(law, gamma) == pytest.approx(want, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("law", [
+        ChannelParams(1.2, 1.2, db(-3.0), db(3.0), 3.7, 10.0),
+        ChannelParams(2.5, 0.5, db(-3.0), db(3.0), 3.7, 100.0),
+        ChannelParams(2.5, 2.5, db(-3.0), db(3.0), 2.0 * math.sqrt(3.0), 10.0),
+        TestSeriesOverflowLaw.PARAMS], ids=["8.98e-111", "2.12e-53", "5.19e-176", "pinned"])
+    def test_underflowing_first_sum_against_mpmath(self, law):
+        # Every term over the shared table underflows at these ratios; the
+        # first three are the benchmark's domain laws 42, 43 and 58 at 20.
+        ratio = 3.0 if law is TestSeriesOverflowLaw.PARAMS else 20.0
+        want = MpSnrLaw(law).ccdf(ratio * law.gamma_bar)
+        assert 0.0 < want < 1e-50
+        assert ch.snr_ccdf(law, ratio * law.gamma_bar) == pytest.approx(want, rel=1e-11, abs=0.0)
 
     def test_raises_where_its_table_passes_the_cap(self):
         # m_x = m_y = 1 at alpha = 2 is the exponential law, ccdf e^-gamma at gamma_bar = 1.

@@ -186,13 +186,13 @@ class TestPresets:
             assert exact == pytest.approx(closed_form, rel=1e-6)
 
     def test_fig1_bytes_pinned(self, capsys):
-        # Re-pinned when the normaliser moved to scipy's hyp2f1: of the 480
-        # exact cells, 401 moved towards the mpmath references, 63 moved away
-        # by at most 1.6e-15 relative and 16 kept their bytes.
+        # Re-pinned when the pdf moved onto the mixture density kernel: 441 of
+        # the 480 exact cells moved, by at most 1.1e-14 relative; no
+        # asymptotic cell moved.
         rc, out, _ = run_cli(capsys, "eval", "--fig", "1")
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "a777c27933901dcf13c3c834de86c9476b5a283bc2aa2be05480575dd5016226")
+            "b36728212f07a3f878b75361afaaf68abe2492f9c8d4133b1e9fda3c07af0621")
 
     def test_fig1_matches_mpmath(self, capsys):
         header, rows = preset_rows(capsys, "--fig", "1")

@@ -1,13 +1,15 @@
 """Line-of-sight dominated laws, beta_bar -> 1, against mpmath.
 
 The normaliser's 2F1 argument -bb/(1-bb) runs to -inf here. The pdf, the
-quadrature oracles and the normaliser hold at every beta_bar. The routes that
-loop over the negative-binomial weight table stop at its cap, and the mixture
-expectations, which sum the NB rows around each node's peak, stop once a node
-needs rows past 10^6.
+quadrature oracles, the normaliser and the mixture expectations hold at every
+beta_bar tested: the mixture density sums the NB rows around each node's peak
+only where x = bb e^t is below max(200, 6 m_x), and past it takes the large-x
+1F1 expansion. The routes that loop over the negative-binomial weight table
+stop at its cap.
 """
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -89,18 +91,37 @@ def test_mixture_past_the_table_against_quadrature(one_minus_bb):
         mt.aber_quadrature(pars, QAM16).value, rel=1e-11, abs=0.0)
 
 
+@pytest.mark.parametrize("one_minus_bb", [1e-4, 1e-6, 1e-8])
+def test_mixture_deep_in_los_against_mpmath(one_minus_bb):
+    # The NB mass centres near k = 1.2 / (1 - bb), up to 1.2e8 rows: every node
+    # there takes the large-x expansion. The comparison is with mpmath, as
+    # QUADPACK's 1F1 shares that expansion past x = 650.
+    pars = los_law(one_minus_bb)
+    ch.derived_constants.cache_clear()
+    start = time.perf_counter()
+    aber = mt.aber_mixture(pars, QAM16).value
+    capacity = mt.capacity_mixture(pars).value
+    elapsed = time.perf_counter() - start
+    ref = MpSnrLaw(pars)
+    assert aber == pytest.approx(ref.expect(_aber_h), rel=1e-12, abs=0.0)
+    assert capacity == pytest.approx(ref.expect(_capacity_h), rel=1e-12, abs=0.0)
+    assert elapsed < 0.05
+
+
 def test_weight_routes_stop_at_the_cap():
-    # At 1 - bb = 1e-7 the table would pass 100,000 weights, and the mixture
-    # density's nodes would need NB rows past 10^6.
+    # At 1 - bb = 1e-7 the table would pass 100,000 weights; the mixture
+    # expectations read no table, and their nodes past x = 200 take the
+    # large-x expansion instead of NB rows past 10^6.
     pars = los_law(1e-7)
     with pytest.raises(ConvergenceError, match="NB weight table"):
         ch.derived_constants(pars).nb_weights
     for route in (lambda: ch.snr_cdf(pars, pars.gamma_bar),
-                  lambda: mt.aber_mixture(pars, QAM16),
-                  lambda: mt.aber_exact(pars, QAM16),
                   lambda: mt.capacity_asymptotic(pars)):
         with pytest.raises(ConvergenceError):
             route()
+    want = MpSnrLaw(pars).expect(_aber_h)
+    for route in (mt.aber_mixture, mt.aber_exact):
+        assert route(pars, QAM16).value == pytest.approx(want, rel=1e-12, abs=0.0)
     # the pdf and the oracles need no weights
     assert ch.snr_pdf(pars, pars.gamma_bar) > 0.0
     assert 0.0 < mt.aber_quadrature(pars, QAM16).value < 0.5

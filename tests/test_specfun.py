@@ -95,7 +95,8 @@ class TestKummer1F1:
             sf.kummer_1f1(1.2, 1.5, 750.0)
 
     def test_finite_value_whose_terms_pass_2_to_512(self):
-        # 2.33e305: a plain sum's term overflows before its divisions.
+        # 2.33e305: a term multiplied by a + k and x before its divisions
+        # overflowed; each term is now the last times its ratio.
         a, b, x = 16.931223438418098, 10.062333911685316, 675.7559581384288
         with mpmath.workdps(40):
             want = float(mpmath.hyp1f1(a, b, x))
@@ -125,21 +126,6 @@ class TestKummer1F1:
             with pytest.raises(sf.ConvergenceError, match="6b"):
                 sf._log_scaled_1f1_large_x(a, b, x)
         sf._log_scaled_1f1_large_x(70.0, 100.0, 600.0)
-
-    @pytest.mark.parametrize("a, b, x", [(70.0, 300.0, 660.0), (300.0, 200.0, 1000.0),
-                                         (1.0, 300.0, 900.0), (400.0, 180.0, 1000.0)])
-    def test_scaled_series(self, a, b, x):
-        # Past where the plain series overflows or kummer_1f1 stops (x = 709).
-        with mpmath.workdps(40):
-            want = float(mpmath.log(mpmath.hyp1f1(a, b, x)) - x)
-        got = sf._log_scaled_1f1_series(a, b, x)
-        assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
-
-    def test_scaled_series_is_kummer_wherever_kummer_is_finite(self):
-        # The last two scale their terms (past 2^512) but the sum fits a float.
-        for a, b, x in ((2.5, 1.5, 120.0), (41.2887, 0.152354, 300.0), (0.3, 8.0, 300.0),
-                        (2.0, 60.0, 500.0), (50.0, 0.1, 520.0)):
-            assert sf._log_scaled_1f1_series(a, b, x) == math.log(sf.kummer_1f1(a, b, x)) - x
 
     def test_domain(self):
         with pytest.raises(ValueError):
