@@ -126,14 +126,14 @@ def count_density_work() -> list:
     def counting(*law):
         density = real_density(*law)
 
-        def wrapped(t):
+        def wrapped(t, *log_scale):
             counted[0] += t.size
-            return density(t)
+            return density(t, *log_scale)
         return wrapped
 
-    def summing(m_x, a, lo, t):
+    def summing(a, shapes, t, log_scale):
         counted[1] += a.size * t.size
-        return real_sum(m_x, a, lo, t)
+        return real_sum(a, shapes, t, log_scale)
 
     channel._mixture_density, channel._window_sum = counting, summing
     return counted

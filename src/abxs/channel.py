@@ -194,12 +194,11 @@ _WINDOW_MARGIN = specfun._CONTOUR_CUT + 8.0
 _MAX_ROWS = 1_000_000
 
 
-def _window_sum(m_x: float, a: np.ndarray, lo: int, t: np.ndarray) -> np.ndarray:
-    """sum_k e^(a_k + (m_x + k) t - e^t) over the rows k = lo..lo + a.size - 1, at each node t."""
-    shapes = m_x + np.arange(lo, lo + a.size)
+def _window_sum(a: np.ndarray, shapes: np.ndarray, t: np.ndarray, log_scale: float) -> np.ndarray:
+    """sum_k e^(a_k + s_k t - e^t + log_scale) over rows a with shapes s = m_x + k, at each node t."""
     if t.size == 1:  # the same sum as below, to the bit, without the 2-D broadcast
-        return np.exp(a + shapes * t[0] - np.exp(t[0])).sum()
-    return np.exp(a[:, None] + shapes[:, None] * t - np.exp(t)).sum(axis=0)
+        return np.exp(a + shapes * t[0] - (np.exp(t[0]) - log_scale)).sum()
+    return np.exp(a[:, None] + shapes[:, None] * t - (np.exp(t) - log_scale)).sum(axis=0)
 
 
 def _mixture_density(m_x: float, m_y: float, bb: float, one_minus_bb: float):
@@ -213,7 +212,11 @@ def _mixture_density(m_x: float, m_y: float, bb: float, one_minus_bb: float):
     every other node sums its rows as below.
 
     Row k is a_k = log w_k - lgamma(m_x + k), taken from log-gammas (xlogy
-    makes beta_bar = 0 a single row); no weight table is read. Term k at t
+    makes beta_bar = 0 a single row); no weight table is read. Its five
+    parts are added with the rounding of each addition carried, so a row
+    rounds once at the size of its largest part, not at every addition:
+    at (a, b, x) = (70, 300, 800) the plain sum was 3.6e-13 off in log L,
+    where the rounding errors of the parts themselves leave 3e-14. Term k at t
     is e^(a_k + k t) times a factor common to every k. The term ratio
     (m_y + k) x / ((m_x + k)(k + 1)), x = beta_bar e^t, crosses 1 at the
     larger root k*(t) of k^2 + (m_x + 1 - x) k + (m_x - m_y x), clipped at
@@ -222,8 +225,11 @@ def _mixture_density(m_x: float, m_y: float, bb: float, one_minus_bb: float):
     and below it they rise, apart from a fall from row 0 below the smaller
     crossing.
 
-    The returned function takes an increasing ndarray of nodes and sums
-    their rows in blocks: consecutive nodes while k* moves less than two
+    The returned function takes an increasing ndarray of nodes, and a
+    log_scale added to every exponent, so that a factor of the caller's
+    (the pdf's alpha / (2 gamma)) meets the density before its exponential
+    and the product underflows only where it is below the double range
+    itself. It sums the nodes' rows in blocks: consecutive nodes while k* moves less than two
     half-widths 10.4 sqrt(5 (k + 1)) + 4 (5 (k + 1) bounds the rows' local
     variance where they curve, 1 / (1/(k + 1) + 1/(m_x + k) - 1/(m_y + k))),
     and at most _MIXTURE_BLOCK of them. Each block sums the rows within
@@ -239,9 +245,9 @@ def _mixture_density(m_x: float, m_y: float, bb: float, one_minus_bb: float):
     at least geometrically, so they hold less than e^-_CONTOUR_CUT (e^-46)
     of the density at each node.
 
-    The rows k < _NB_MAX_WEIGHTS are kept in one read-only prefix that grows
-    on demand and is published whole; rows past it are computed per block
-    and not kept. A window that would reach row _MAX_ROWS (10^6) raises
+    The rows k < _NB_MAX_WEIGHTS are kept, each with its shape m_x + k, in
+    one read-only prefix that grows on demand and is published whole; rows
+    past it are computed per block and not kept. A window that would reach row _MAX_ROWS (10^6) raises
     ConvergenceError. Past the t at which a Chernoff bound, s = 0.9(1 - bb),
     puts P(U > e^t) below e^-745, the density is 0: an underflow-level cut,
     not a tolerance.
@@ -252,23 +258,29 @@ def _mixture_density(m_x: float, m_y: float, bb: float, one_minus_bb: float):
     log_bb = math.log(bb) if bb > 0.0 else -math.inf
     s = 0.9 * one_minus_bb
     t_max = math.log((745.0 + m_y * math.log(10.0) + (m_y - m_x) * math.log1p(-s)) / s)
-    kept = np.empty(0)
+    kept = np.empty((2, 0))
 
     def new_rows(lo: int, hi: int) -> np.ndarray:
+        """The rows lo..hi-1 over their shapes m_x + k, as one (2, hi - lo) array."""
         k = np.arange(lo, hi, dtype=float)
-        return gammaln(m_y + k) - gammaln(k + 1.0) - gammaln(m_x + k) + xlogy(k, bb) + log_head
+        total, carry = gammaln(m_y + k), 0.0
+        for part in (-gammaln(k + 1.0), -gammaln(m_x + k), log_head):
+            rounded = total + part  # Knuth's two-sum: carry what each addition rounds off
+            carry = carry + ((total - (rounded - (rounded - total))) + (part - (rounded - total)))
+            total = rounded
+        return np.stack((total + (carry + xlogy(k, bb)), m_x + k))  # -inf past row 0 at bb = 0
 
     def rows(lo: int, hi: int) -> np.ndarray:
         nonlocal kept
         if hi > _MAX_ROWS:
             raise specfun.ConvergenceError(f"mixture density needs NB rows past {_MAX_ROWS}")
         held = kept
-        if held.size < hi <= _NB_MAX_WEIGHTS:
-            size = min(max(hi, 2 * held.size, 64), _NB_MAX_WEIGHTS)
-            held = np.concatenate((held, new_rows(held.size, size)))
+        if held.shape[1] < hi <= _NB_MAX_WEIGHTS:
+            size = min(max(hi, 2 * held.shape[1], 64), _NB_MAX_WEIGHTS)
+            held = np.concatenate((held, new_rows(held.shape[1], size)), axis=1)
             held.flags.writeable = False
             kept = held
-        return held[lo:hi] if hi <= held.size else new_rows(lo, hi)
+        return held[:, lo:hi] if hi <= held.shape[1] else new_rows(lo, hi)
 
     row0 = rows(0, 1).item(0)
 
@@ -279,23 +291,23 @@ def _mixture_density(m_x: float, m_y: float, bb: float, one_minus_bb: float):
         k = max(0.5 * (math.sqrt(max(b * b - 4.0 * (m_x - m_y * x), 0.0)) - b), 0.0)
         return k, 10.4 * math.sqrt(5.0 * (k + 1.0)) + 4.0
 
-    def density(t: np.ndarray) -> np.ndarray:
+    def density(t: np.ndarray, log_scale: float = 0.0) -> np.ndarray:
         dens = np.zeros(t.shape)
         nodes = t.tolist()
         stop = bisect.bisect_right(nodes, t_max)
         first = bisect.bisect_left(nodes, edge, 0, stop, key=lambda v: bb * math.exp(v))
-        sum_rows(t, nodes, 0, first, dens)
+        sum_rows(t, nodes, 0, first, dens, log_scale)
         for i in range(first, stop):
             u = math.exp(nodes[i])
             try:
                 log_f = specfun._log_scaled_1f1_large_x(m_y, m_x, bb * u)
             except specfun.ConvergenceError:
-                sum_rows(t, nodes, i, i + 1, dens)
+                sum_rows(t, nodes, i, i + 1, dens, log_scale)
             else:
-                dens[i] = math.exp(log_norm + m_x * nodes[i] - one_minus_bb * u + log_f)
+                dens[i] = math.exp(log_norm + m_x * nodes[i] - one_minus_bb * u + log_f + log_scale)
         return dens
 
-    def sum_rows(t: np.ndarray, nodes: list, i: int, stop: int, dens: np.ndarray) -> None:
+    def sum_rows(t: np.ndarray, nodes: list, i: int, stop: int, dens, log_scale: float) -> None:
         while i < stop:
             (k0, half0), t0 = peak(nodes[i]), nodes[i]
             j = i + 1
@@ -307,7 +319,7 @@ def _mixture_density(m_x: float, m_y: float, bb: float, one_minus_bb: float):
             top0, top1 = math.ceil(k0), math.ceil(k1)  # the largest rows, as the ratio crosses 1
             lo, hi = max(math.floor(k0 - half0), 0), math.ceil(k1 + half1) + 1
             while True:
-                a = rows(lo, hi)
+                a, shapes = rows(lo, hi)
                 row = a.item  # a Python float, so the scalar tests below stay cheap
                 cut0 = row(top0 - lo) + top0 * t0 - _WINDOW_MARGIN
                 cut1 = row(top1 - lo) + top1 * t1 - _WINDOW_MARGIN
@@ -321,7 +333,7 @@ def _mixture_density(m_x: float, m_y: float, bb: float, one_minus_bb: float):
                 range(top0), True, lo, key=lambda k: row(k - lo) + k * t0 >= cut0)
             end = bisect.bisect_left(
                 range(hi), True, top1, key=lambda k: row(k - lo) + k * t1 < cut1)
-            dens[i:j] = _window_sum(m_x, a[start - lo:end - lo], start, t[i:j])
+            dens[i:j] = _window_sum(a[start - lo:end - lo], shapes[start - lo:end - lo], t[i:j], log_scale)
             i = j
     return density
 
@@ -346,8 +358,8 @@ class _DensityLattice:
 
     The kernel itself, :attr:`mixture_density`, also serves nodes off the
     lattice (the pdf's), with no memo. Memory: one float per node kept, and
-    the density's prefix of at most _NB_MAX_WEIGHTS (100,000) rows, which
-    every caller of the kernel shares. A lattice keeps the union of the nodes
+    the density's prefix of at most _NB_MAX_WEIGHTS (100,000) rows and their
+    shapes (1.6 MB), which every caller of the kernel shares. A lattice keeps the union of the nodes
     its gamma_bar values visit: on the benchmark's ``domain`` workload, 40
     lattices serve the 67 laws and hold at most 1,547 nodes (12 KB) each;
     after ``abxs eval --fig 2 --oracle``, 3 lattices hold 1,583 nodes (at
@@ -581,7 +593,10 @@ def snr_pdf(params: ChannelParams, gamma: float) -> float:
 
     The mixture t-density of the law's :class:`_DensityLattice` kernel at
     t = log u, u = (gamma/gamma_bar)^(alpha/2) / C, times dt/dgamma =
-    alpha / (2 gamma). At gamma = 0 the density is 0 for alpha*m_x > 2,
+    alpha / (2 gamma), which the kernel adds in logs before it exponentiates:
+    at small gamma the t-density alone can underflow where the pdf does not
+    (about 1e-228 at gamma = 1e-150 on ChannelParams(5, 1, 1, 1, 1, 10)).
+    At gamma = 0 the density is 0 for alpha*m_x > 2,
     finite for alpha*m_x = 2, and unbounded for alpha*m_x < 2 (reported as
     inf so downstream integrals keep working).
     """
@@ -589,7 +604,8 @@ def snr_pdf(params: ChannelParams, gamma: float) -> float:
         return _snr_density(params, gamma)
     dc = derived_constants(params)
     t = 0.5 * params.alpha * math.log(gamma / params.gamma_bar) - math.log(dc.c_alpha)
-    return dc.density_lattice.mixture_density(np.array([t])).item(0) * (0.5 * params.alpha) / gamma
+    log_scale = math.log(0.5 * params.alpha) - math.log(gamma)
+    return dc.density_lattice.mixture_density(np.array([t]), log_scale).item(0)
 
 
 def _gamma_mixture(params: ChannelParams, gamma, inc_gamma, tail: float = _NB_TAIL):
@@ -684,7 +700,10 @@ def bxs_envelope_pdf(params: ChannelParams, r: float) -> float:
     """Envelope density of the baseline (alpha = 2) Beaulieu-Xie shadowed model.
 
     Reference form for the alpha = 2 reduction tests and the sampler check;
-    the nonlinearity exponent is ignored.
+    the nonlinearity exponent is ignored. Its 1F1 is the oracle's reference
+    ``specfun._log_scaled_1f1``, independent of the density kernel, so it
+    raises ConvergenceError where x = bb m_x r^2 / omega_x passes 650 below
+    6 m_x (scipy's hyp1f1 is not taken past 650, the expansion not below 6b).
     """
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")

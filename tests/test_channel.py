@@ -317,6 +317,16 @@ class TestSnrPdf:
             # 7.6e1107 by 30-digit mpmath: past the largest double
             assert pdf(ChannelParams(400, 2, 1, 3, 0.005, 10), 0.0) == math.inf
 
+    @pytest.mark.parametrize("law, gamma", [((5, 1, 1, 1, 1, 10), 1e-150),
+                                            ((2, 1, 1, 1, 2, 10), 1e-200)])
+    def test_small_gamma_in_logs(self, law, gamma):
+        # The t-density alone underflows here (every row near e^-869 at the
+        # first law) while the pdf, times alpha / (2 gamma), is a normal double.
+        pars = ChannelParams(*law)
+        want = MpSnrLaw(pars).pdf(gamma)
+        assert 1e-300 < want < 1e-200
+        assert ch.snr_pdf(pars, gamma) == pytest.approx(want, rel=1e-12, abs=0.0)
+
 
 class TestSeriesOverflowLaw:
     """A law whose 1F1(m_y; m_x; bb u) power series overflows below x = 650.
@@ -360,6 +370,8 @@ class TestLogScaled1F1:
 
     The kernel's L is read off its t-density for the law m_x = b, m_y = a at
     1 - bb = 0.01, where the rest of the density's exponent costs no digits.
+    The rest is taken in mpmath from the kernel's own floats t, bb and
+    1 - bb (which do not sum to 1 exactly), and L is compared at x = bb e^t.
     """
 
     OMB = 0.01
@@ -370,25 +382,34 @@ class TestLogScaled1F1:
 
     @classmethod
     def kernel_log(cls, a, b, x):
-        """(the kernel's L at x' = bb e^t, x'), at the node t = log(x / bb)."""
+        """(the kernel's L at x' = bb e^t, x' as an mpmath number), at the node t = log(x / bb)."""
         bb = 1.0 - cls.OMB
         t = math.log(x / bb)
-        u = math.exp(t)
         dens = cls.kernel(a, b, [t]).item(0)
-        with mpmath.workdps(40):
-            rest = a * mpmath.log(cls.OMB) - mpmath.loggamma(b) + b * t - cls.OMB * mpmath.exp(t)
+        with mpmath.workdps(50):
+            u = mpmath.exp(mpmath.mpf(t))
+            rest = (a * mpmath.log(cls.OMB) - mpmath.loggamma(b) + mpmath.mpf(b) * t
+                    - (1 - mpmath.mpf(bb)) * u)
             return float(mpmath.log(dens) - rest), bb * u
 
     @staticmethod
     def mp_log(a, b, x, dps=40):
         with mpmath.workdps(dps):
+            x = mpmath.mpf(x)
             return float(mpmath.log(mpmath.hyp1f1(a, b, x)) - x)
 
     @pytest.mark.parametrize("x", [200.0, 300.0, 400.0, 500.0, 600.0])
     def test_against_mpmath(self, x):
+        # Where x >= max(200, 6b) the kernel adds the expansion's L to the
+        # exponent (test_switch_rule), so that L is checked itself: read off
+        # the density it would carry the rounding of the exponent's other
+        # parts (m_x t about 300 at b = 50). Elsewhere the rows' L is read
+        # off the density.
         for a in (0.1, 0.7, 3.0, 10.0, 25.0, 50.0):
             for b in (0.15, 1.5, 8.0, 20.0, 50.0):
                 got, at = self.kernel_log(a, b, x)
+                if at >= max(200.0, 6.0 * b):
+                    got = specfun._log_scaled_1f1_large_x(a, b, float(at))
                 want = self.mp_log(a, b, at)
                 assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (a, b)
 
@@ -415,13 +436,13 @@ class TestLogScaled1F1:
     @pytest.mark.parametrize("x", [660.0, 800.0])
     def test_past_650_below_6b(self, x):
         # The large-x expansion converged to a wrong value here (-329.955
-        # for -337.286 at x = 660); the kernel sums the rows (3.4e-13 off in
-        # the log at x = 800), and the oracle's reference 1F1 raises instead.
+        # for -337.286 at x = 660); the kernel sums the rows, and the
+        # oracle's reference 1F1 raises instead.
         got, at = self.kernel_log(70.0, 300.0, x)
         want = self.mp_log(70.0, 300.0, at)
-        assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+        assert abs(got - want) <= 1e-13
         try:
-            ref = specfun._log_scaled_1f1(70.0, 300.0, at)
+            ref = specfun._log_scaled_1f1(70.0, 300.0, float(at))
         except specfun.ConvergenceError:
             return
         assert abs(ref - want) <= 1e-13
@@ -456,6 +477,15 @@ class TestLogScaled1F1:
         got, at = self.kernel_log(a, b, x)
         want = self.mp_log(a, b, at, dps=50)
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+class TestBxsEnvelopePdf:
+    def test_raises_past_650_below_6b(self):
+        # x = bb m_x r^2 / omega_x = 1459 at r^2 = 3 (omega_x + omega_y): past
+        # scipy's range and below 6 m_x, where the reference 1F1 refuses.
+        pars = ChannelParams(300, 70, 1, 1, 2, 10)
+        with pytest.raises(specfun.ConvergenceError):
+            ch.bxs_envelope_pdf(pars, math.sqrt(3.0 * (pars.omega_x + pars.omega_y)))
 
 
 class TestSnrCcdf:

@@ -537,11 +537,18 @@ class TestSmallAlphaCapacity:
 
 def nb_rows(shape, hi):
     """Rows a_k = log w_k - lgamma(m_x + k), k < hi, of shape (m_x, m_y, bb, 1 - bb), as
-    channel._mixture_density takes them."""
+    channel._mixture_density takes them: the log-gamma parts and the head added
+    with each addition's rounding carried (two-sum), then k log bb."""
     m_x, m_y, bb, one_minus_bb = shape
     k = np.arange(hi, dtype=float)
-    return (gammaln(m_y + k) - gammaln(k + 1.0) - gammaln(m_x + k) + xlogy(k, bb)
-            + (m_y * math.log(one_minus_bb) - math.lgamma(m_y)))
+    total, carry = gammaln(m_y + k), 0.0
+    for part in (-gammaln(k + 1.0), -gammaln(m_x + k),
+                 m_y * math.log(one_minus_bb) - math.lgamma(m_y)):
+        rounded = total + part
+        back = rounded - total
+        carry = carry + ((total - (rounded - back)) + (part - back))
+        total = rounded
+    return total + (carry + xlogy(k, bb))
 
 
 class TestMixtureWindow:
@@ -574,8 +581,9 @@ class TestMixtureWindow:
         out = []
         source = [None, None]  # index, shape
 
-        def recording(m_x, a, lo, t):
-            dens = real(m_x, a, lo, t)
+        def recording(a, shapes, t, log_scale):
+            dens = real(a, shapes, t, log_scale)
+            lo = round(shapes[0] - source[1][0])  # the first row, shape m_x + lo
             out.append((*source, t.copy(), lo, lo + a.size, dens.copy()))
             return dens
 
