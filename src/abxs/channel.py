@@ -5,7 +5,9 @@ Channel parameters, derived constants, exact and asymptotic SNR statistics
 Beaulieu-Xie shadowed envelope density used by the reduction tests.
 
 All quantities are in linear units; dB conversion happens at the CLI
-boundary only. Everything here is scalar, pure and thread-safe.
+boundary only. The SNR pdf, cdf and ccdf take a float or an ndarray of
+gamma (one kernel call per array); everything else here takes scalars.
+Everything is pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -194,11 +196,9 @@ _WINDOW_MARGIN = specfun._CONTOUR_CUT + 8.0
 _MAX_ROWS = 1_000_000
 
 
-def _window_sum(a: np.ndarray, shapes: np.ndarray, t: np.ndarray, log_scale: float) -> np.ndarray:
-    """sum_k e^(a_k + s_k t - e^t + log_scale) over rows a with shapes s = m_x + k, at each node t."""
-    if t.size == 1:  # the same sum as below, to the bit, without the 2-D broadcast
-        return np.exp(a + shapes * t[0] - (np.exp(t[0]) - log_scale)).sum()
-    return np.exp(a[:, None] + shapes[:, None] * t - (np.exp(t) - log_scale)).sum(axis=0)
+def _window_sum(a: np.ndarray, shapes: np.ndarray, t: np.ndarray, log_scale) -> np.ndarray:
+    """sum_k e^(a_k + s_k t - e^t + log_scale) at each node t, over columns a and s = m_x + k."""
+    return np.exp(a + shapes * t - (np.exp(t) - log_scale)).sum(axis=0)
 
 
 def _mixture_density(m_x: float, m_y: float, bb: float, one_minus_bb: float):
@@ -225,13 +225,15 @@ def _mixture_density(m_x: float, m_y: float, bb: float, one_minus_bb: float):
     and below it they rise, apart from a fall from row 0 below the smaller
     crossing.
 
-    The returned function takes an increasing ndarray of nodes, and a
-    log_scale added to every exponent, so that a factor of the caller's
-    (the pdf's alpha / (2 gamma)) meets the density before its exponential
-    and the product underflows only where it is below the double range
-    itself. It sums the nodes' rows in blocks: consecutive nodes while k* moves less than two
-    half-widths 10.4 sqrt(5 (k + 1)) + 4 (5 (k + 1) bounds the rows' local
-    variance where they curve, 1 / (1/(k + 1) + 1/(m_x + k) - 1/(m_y + k))),
+    The returned function takes a non-decreasing ndarray of nodes, and a
+    log_scale added to every exponent (a float, or an ndarray with one
+    entry per node; which of the two is decided once per call), so that a
+    factor of the caller's (the pdf's alpha / (2 gamma)) meets the density
+    before its exponential and the product underflows only where it is
+    below the double range itself. It sums the nodes' rows in blocks: consecutive
+    nodes while k* moves less than two half-widths 10.4 sqrt(5 (k + 1)) + 4
+    (5 (k + 1) bounds the rows' local variance where they curve,
+    1 / (1/(k + 1) + 1/(m_x + k) - 1/(m_y + k))),
     and at most _MIXTURE_BLOCK of them. Each block sums the rows within
     e^-_WINDOW_MARGIN of the largest row at its first node t0 (for the rows
     below k*) and at its last node t1 (above it): the window starts a
@@ -270,7 +272,8 @@ def _mixture_density(m_x: float, m_y: float, bb: float, one_minus_bb: float):
             total = rounded
         return np.stack((total + (carry + xlogy(k, bb)), m_x + k))  # -inf past row 0 at bb = 0
 
-    def rows(lo: int, hi: int) -> np.ndarray:
+    def rows(lo: int, hi: int):
+        """(the rows lo..hi-1, their shapes), two (hi - lo, 1) columns."""
         nonlocal kept
         if hi > _MAX_ROWS:
             raise specfun.ConvergenceError(f"mixture density needs NB rows past {_MAX_ROWS}")
@@ -280,9 +283,11 @@ def _mixture_density(m_x: float, m_y: float, bb: float, one_minus_bb: float):
             held = np.concatenate((held, new_rows(held.shape[1], size)), axis=1)
             held.flags.writeable = False
             kept = held
-        return held[:, lo:hi] if hi <= held.shape[1] else new_rows(lo, hi)
+        if hi > held.shape[1]:
+            held, lo, hi = new_rows(lo, hi), 0, hi - lo
+        return held[0, lo:hi, None], held[1, lo:hi, None]
 
-    row0 = rows(0, 1).item(0)
+    row0 = rows(0, 1)[0].item(0)
 
     def peak(t: float):
         """(k*(t), the window's half-width there)."""
@@ -291,31 +296,31 @@ def _mixture_density(m_x: float, m_y: float, bb: float, one_minus_bb: float):
         k = max(0.5 * (math.sqrt(max(b * b - 4.0 * (m_x - m_y * x), 0.0)) - b), 0.0)
         return k, 10.4 * math.sqrt(5.0 * (k + 1.0)) + 4.0
 
-    def density(t: np.ndarray, log_scale: float = 0.0) -> np.ndarray:
+    def density(t: np.ndarray, log_scale=0.0) -> np.ndarray:
         dens = np.zeros(t.shape)
         nodes = t.tolist()
         stop = bisect.bisect_right(nodes, t_max)
         first = bisect.bisect_left(nodes, edge, 0, stop, key=lambda v: bb * math.exp(v))
-        sum_rows(t, nodes, 0, first, dens, log_scale)
+        # scale(i) or scale(slice): the pdf's scale per node, or one float for every node
+        scale = log_scale.__getitem__ if isinstance(log_scale, np.ndarray) else lambda _: log_scale
+        sum_rows(t, scale, nodes, 0, first, dens)
         for i in range(first, stop):
             u = math.exp(nodes[i])
             try:
                 log_f = specfun._log_scaled_1f1_large_x(m_y, m_x, bb * u)
             except specfun.ConvergenceError:
-                sum_rows(t, nodes, i, i + 1, dens, log_scale)
+                sum_rows(t, scale, nodes, i, i + 1, dens)
             else:
-                dens[i] = math.exp(log_norm + m_x * nodes[i] - one_minus_bb * u + log_f + log_scale)
+                dens[i] = math.exp(log_norm + m_x * nodes[i] - one_minus_bb * u + log_f + scale(i))
         return dens
 
-    def sum_rows(t: np.ndarray, nodes: list, i: int, stop: int, dens, log_scale: float) -> None:
+    def sum_rows(t: np.ndarray, scale, nodes: list, i: int, stop: int, dens) -> None:
         while i < stop:
             (k0, half0), t0 = peak(nodes[i]), nodes[i]
-            j = i + 1
-            if j < stop:
-                reach = k0 + 2.0 * half0
-                t_reach = math.log((reach + 1.0) * (reach + m_x) / (reach + m_y)) - log_bb
-                j = bisect.bisect_left(nodes, t_reach, j, min(stop, i + _MIXTURE_BLOCK))
-            (k1, half1), t1 = ((k0, half0), t0) if j == i + 1 else (peak(nodes[j - 1]), nodes[j - 1])
+            reach = k0 + 2.0 * half0
+            t_reach = math.log((reach + 1.0) * (reach + m_x) / (reach + m_y)) - log_bb
+            j = bisect.bisect_left(nodes, t_reach, i + 1, min(stop, i + _MIXTURE_BLOCK))
+            (k1, half1), t1 = peak(nodes[j - 1]), nodes[j - 1]
             top0, top1 = math.ceil(k0), math.ceil(k1)  # the largest rows, as the ratio crosses 1
             lo, hi = max(math.floor(k0 - half0), 0), math.ceil(k1 + half1) + 1
             while True:
@@ -333,7 +338,8 @@ def _mixture_density(m_x: float, m_y: float, bb: float, one_minus_bb: float):
                 range(top0), True, lo, key=lambda k: row(k - lo) + k * t0 >= cut0)
             end = bisect.bisect_left(
                 range(hi), True, top1, key=lambda k: row(k - lo) + k * t1 < cut1)
-            dens[i:j] = _window_sum(a[start - lo:end - lo], shapes[start - lo:end - lo], t[i:j], log_scale)
+            dens[i:j] = _window_sum(a[start - lo:end - lo], shapes[start - lo:end - lo], t[i:j],
+                                    scale(slice(i, j)))
             i = j
     return density
 
@@ -588,8 +594,20 @@ def _snr_density(params: ChannelParams, gamma: float) -> float:
     return math.exp(log_f)
 
 
-def snr_pdf(params: ChannelParams, gamma: float) -> float:
-    """Instantaneous-SNR density f(gamma).
+def _elementwise(gamma, statistic):
+    """statistic over gamma as a 1-D float ndarray, returned in gamma's shape; a float for a scalar.
+
+    Raises ValueError, before any other work, if an entry is negative.
+    """
+    g = np.asarray(gamma, dtype=float)
+    if (g < 0.0).any():
+        raise ValueError(f"gamma must be >= 0, got {g[g < 0.0].min()}")
+    out = statistic(g.ravel()).reshape(g.shape)
+    return out if g.ndim else float(out)
+
+
+def snr_pdf(params: ChannelParams, gamma):
+    """Instantaneous-SNR density f(gamma), at a float or at each entry of an ndarray.
 
     The mixture t-density of the law's :class:`_DensityLattice` kernel at
     t = log u, u = (gamma/gamma_bar)^(alpha/2) / C, times dt/dgamma =
@@ -599,7 +617,17 @@ def snr_pdf(params: ChannelParams, gamma: float) -> float:
     At gamma = 0 the density is 0 for alpha*m_x > 2,
     finite for alpha*m_x = 2, and unbounded for alpha*m_x < 2 (reported as
     inf so downstream integrals keep working).
+
+    A float (or a 0-d array) gives a float, from one kernel call at one node.
+    An ndarray gives an ndarray of its shape, from one kernel call at its
+    sorted distinct entries > 0; a 0 or NaN entry is what the float call
+    gives. An array entry may differ from the float call in the last bits
+    (within 2e-15 relative where measured): a kernel block sums the union
+    of its nodes' row windows, and numpy's log may round otherwise than
+    math's. A negative entry raises ValueError.
     """
+    if isinstance(gamma, np.ndarray) and gamma.ndim:
+        return _elementwise(gamma, lambda g: _pdf_array(params, g))
     if not gamma > 0.0:
         return _snr_density(params, gamma)
     dc = derived_constants(params)
@@ -608,31 +636,50 @@ def snr_pdf(params: ChannelParams, gamma: float) -> float:
     return dc.density_lattice.mixture_density(np.array([t]), log_scale).item(0)
 
 
-def _gamma_mixture(params: ChannelParams, gamma, inc_gamma, tail: float = _NB_TAIL):
+def _pdf_array(params: ChannelParams, gamma: np.ndarray) -> np.ndarray:
+    """snr_pdf at each entry of the 1-D array gamma (no entry negative)."""
+    out = np.empty(gamma.shape)
+    positive = gamma > 0.0
+    out[~positive] = [_snr_density(params, g) for g in gamma[~positive].tolist()]
+    nodes, back = np.unique(gamma[positive], return_inverse=True)
+    dc = derived_constants(params)
+    t = 0.5 * params.alpha * np.log(nodes / params.gamma_bar) - math.log(dc.c_alpha)
+    log_scale = math.log(0.5 * params.alpha) - np.log(nodes)
+    out[positive] = dc.density_lattice.mixture_density(t, log_scale)[back]
+    return out
+
+
+def _gamma_mixture(params: ChannelParams, gamma: np.ndarray, inc_gamma, tail: float = _NB_TAIL):
     """sum_k w_k inc_gamma(m_x + k, u) at u = (gamma/gamma_bar)^(alpha/2) / C, capped at 1.
 
     The weights are :func:`_nb_weights` leaving out at most ``tail``, the
-    law's ``nb_weights`` at _NB_TAIL. ``gamma`` may be an ndarray; one pass
-    per weight keeps the memory proportional to it.
+    law's ``nb_weights`` at _NB_TAIL. ``gamma`` is a 1-D ndarray; one pass
+    per weight keeps the memory proportional to it. The power is
+    ``np.float_power``, C's pow at each entry: ``np.power``'s vectorised
+    loop can differ from it in the last bit, and an entry's value would then
+    depend on the array it came in.
     """
     dc = derived_constants(params)
     weights = dc.nb_weights if tail == _NB_TAIL else _nb_weights(
         params.m_y, dc.beta_bar, dc.one_minus_beta_bar, tail)
-    u = (np.asarray(gamma, dtype=float) / params.gamma_bar) ** (params.alpha / 2.0) / dc.c_alpha
+    u = np.float_power(gamma / params.gamma_bar, params.alpha / 2.0) / dc.c_alpha
     total = np.zeros_like(u)
     for k, w in enumerate(weights):
         total += w * inc_gamma(params.m_x + k, u)
     return np.minimum(total, 1.0)
 
 
-def snr_cdf(params: ChannelParams, gamma: float) -> float:
-    """SNR distribution function: the NB mixture of regularized lower incomplete gammas."""
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    return float(_gamma_mixture(params, gamma, gammainc))
+def snr_cdf(params: ChannelParams, gamma):
+    """SNR distribution function: the NB mixture of regularized lower incomplete gammas.
+
+    A float (or a 0-d array) gives a float; an ndarray gives an ndarray of
+    its shape, each entry the float call's value to the bit. A negative
+    entry raises ValueError.
+    """
+    return _elementwise(gamma, lambda g: _gamma_mixture(params, g, gammainc))
 
 
-def snr_ccdf(params: ChannelParams, gamma: float) -> float:
+def snr_ccdf(params: ChannelParams, gamma):
     """Complementary cdf: the NB mixture of regularized upper incomplete gammas.
 
     Its upper tail lies in the weights past the table's cut, so a sum whose
@@ -642,17 +689,27 @@ def snr_ccdf(params: ChannelParams, gamma: float) -> float:
     While a sum is 0 the tail is squared (1e-28, 1e-56, ... down to the
     smallest double) and the sum taken again; one that stays 0 is returned.
     Raises ConvergenceError where a table would pass _NB_MAX_WEIGHTS entries.
+
+    A float (or a 0-d array) gives a float; an ndarray gives an ndarray of
+    its shape, each entry the float call's value to the bit: the first sum
+    runs over every entry, and each retry only over the entries that need
+    it. A negative entry raises ValueError.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    if gamma == 0.0:
-        return 1.0
-    tail, value = _NB_TAIL, float(_gamma_mixture(params, gamma, gammaincc))
-    while value == 0.0 and tail > math.ulp(0.0):
+    return _elementwise(gamma, lambda g: _ccdf_array(params, g))
+
+
+def _ccdf_array(params: ChannelParams, gamma: np.ndarray) -> np.ndarray:
+    """snr_ccdf at each entry of the 1-D array gamma (no entry negative)."""
+    value = _gamma_mixture(params, gamma, gammaincc)
+    value[gamma == 0.0] = 1.0
+    tail, zero = _NB_TAIL, value == 0.0
+    while zero.any() and tail > math.ulp(0.0):
         tail = max(tail * tail, math.ulp(0.0))
-        value = float(_gamma_mixture(params, gamma, gammaincc, tail))
-    if 0.0 < specfun._REL_TOL * value < _NB_TAIL:
-        value = float(_gamma_mixture(params, gamma, gammaincc, specfun._REL_TOL * value))
+        value[zero] = _gamma_mixture(params, gamma[zero], gammaincc, tail)
+        zero = value == 0.0
+    retry = specfun._REL_TOL * value
+    for i in np.flatnonzero((0.0 < retry) & (retry < _NB_TAIL)):
+        value[i] = _gamma_mixture(params, gamma[i:i + 1], gammaincc, retry[i])[0]
     return value
 
 

@@ -21,6 +21,8 @@ import math
 import re
 import sys
 
+import numpy as np
+
 from . import metrics, montecarlo
 from .channel import ChannelParams, snr_cdf, snr_cdf_asymptotic, snr_pdf, snr_pdf_asymptotic
 from .metrics import ModulationScheme
@@ -224,19 +226,29 @@ def _resolve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> argpa
                                  **preset, **given})
 
 
-def _eval_row(metric: str, params: ChannelParams, mod, gamma, want_oracle, mc_cfg):
+def _curve_exact(metric: str, jobs) -> list:
+    """The ``exact`` cells of one pdf or cdf curve, from one call over its gamma grid."""
+    statistic = snr_pdf if metric == "pdf" else snr_cdf
+    try:
+        return statistic(jobs[0][3], np.array([job[4] for job in jobs])).tolist()
+    except (ConvergenceError, OverflowError, ValueError, ZeroDivisionError) as err:
+        raise NumericalFailure(f"{metric} evaluation", err)
+
+
+def _eval_row(metric: str, params: ChannelParams, mod, gamma, exact, want_oracle, mc_cfg):
     """(exact, asymptotic, oracle?, mc?, mc_se?) for one grid point.
 
-    The aber and capacity ``exact`` cells are the gamma-mixture expectation,
+    The pdf and cdf ``exact`` cell comes in, from :func:`_curve_exact`. The
+    aber and capacity ``exact`` cells are the gamma-mixture expectation,
     the value ``aber_exact`` / ``capacity_exact`` return.
     """
     out = []
     try:
         if metric == "pdf":
-            out.append(snr_pdf(params, gamma))
+            out.append(exact)
             out.append(snr_pdf_asymptotic(params, gamma))
         elif metric == "cdf":
-            out.append(snr_cdf(params, gamma))
+            out.append(exact)
             out.append(snr_cdf_asymptotic(params, gamma))
             if want_oracle:
                 out.append(metrics.cdf_quadrature(params, gamma))
@@ -273,8 +285,9 @@ def cmd_eval(args) -> int:
         mc_cfg = montecarlo.SimulationConfig(seed=args.seed, trials=args.mc,
                                              streams=args.streams)
 
-    # Build the grid: (curve_label_cols, sweep_col_name, sweep_value, params, gamma)
-    jobs = []
+    # Build the grid, one list of jobs per curve:
+    # (curve_label_cols, sweep_col_name, sweep_value, params, gamma)
+    curves = []
     for curve in args.curves:
         overrides = dict(curve)
         label_cols = list(curve.items())
@@ -284,30 +297,30 @@ def cmd_eval(args) -> int:
             if len(snr_vals) != 1:
                 raise NumericalFailure("eval", ValueError(
                     "pdf/cdf sweeps run over --gamma; give a single --snr-db"))
-            for g in parse_range(str(args.gamma)):
-                pars = _make_params(args, overrides, snr_db=snr_vals[0])
-                jobs.append((label_cols, "gamma", g, pars, g))
+            snr_db = snr_vals[0]
+            curves.append([(label_cols, "gamma", g, _make_params(args, overrides, snr_db=snr_db), g)
+                           for g in parse_range(str(args.gamma))])
         elif args.sweep:
             var, _, rng = str(args.sweep).partition("=")
-            jobs.extend(_sweep_jobs(args, overrides, var.strip(), parse_range(rng), label_cols))
+            curves.append(_sweep_jobs(args, overrides, var.strip(), parse_range(rng), label_cols))
         else:
-            jobs.extend(_sweep_jobs(args, overrides, "gamma_bar_db",
-                                    parse_range(str(args.snr_db)), label_cols))
+            curves.append(_sweep_jobs(args, overrides, "gamma_bar_db",
+                                      parse_range(str(args.snr_db)), label_cols))
 
-    header = []
-    if jobs and jobs[0][0]:
-        header.extend(name for name, _ in jobs[0][0])
-    header.extend([jobs[0][1] if jobs else "x", "exact", "asymptotic"])
+    label_cols, sweep_name = curves[0][0][:2]
+    header = [name for name, _ in label_cols] + [sweep_name, "exact", "asymptotic"]
     if args.oracle:
         header.append("oracle")
     if mc_cfg is not None:
         header.extend(["mc", "mc_se"])
     print(",".join(header))
 
-    for label_cols, _, sweep_val, pars, gamma in jobs:
-        values = _eval_row(metric, pars, mod, gamma, args.oracle, mc_cfg)
-        cells = [_fmt(v) for _, v in label_cols] + [_fmt(sweep_val)] + [_fmt(v) for v in values]
-        print(",".join(cells))
+    for jobs in curves:
+        exact = _curve_exact(metric, jobs) if metric in ("pdf", "cdf") else [None] * len(jobs)
+        for (label_cols, _, sweep_val, pars, gamma), cell in zip(jobs, exact):
+            values = _eval_row(metric, pars, mod, gamma, cell, args.oracle, mc_cfg)
+            cells = [_fmt(v) for _, v in label_cols] + [_fmt(sweep_val)] + [_fmt(v) for v in values]
+            print(",".join(cells))
     return 0
 
 
@@ -345,8 +358,6 @@ def _make_params(args, overrides, snr_db):
 
 
 def cmd_simulate(args) -> int:
-    import numpy as np
-
     snr_vals = parse_range(str(args.snr_db))
     if len(snr_vals) != 1:
         raise NumericalFailure("simulate", ValueError("simulate takes a single --snr-db"))
@@ -361,6 +372,7 @@ def cmd_simulate(args) -> int:
         edges = np.linspace(0.0, hi, args.bins + 1)
         counts, edges = np.histogram(samples, bins=edges)
         density = counts / (samples.size * np.diff(edges))
+        model = snr_pdf(pars, 0.5 * (edges[:-1] + edges[1:]))  # at the bin centres
         ks = montecarlo.ks_statistic(samples, montecarlo.snr_cdf_fn(pars))
         crit = montecarlo.ks_critical_1pct(samples.size)
         mean = float(samples.mean())
@@ -370,10 +382,8 @@ def cmd_simulate(args) -> int:
 
     print("bin_lo,bin_hi,count,empirical_density,model_pdf")
     for i in range(len(counts)):
-        center = 0.5 * (edges[i] + edges[i + 1])
-        model = snr_pdf(pars, center)
         print(",".join([_fmt(edges[i]), _fmt(edges[i + 1]), str(int(counts[i])),
-                        _fmt(float(density[i])), _fmt(model)]))
+                        _fmt(float(density[i])), _fmt(model[i])]))
     z = (mean - pars.gamma_bar) / se if se > 0 else 0.0
     print(f"# samples={samples.size} sample_mean={_fmt(mean)} "
           f"gamma_bar={_fmt(pars.gamma_bar)} mean_z_score={_fmt(z)}")

@@ -188,11 +188,8 @@ def mc_capacity(params: ChannelParams, cfg: SimulationConfig):
 
 
 def snr_cdf_fn(params: ChannelParams):
-    """Vectorized SNR cdf closure (ndarray in, ndarray out) for KS testing.
-
-    The scalar cdf's mixture sum_k w_k P(m_x + k, u), taken over the array.
-    """
-    return lambda g: channel._gamma_mixture(params, g, sp_special.gammainc)
+    """SNR cdf closure (ndarray in, ndarray out) for KS testing: ``channel.snr_cdf`` on an array."""
+    return lambda g: channel.snr_cdf(params, g)
 
 
 # How far a cdf closure may step down between sorted points by rounding alone

@@ -523,6 +523,13 @@ class TestSnrCcdf:
         assert 0.0 < want < 1e-50
         assert ch.snr_ccdf(law, ratio * law.gamma_bar) == pytest.approx(want, rel=1e-11, abs=0.0)
 
+    def test_array_retries_only_the_entries_that_need_them(self):
+        # domain law 42: its first sum underflows at 20 gamma_bar and needs a
+        # second table below 1e-2; neither retry may touch the other entries
+        law = ChannelParams(1.2, 1.2, db(-3.0), db(3.0), 3.7, 10.0)
+        gamma = law.gamma_bar * np.array([20.0, 0.5, 3.0, 0.0, 20.0, 1e-3])
+        assert ch.snr_ccdf(law, gamma).tolist() == [ch.snr_ccdf(law, g) for g in gamma.tolist()]
+
     def test_raises_where_its_table_passes_the_cap(self):
         # m_x = m_y = 1 at alpha = 2 is the exponential law, ccdf e^-gamma at gamma_bar = 1.
         # 1 - beta_bar = 4e-4: the shared table has 80,575 weights, but e^-10 needs
@@ -587,6 +594,92 @@ class TestSnrCdf:
         for g in (0.3, 1.0, 3.0):
             fd = (ch.snr_cdf(pars, g + h) - ch.snr_cdf(pars, g - h)) / (2.0 * h)
             assert fd == pytest.approx(ch.snr_pdf(pars, g), rel=1e-6)
+
+
+STATISTICS = (ch.snr_pdf, ch.snr_cdf, ch.snr_ccdf)
+
+
+class TestArrayStatistics:
+    """snr_pdf, snr_cdf and snr_ccdf over an ndarray: the scalar calls' values, in its shape.
+
+    The cdf and ccdf entries are the scalar values to the bit; a pdf entry
+    may move in the last bits (one kernel call sums the union of its nodes'
+    windows), so it is held to 4e-15 relative.
+    """
+
+    LAWS = [fig1_params(a) for a in FIG1_ALPHAS] + [ChannelParams(*law) for law in MONTECARLO_LAWS]
+
+    @staticmethod
+    def scalar(stat, pars, gamma):
+        return [stat(pars, g) for g in np.asarray(gamma, dtype=float).ravel().tolist()]
+
+    @pytest.mark.parametrize("pars", LAWS)
+    def test_matches_the_scalar_calls(self, pars):
+        gamma = pars.gamma_bar * np.geomspace(1e-3, 30.0, 120)
+        for stat in (ch.snr_cdf, ch.snr_ccdf):
+            assert stat(pars, gamma).tolist() == self.scalar(stat, pars, gamma)
+        assert ch.snr_pdf(pars, gamma).tolist() == pytest.approx(
+            self.scalar(ch.snr_pdf, pars, gamma), rel=4e-15, abs=0.0)
+
+    @pytest.mark.parametrize("stat", STATISTICS)
+    def test_shapes(self, stat):
+        pars = fig1_params(2.0)
+        for scalar in (1.5, np.float64(1.5), np.array(1.5)):
+            assert type(stat(pars, scalar)) is float
+        assert stat(pars, np.array(1.5)) == stat(pars, 1.5)
+        grid = np.array([[0.5, 1.0, 2.0], [3.0, 0.1, 5.0]])
+        for gamma in (grid, grid.T, grid[0]):
+            got = stat(pars, gamma)
+            assert isinstance(got, np.ndarray) and got.shape == gamma.shape
+            assert got.ravel().tolist() == pytest.approx(self.scalar(stat, pars, gamma),
+                                                         rel=4e-15, abs=0.0)
+        for empty in (np.empty(0), np.empty((0, 3))):
+            assert stat(pars, empty).shape == empty.shape
+
+    @pytest.mark.parametrize("stat", STATISTICS)
+    def test_unsorted_and_repeated(self, stat):
+        pars = fig1_params(1.0)
+        gamma = np.array([3.0, 0.2, 3.0, 1.0, 0.2, 7.5, 1.0, 0.0])
+        got = stat(pars, gamma)
+        order = np.argsort(gamma, kind="stable")
+        assert got[order].tolist() == stat(pars, gamma[order]).tolist()
+        assert got[0] == got[2] and got[1] == got[4] and got[3] == got[6]
+
+    @pytest.mark.parametrize("m_x", [0.5, 1.0, 1.6], ids=["pole", "finite", "zero"])
+    def test_zero_entries(self, m_x):
+        # alpha m_x = 1, 2 and 3.2: the pdf at 0 is inf, finite and 0
+        pars = ChannelParams(m_x, 1.5, 1.0, 1.0, 2.0, 2.0)
+        gamma = np.array([0.0, 1.0, 0.0, 4.0])
+        for stat in STATISTICS:
+            got = stat(pars, gamma)
+            assert got[0] == got[2] == stat(pars, 0.0)
+            assert got[1] == pytest.approx(stat(pars, 1.0), rel=4e-15, abs=0.0)
+
+    @pytest.mark.parametrize("stat", STATISTICS)
+    def test_nan_entries(self, stat):
+        pars = fig1_params(4.0)
+        assert math.isnan(stat(pars, math.nan))
+        got = stat(pars, np.array([1.0, math.nan, 0.0, math.nan]))
+        assert np.isnan(got).tolist() == [False, True, False, True]
+        assert got[0] == pytest.approx(stat(pars, 1.0), rel=4e-15, abs=0.0)
+
+    @pytest.mark.parametrize("stat", STATISTICS)
+    def test_a_negative_entry_raises(self, stat):
+        pars = fig1_params(2.0)
+        for gamma in (np.array([1.0, 2.0, -1e-300]), np.array([[1.0, math.nan], [-3.0, 0.0]]),
+                      np.array(-0.5)):
+            with pytest.raises(ValueError, match="gamma must be >= 0"):
+                stat(pars, gamma)
+
+    def test_small_gamma_in_logs_in_an_array(self):
+        # TestSnrPdf.test_small_gamma_in_logs's first law, with the small
+        # entry one node of a call that also spans the bulk
+        pars = ChannelParams(5, 1, 1, 1, 1, 10)
+        gamma = np.array([10.0, 1e-150, 1.0, 1e-3])
+        got = ch.snr_pdf(pars, gamma)
+        assert got[1] == pytest.approx(MpSnrLaw(pars).pdf(1e-150), rel=1e-12, abs=0.0)
+        assert got.tolist() == pytest.approx(self.scalar(ch.snr_pdf, pars, gamma),
+                                             rel=4e-15, abs=0.0)
 
 
 class TestAsymptotics:

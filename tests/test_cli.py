@@ -4,10 +4,11 @@ import math
 import pathlib
 import warnings
 
+import numpy as np
 import pytest
 
 from abxs import cli, metrics
-from abxs.channel import ChannelParams
+from abxs.channel import ChannelParams, snr_pdf
 from oracles import rayleigh_bpsk_aber
 
 # mpmath references at 40 digits for the four preset CSVs.
@@ -186,14 +187,28 @@ class TestPresets:
             assert exact == pytest.approx(closed_form, rel=1e-6)
 
     def test_fig1_bytes_pinned(self, capsys):
-        # Re-pinned when the pdf moved onto the mixture density kernel, with
-        # alpha / (2 gamma) added in logs and the rows summed with their
-        # roundings carried: 432 of the 480 exact cells moved, by at most
-        # 1.4e-14 relative; no asymptotic cell moved.
+        # Re-pinned when each curve's exact column became one snr_pdf call
+        # over its 160 gamma values: 357 of the 480 exact cells moved, by at
+        # most 8.9e-16 relative (a kernel block sums the union of its nodes'
+        # windows); no asymptotic cell moved.
         rc, out, _ = run_cli(capsys, "eval", "--fig", "1")
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "6d8d81fe2a47984313f4a65b19098012f9208710b87323bbe763e1d80c26c1e9")
+            "ee7ef9b4d055b81e3b16e8661adfd60fe1cf9042e00e11db9cece0d7af9c4919")
+
+    @pytest.mark.parametrize("metric", ["pdf", "cdf"])
+    def test_one_statistic_call_per_curve(self, capsys, monkeypatch, metric):
+        name = f"snr_{metric}"
+        real, shapes = getattr(cli, name), []
+
+        def spy(params, gamma):
+            shapes.append(np.shape(gamma))
+            return real(params, gamma)
+
+        monkeypatch.setattr(cli, name, spy)
+        rc, out, _ = run_cli(capsys, "eval", "--fig", "1", "--metric", metric)
+        assert rc == 0 and len(out.strip().splitlines()) == 1 + 480
+        assert shapes == [(160,)] * 3
 
     def test_fig1_matches_mpmath(self, capsys):
         header, rows = preset_rows(capsys, "--fig", "1")
@@ -325,6 +340,17 @@ class TestSimulateCommand:
         summary = [l for l in lines if l.startswith("#")]
         assert any("ks_PASS_at_1pct" in l for l in summary)
         assert any("sample_mean" in l for l in summary)
+
+    def test_model_pdf_is_the_pdf_at_the_bin_centres(self, capsys):
+        rc, out, _ = run_cli(capsys, "simulate", "--trials", "20000", "--bins", "30",
+                             "--seed", "4", "--alpha", "2.5", "--snr-db", "5")
+        assert rc == 0
+        pars = ChannelParams(1.0, 1.0, 1.0, 1.0, 2.5, cli.db_to_linear(5.0))
+        rows = [line.split(",") for line in out.strip().splitlines()[1:] if line[0] != "#"]
+        assert len(rows) == 30
+        for lo, hi, _, _, model in rows:
+            centre = 0.5 * (float(lo) + float(hi))
+            assert float(model) == pytest.approx(snr_pdf(pars, centre), rel=2e-15, abs=0.0)
 
     def test_zero_bins_is_usage_error(self, capsys):
         assert exit_code(capsys, "simulate", "--bins", "0") == 2

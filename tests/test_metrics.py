@@ -583,7 +583,7 @@ class TestMixtureWindow:
 
         def recording(a, shapes, t, log_scale):
             dens = real(a, shapes, t, log_scale)
-            lo = round(shapes[0] - source[1][0])  # the first row, shape m_x + lo
+            lo = round(shapes.item(0) - source[1][0])  # the first row, shape m_x + lo
             out.append((*source, t.copy(), lo, lo + a.size, dens.copy()))
             return dens
 
