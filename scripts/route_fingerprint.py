@@ -126,9 +126,9 @@ def count_density_work() -> list:
     def counting(*law):
         density = real_density(*law)
 
-        def wrapped(t, *log_scale):
+        def wrapped(t, log_scale):
             counted[0] += t.size
-            return density(t, *log_scale)
+            return density(t, log_scale)
         return wrapped
 
     def summing(a, shapes, t, log_scale):

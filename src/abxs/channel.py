@@ -6,8 +6,8 @@ Beaulieu-Xie shadowed envelope density used by the reduction tests.
 
 All quantities are in linear units; dB conversion happens at the CLI
 boundary only. The SNR pdf, cdf and ccdf take a float or an ndarray of
-gamma (one kernel call per array); everything else here takes scalars.
-Everything is pure and thread-safe.
+gamma; everything else here takes scalars. Everything is pure and
+thread-safe.
 """
 
 from __future__ import annotations
@@ -196,7 +196,8 @@ _WINDOW_MARGIN = specfun._CONTOUR_CUT + 8.0
 _MAX_ROWS = 1_000_000
 
 
-def _window_sum(a: np.ndarray, shapes: np.ndarray, t: np.ndarray, log_scale) -> np.ndarray:
+def _window_sum(a: np.ndarray, shapes: np.ndarray, t: np.ndarray,
+                log_scale: np.ndarray) -> np.ndarray:
     """sum_k e^(a_k + s_k t - e^t + log_scale) at each node t, over columns a and s = m_x + k."""
     return np.exp(a + shapes * t - (np.exp(t) - log_scale)).sum(axis=0)
 
@@ -225,14 +226,14 @@ def _mixture_density(m_x: float, m_y: float, bb: float, one_minus_bb: float):
     and below it they rise, apart from a fall from row 0 below the smaller
     crossing.
 
-    The returned function takes a non-decreasing ndarray of nodes, and a
-    log_scale added to every exponent (a float, or an ndarray with one
-    entry per node; which of the two is decided once per call), so that a
-    factor of the caller's (the pdf's alpha / (2 gamma)) meets the density
-    before its exponential and the product underflows only where it is
-    below the double range itself. It sums the nodes' rows in blocks: consecutive
-    nodes while k* moves less than two half-widths 10.4 sqrt(5 (k + 1)) + 4
-    (5 (k + 1) bounds the rows' local variance where they curve,
+    The returned function takes a non-decreasing ndarray of nodes, and an
+    ndarray log_scale of one entry per node added to that node's exponents
+    (zeros for the lattice), so that a factor of the caller's (the pdf's
+    alpha / (2 gamma)) meets the density before its exponential and the
+    product underflows only where it is below the double range itself.
+    It sums the nodes' rows in blocks: consecutive nodes while k* moves
+    less than two half-widths 10.4 sqrt(5 (k + 1)) + 4 (5 (k + 1) bounds
+    the rows' local variance where they curve,
     1 / (1/(k + 1) + 1/(m_x + k) - 1/(m_y + k))),
     and at most _MIXTURE_BLOCK of them. Each block sums the rows within
     e^-_WINDOW_MARGIN of the largest row at its first node t0 (for the rows
@@ -296,25 +297,24 @@ def _mixture_density(m_x: float, m_y: float, bb: float, one_minus_bb: float):
         k = max(0.5 * (math.sqrt(max(b * b - 4.0 * (m_x - m_y * x), 0.0)) - b), 0.0)
         return k, 10.4 * math.sqrt(5.0 * (k + 1.0)) + 4.0
 
-    def density(t: np.ndarray, log_scale=0.0) -> np.ndarray:
+    def density(t: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
         dens = np.zeros(t.shape)
         nodes = t.tolist()
         stop = bisect.bisect_right(nodes, t_max)
         first = bisect.bisect_left(nodes, edge, 0, stop, key=lambda v: bb * math.exp(v))
-        # scale(i) or scale(slice): the pdf's scale per node, or one float for every node
-        scale = log_scale.__getitem__ if isinstance(log_scale, np.ndarray) else lambda _: log_scale
-        sum_rows(t, scale, nodes, 0, first, dens)
+        sum_rows(t, log_scale, nodes, 0, first, dens)
         for i in range(first, stop):
             u = math.exp(nodes[i])
             try:
                 log_f = specfun._log_scaled_1f1_large_x(m_y, m_x, bb * u)
             except specfun.ConvergenceError:
-                sum_rows(t, scale, nodes, i, i + 1, dens)
+                sum_rows(t, log_scale, nodes, i, i + 1, dens)
             else:
-                dens[i] = math.exp(log_norm + m_x * nodes[i] - one_minus_bb * u + log_f + scale(i))
+                dens[i] = math.exp(log_norm + m_x * nodes[i] - one_minus_bb * u + log_f + log_scale[i])
         return dens
 
-    def sum_rows(t: np.ndarray, scale, nodes: list, i: int, stop: int, dens) -> None:
+    def sum_rows(t: np.ndarray, log_scale: np.ndarray, nodes: list, i: int, stop: int,
+                 dens: np.ndarray) -> None:
         while i < stop:
             (k0, half0), t0 = peak(nodes[i]), nodes[i]
             reach = k0 + 2.0 * half0
@@ -339,7 +339,7 @@ def _mixture_density(m_x: float, m_y: float, bb: float, one_minus_bb: float):
             end = bisect.bisect_left(
                 range(hi), True, top1, key=lambda k: row(k - lo) + k * t1 < cut1)
             dens[i:j] = _window_sum(a[start - lo:end - lo], shapes[start - lo:end - lo], t[i:j],
-                                    scale(slice(i, j)))
+                                    log_scale[i:j])
             i = j
     return density
 
@@ -409,7 +409,7 @@ class _DensityLattice:
         self._levels = {0: self._levels[0]}
 
     def _evaluate(self, level: int, a: int, b: int) -> np.ndarray:
-        return self.mixture_density(self.nodes(level, np.arange(a, b)))
+        return self.mixture_density(self.nodes(level, np.arange(a, b)), np.zeros(b - a))
 
 
 # Agreement asked of scipy's hyp2f1 and Euler's integral, in log 2F1 per unit of s.
@@ -600,7 +600,7 @@ def _elementwise(gamma, statistic):
     Raises ValueError, before any other work, if an entry is negative.
     """
     g = np.asarray(gamma, dtype=float)
-    if (g < 0.0).any():
+    if np.count_nonzero(g < 0.0):
         raise ValueError(f"gamma must be >= 0, got {g[g < 0.0].min()}")
     out = statistic(g.ravel()).reshape(g.shape)
     return out if g.ndim else float(out)
@@ -618,51 +618,43 @@ def snr_pdf(params: ChannelParams, gamma):
     finite for alpha*m_x = 2, and unbounded for alpha*m_x < 2 (reported as
     inf so downstream integrals keep working).
 
-    A float (or a 0-d array) gives a float, from one kernel call at one node.
-    An ndarray gives an ndarray of its shape, from one kernel call at its
-    sorted distinct entries > 0; a 0 or NaN entry is what the float call
-    gives. An array entry may differ from the float call in the last bits
-    (within 2e-15 relative where measured): a kernel block sums the union
-    of its nodes' row windows, and numpy's log may round otherwise than
-    math's. A negative entry raises ValueError.
+    A float (or a 0-d array) gives a float; an ndarray (or a list) gives
+    an ndarray of its shape. Either way the entries > 0 are one kernel call
+    at them in increasing order, and a 0 or NaN entry is the high-SNR
+    density's value there. An entry of an array may differ from the same
+    gamma alone in the last bits (within 2e-15 relative where measured): a
+    kernel block sums the union of its nodes' row windows. A negative entry
+    raises ValueError.
     """
-    if isinstance(gamma, np.ndarray) and gamma.ndim:
-        return _elementwise(gamma, lambda g: _pdf_array(params, g))
-    if not gamma > 0.0:
-        return _snr_density(params, gamma)
-    dc = derived_constants(params)
-    t = 0.5 * params.alpha * math.log(gamma / params.gamma_bar) - math.log(dc.c_alpha)
-    log_scale = math.log(0.5 * params.alpha) - math.log(gamma)
-    return dc.density_lattice.mixture_density(np.array([t]), log_scale).item(0)
+    return _elementwise(gamma, lambda g: _pdf_array(params, g))
 
 
 def _pdf_array(params: ChannelParams, gamma: np.ndarray) -> np.ndarray:
     """snr_pdf at each entry of the 1-D array gamma (no entry negative)."""
-    out = np.empty(gamma.shape)
-    positive = gamma > 0.0
-    out[~positive] = [_snr_density(params, g) for g in gamma[~positive].tolist()]
-    nodes, back = np.unique(gamma[positive], return_inverse=True)
+    g = gamma.tolist()
+    out = [0.0 if v > 0.0 else _snr_density(params, v) for v in g]
+    order = sorted((i for i, v in enumerate(g) if v > 0.0), key=g.__getitem__)
     dc = derived_constants(params)
-    t = 0.5 * params.alpha * np.log(nodes / params.gamma_bar) - math.log(dc.c_alpha)
-    log_scale = math.log(0.5 * params.alpha) - np.log(nodes)
-    out[positive] = dc.density_lattice.mixture_density(t, log_scale)[back]
-    return out
+    half_alpha, log_c = 0.5 * params.alpha, math.log(dc.c_alpha)
+    t = np.array([half_alpha * math.log(g[i] / params.gamma_bar) - log_c for i in order])
+    log_scale = np.array([math.log(half_alpha) - math.log(g[i]) for i in order])
+    for i, f in zip(order, dc.density_lattice.mixture_density(t, log_scale).tolist()):
+        out[i] = f
+    return np.array(out)
 
 
-def _gamma_mixture(params: ChannelParams, gamma: np.ndarray, inc_gamma, tail: float = _NB_TAIL):
+def _gamma_mixture(params: ChannelParams, gamma: float | np.ndarray, inc_gamma,
+                   tail: float = _NB_TAIL):
     """sum_k w_k inc_gamma(m_x + k, u) at u = (gamma/gamma_bar)^(alpha/2) / C, capped at 1.
 
     The weights are :func:`_nb_weights` leaving out at most ``tail``, the
-    law's ``nb_weights`` at _NB_TAIL. ``gamma`` is a 1-D ndarray; one pass
-    per weight keeps the memory proportional to it. The power is
-    ``np.float_power``, C's pow at each entry: ``np.power``'s vectorised
-    loop can differ from it in the last bit, and an entry's value would then
-    depend on the array it came in.
+    law's ``nb_weights`` at _NB_TAIL. ``gamma`` is a float or a 1-D ndarray;
+    one pass per weight keeps the memory proportional to it.
     """
     dc = derived_constants(params)
     weights = dc.nb_weights if tail == _NB_TAIL else _nb_weights(
         params.m_y, dc.beta_bar, dc.one_minus_beta_bar, tail)
-    u = np.float_power(gamma / params.gamma_bar, params.alpha / 2.0) / dc.c_alpha
+    u = (gamma / params.gamma_bar) ** (params.alpha / 2.0) / dc.c_alpha
     total = np.zeros_like(u)
     for k, w in enumerate(weights):
         total += w * inc_gamma(params.m_x + k, u)
@@ -672,9 +664,10 @@ def _gamma_mixture(params: ChannelParams, gamma: np.ndarray, inc_gamma, tail: fl
 def snr_cdf(params: ChannelParams, gamma):
     """SNR distribution function: the NB mixture of regularized lower incomplete gammas.
 
-    A float (or a 0-d array) gives a float; an ndarray gives an ndarray of
-    its shape, each entry the float call's value to the bit. A negative
-    entry raises ValueError.
+    A float (or a 0-d array) gives a float; an ndarray (or a list) gives an
+    ndarray of its shape, each entry the float call's value to the bit (a
+    float is summed as a one-entry array). A negative entry raises
+    ValueError.
     """
     return _elementwise(gamma, lambda g: _gamma_mixture(params, g, gammainc))
 
@@ -690,26 +683,23 @@ def snr_ccdf(params: ChannelParams, gamma):
     smallest double) and the sum taken again; one that stays 0 is returned.
     Raises ConvergenceError where a table would pass _NB_MAX_WEIGHTS entries.
 
-    A float (or a 0-d array) gives a float; an ndarray gives an ndarray of
-    its shape, each entry the float call's value to the bit: the first sum
-    runs over every entry, and each retry only over the entries that need
-    it. A negative entry raises ValueError.
+    A float (or a 0-d array) gives a float; an ndarray (or a list) gives an
+    ndarray of its shape, taken entry by entry, so each entry is the float
+    call. A negative entry raises ValueError.
     """
-    return _elementwise(gamma, lambda g: _ccdf_array(params, g))
+    return _elementwise(gamma, lambda g: np.array([_ccdf(params, v) for v in g.tolist()]))
 
 
-def _ccdf_array(params: ChannelParams, gamma: np.ndarray) -> np.ndarray:
-    """snr_ccdf at each entry of the 1-D array gamma (no entry negative)."""
-    value = _gamma_mixture(params, gamma, gammaincc)
-    value[gamma == 0.0] = 1.0
-    tail, zero = _NB_TAIL, value == 0.0
-    while zero.any() and tail > math.ulp(0.0):
+def _ccdf(params: ChannelParams, gamma: float) -> float:
+    """snr_ccdf at one gamma >= 0 (or NaN)."""
+    if gamma == 0.0:
+        return 1.0
+    tail, value = _NB_TAIL, float(_gamma_mixture(params, gamma, gammaincc))
+    while value == 0.0 and tail > math.ulp(0.0):
         tail = max(tail * tail, math.ulp(0.0))
-        value[zero] = _gamma_mixture(params, gamma[zero], gammaincc, tail)
-        zero = value == 0.0
-    retry = specfun._REL_TOL * value
-    for i in np.flatnonzero((0.0 < retry) & (retry < _NB_TAIL)):
-        value[i] = _gamma_mixture(params, gamma[i:i + 1], gammaincc, retry[i])[0]
+        value = float(_gamma_mixture(params, gamma, gammaincc, tail))
+    if 0.0 < specfun._REL_TOL * value < _NB_TAIL:
+        value = float(_gamma_mixture(params, gamma, gammaincc, specfun._REL_TOL * value))
     return value
 
 

@@ -378,7 +378,8 @@ class TestLogScaled1F1:
 
     @classmethod
     def kernel(cls, a, b, t):
-        return ch._mixture_density(b, a, 1.0 - cls.OMB, cls.OMB)(np.asarray(t, dtype=float))
+        t = np.asarray(t, dtype=float)
+        return ch._mixture_density(b, a, 1.0 - cls.OMB, cls.OMB)(t, np.zeros(t.shape))
 
     @classmethod
     def kernel_log(cls, a, b, x):
@@ -523,9 +524,9 @@ class TestSnrCcdf:
         assert 0.0 < want < 1e-50
         assert ch.snr_ccdf(law, ratio * law.gamma_bar) == pytest.approx(want, rel=1e-11, abs=0.0)
 
-    def test_array_retries_only_the_entries_that_need_them(self):
+    def test_array_is_the_float_calls(self):
         # domain law 42: its first sum underflows at 20 gamma_bar and needs a
-        # second table below 1e-2; neither retry may touch the other entries
+        # second table below 1e-2; the other entries need neither retry
         law = ChannelParams(1.2, 1.2, db(-3.0), db(3.0), 3.7, 10.0)
         gamma = law.gamma_bar * np.array([20.0, 0.5, 3.0, 0.0, 20.0, 1e-3])
         assert ch.snr_ccdf(law, gamma).tolist() == [ch.snr_ccdf(law, g) for g in gamma.tolist()]
@@ -627,12 +628,14 @@ class TestArrayStatistics:
         for scalar in (1.5, np.float64(1.5), np.array(1.5)):
             assert type(stat(pars, scalar)) is float
         assert stat(pars, np.array(1.5)) == stat(pars, 1.5)
+        assert stat(pars, np.array([1.5])).tolist() == [stat(pars, 1.5)]
         grid = np.array([[0.5, 1.0, 2.0], [3.0, 0.1, 5.0]])
         for gamma in (grid, grid.T, grid[0]):
             got = stat(pars, gamma)
             assert isinstance(got, np.ndarray) and got.shape == gamma.shape
             assert got.ravel().tolist() == pytest.approx(self.scalar(stat, pars, gamma),
                                                          rel=4e-15, abs=0.0)
+        assert stat(pars, grid[0].tolist()).tolist() == stat(pars, grid[0]).tolist()
         for empty in (np.empty(0), np.empty((0, 3))):
             assert stat(pars, empty).shape == empty.shape
 

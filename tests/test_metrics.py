@@ -600,7 +600,7 @@ class TestMixtureWindow:
                 mt.capacity_mixture(pars)
             for i, shape in enumerate(self.FAR_ROW_0, len(laws)):
                 source[:] = i, shape
-                ch._mixture_density(*shape)(np.linspace(-5.0, 12.0, 273))
+                ch._mixture_density(*shape)(np.linspace(-5.0, 12.0, 273), np.zeros(273))
         finally:
             mp.undo()
             derived_constants.cache_clear()  # no later test reads a recording lattice
@@ -658,9 +658,9 @@ class TestDensityLattice:
         def counting(*law):
             density = real(*law)
 
-            def wrapped(t):
+            def wrapped(t, log_scale):
                 nodes.extend(t.tolist())
-                return density(t)
+                return density(t, log_scale)
             return wrapped
 
         monkeypatch.setattr(ch, "_mixture_density", counting)
